@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .graphs import euler_char
 from .surfaces import SurfaceMesh, validate_surface
+from .unionfind import UnionFind
 
 Point = tuple[Fraction, Fraction]
 
@@ -68,29 +69,14 @@ class PolygonScheme:
         return j, (1 - t if flip else t)
 
     def corner_orbits(self) -> list[set[int]]:
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+        uf = UnionFind(self.n)
         for i in range(self.n):
             for t in (Fraction(0), Fraction(1)):
                 j, t2 = self.partner_point(i, t)
                 ci = i if t == 0 else (i + 1) % self.n
                 cj = j if t2 == 0 else (j + 1) % self.n
-                union(ci, cj)
-        groups: dict[int, set[int]] = {}
-        for c in range(self.n):
-            groups.setdefault(find(c), set()).add(c)
-        return list(groups.values())
+                uf.union(ci, cj)
+        return [set(g) for g in uf.groups(range(self.n))]
 
     def euler_check(self) -> int:
         """chi of the identified polygon (cells: orbits - symbols + 1)."""
@@ -431,14 +417,7 @@ def common_refinement(m1: SurfaceMesh, m2: SurfaceMesh):
             poly_triangles.append((c, rid(a), rid(b)))
 
     # quotient by the scheme's side identifications
-    parent = list(range(len(poly_points)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(len(poly_points))
     for i, p in enumerate(poly_points):
         for side, t in _classify_boundary(scheme, p):
             j, t2 = scheme.partner_point(side, t)
@@ -446,13 +425,11 @@ def common_refinement(m1: SurfaceMesh, m2: SurfaceMesh):
             if q not in poly_index:
                 raise AnchorError(
                     "refinement boundary subdivision is not pairing-closed")
-            ra, rb = find(i), find(poly_index[q])
-            if ra != rb:
-                parent[ra] = rb
+            uf.union(i, poly_index[q])
 
-    roots = sorted({find(i) for i in range(len(poly_points))})
+    roots = sorted({uf.find(i) for i in range(len(poly_points))})
     vid = {r: k for k, r in enumerate(roots)}
-    to_mesh = [vid[find(i)] for i in range(len(poly_points))]
+    to_mesh = [vid[uf.find(i)] for i in range(len(poly_points))]
     triangles = [tuple(to_mesh[v] for v in t) for t in poly_triangles]
     anchor = SchemeAnchor(scheme, poly_points, poly_triangles, to_mesh)
     refined = SurfaceMesh(len(roots), triangles, anchor)

@@ -15,13 +15,17 @@ from fractions import Fraction
 from .anchors import common_refinement
 from .blocks import (Block, BlockError, cap_block, build_junction,
                      cylinder_block, fold_block, plan_junction)
-from .complexes import (ComplexError, TetComplex, boundary_faces,
-                        euler_characteristic, merge_complexes,
+from .complexes import (ComplexError, TetComplex, euler_from_faces,
+                        merge_complexes, validate_faces)
+# imported for the benchmark's tracer, which wraps them as assembly.<name>
+# (benchmarks/spans.py SITES)
+from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
                         validate_complex)
 from .graphs import (GraphError, LabeledGraph, check_realizable,
                      euler_char, format_rational, is_odd_chi,
                      parse_rational)
 from .reeb import ReebGraph, labeled_isomorphic, reeb_graph_of
+from .unionfind import UnionFind
 
 
 class AssemblyError(ValueError):
@@ -222,38 +226,32 @@ class ManifoldReport:
 
 
 def validate_manifold(m: Manifold3) -> ManifoldReport:
-    """Closedness, link conditions, connectedness, chi = 0, provenance."""
+    """Closedness, link conditions, connectedness, chi = 0, provenance,
+    every one read off a single face map."""
+    # looked up at call time, where the benchmark's tracer counts the calls
+    from .complexes import face_map
+    fm = face_map(m.cx)
     checks = []
-    bf = boundary_faces(m.cx)
+    bf = [f for f, ts in fm.items() if len(ts) == 1]
     checks.append(("closed", not bf,
                    "no boundary triangles" if not bf else
                    f"{len(bf)} boundary triangles, e.g. {bf[:3]}"))
     try:
-        validate_complex(m.cx, closed=False)
+        validate_faces(m.cx, fm, closed=False)
         checks.append(("links", True, "all vertex links are spheres/disks"))
     except ComplexError as exc:
         checks.append(("links", False, str(exc)))
     # connectivity over tets through shared faces
     n = len(m.cx.tets)
     if n:
-        from .complexes import face_map
-        fm = face_map(m.cx)
-        adj: dict[int, list[int]] = {i: [] for i in range(n)}
+        uf = UnionFind(n)
         for ts in fm.values():
             for i in range(len(ts) - 1):
-                adj[ts[i]].append(ts[i + 1])
-                adj[ts[i + 1]].append(ts[i])
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        ok = len(seen) == n
-        checks.append(("connected", ok, f"{len(seen)}/{n} tetrahedra"))
-    chi = euler_characteristic(m.cx)
+                uf.union(ts[i], ts[i + 1])
+        reached = len(uf.groups(range(n))[0])
+        checks.append(("connected", reached == n,
+                       f"{reached}/{n} tetrahedra"))
+    chi = euler_from_faces(m.cx, fm)
     checks.append(("euler", chi == 0, f"chi = {chi}"))
     ok = len(m.provenance) == len(m.cx.tets) and \
         all(kind in ("vertex", "edge") for kind, _ in m.provenance)
@@ -262,8 +260,8 @@ def validate_manifold(m: Manifold3) -> ManifoldReport:
     return ManifoldReport(checks)
 
 
-def extract_reeb(m: Manifold3, threads: int | None = None) -> ReebGraph:
-    return reeb_graph_of(m.cx.tets, m.values, threads=threads)
+def extract_reeb(m: Manifold3) -> ReebGraph:
+    return reeb_graph_of(m.cx.tets, m.values)
 
 
 @dataclass
@@ -275,8 +273,7 @@ class VerificationResult:
 
 
 def verify_realization(g: LabeledGraph, refinement: int = 1,
-                       mislabel_edge: int | None = None,
-                       threads: int | None = None) -> VerificationResult:
+                       mislabel_edge: int | None = None) -> VerificationResult:
     """Build, validate, extract, and compare against the input graph."""
     try:
         m = assemble(g, refinement)
@@ -286,7 +283,7 @@ def verify_realization(g: LabeledGraph, refinement: int = 1,
     if not rep.ok:
         return VerificationResult(False, m, None,
                                   "manifold invalid:\n" + rep.summary())
-    reeb = extract_reeb(m, threads=threads)
+    reeb = extract_reeb(m)
     target = g
     if mislabel_edge is not None:
         # debug hook: compare against a deliberately mislabeled copy
@@ -318,12 +315,26 @@ def manifold_to_dict(m: Manifold3) -> dict:
 
 
 def manifold_from_dict(doc) -> Manifold3:
-    cx = TetComplex(int(doc["vertices"]),
-                    [tuple(t) for t in doc["tetrahedra"]])
-    values = [parse_rational(v) for v in doc["values"]]
-    prov = [(str(k), int(i)) for k, i in doc.get("provenance", [])]
-    vv = [parse_rational(v) for v in doc.get("vertex_values", [])]
-    return Manifold3(cx, values, prov, vv)
+    """Parse a manifold document; shape and index-range errors raise
+    ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("top-level JSON value must be an object")
+    try:
+        nv = int(doc["vertices"])
+        tets = [tuple(t) for t in doc["tetrahedra"]]
+        values = [parse_rational(v) for v in doc["values"]]
+        prov = [(str(k), int(i)) for k, i in doc.get("provenance", [])]
+        vv = [parse_rational(v) for v in doc.get("vertex_values", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad manifold document: {exc}") from exc
+    if len(values) != nv:
+        raise ValueError(f"{len(values)} values for {nv} vertices")
+    for t in tets:
+        if len(t) != 4 or not all(isinstance(v, int) and 0 <= v < nv
+                                  for v in t):
+            raise ValueError(f"tetrahedron {list(t)} is not 4 vertex ids "
+                             f"in 0..{nv - 1}")
+    return Manifold3(TetComplex(nv, tets), values, prov, vv)
 
 
 def manifold_to_json(m: Manifold3) -> str:

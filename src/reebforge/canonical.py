@@ -26,6 +26,7 @@ from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
                        connected_sum_mesh_maps, find_spare_triangles,
                        validate_surface)
+from .unionfind import UnionFind
 
 
 def grid_size(refinement: int) -> int:
@@ -53,22 +54,15 @@ def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
     def lid(i, j):
         return j * W + i
 
-    parent = list(range(W * W))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(W * W)
     for i1, j1, i2, j2 in pairs:
-        a, b = find(lid(i1, j1)), find(lid(i2, j2))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    roots = sorted({find(x) for x in range(W * W)})
-    rid = {r: q for q, r in enumerate(roots)}
-    quo = [rid[find(x)] for x in range(W * W)]
+        uf.union(lid(i1, j1), lid(i2, j2))
+    # quotient ids in order of each class's smallest lattice id
+    classes = uf.groups(range(W * W))
+    quo = [0] * (W * W)
+    for q, members in enumerate(classes):
+        for x in members:
+            quo[x] = q
 
     triangles = []
     poly_triangles = []
@@ -106,7 +100,7 @@ def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
         for i in range(W):
             points[lid(i, j)] = (Fraction(i, P), Fraction(j, P))
     anchor = SchemeAnchor(scheme, points, poly_triangles, quo)
-    mesh = SurfaceMesh(len(roots), triangles, anchor)
+    mesh = SurfaceMesh(len(classes), triangles, anchor)
     validate_surface(mesh)
     mesh.spares = find_spare_triangles(mesh)
     return mesh

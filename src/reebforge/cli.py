@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .assembly import (assemble, extract_reeb, manifold_from_dict,
@@ -25,17 +24,6 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    refinement: int = 1
-    seed: int = 0
-    emit_dot: bool = False
-    verbosity: int = 0
 
 
 def _load_graph(path: str) -> LabeledGraph:
@@ -142,10 +130,13 @@ def cmd_surface(args) -> int:
             _write(args.out, mesh_to_json(mesh))
         return EXIT_OK
     try:
-        doc = json.loads(Path(args.input).read_text())
-        mesh = mesh_from_dict(doc)
-        comps = classify_surface(mesh)
+        mesh = mesh_from_dict(json.loads(Path(args.input).read_text()))
     except (OSError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        comps = classify_surface(mesh)
+    except MeshError as exc:
         print(f"invalid mesh: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     for i, c in enumerate(comps):
@@ -169,6 +160,21 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            "must be an unsigned 64-bit integer")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="reebforge",
@@ -176,23 +182,25 @@ def make_parser() -> argparse.ArgumentParser:
                     "on triangulated 3-manifolds, and verify the result.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--refinement", type=int, default=1,
+    def refinement(sp):
+        sp.add_argument("--refinement", type=_positive_int, default=1,
                         help="mesh refinement level (default 1)")
-        sp.add_argument("--seed", type=int, default=0)
+
+    def dot(sp):
         sp.add_argument("--dot", action="store_true",
                         help="emit DOT instead of / in addition to JSON")
+
+    def out(sp):
         sp.add_argument("--out", default=None, help="output path")
-        sp.add_argument("-v", "--verbose", action="count", default=0)
 
     sp = sub.add_parser("check", help="run the realizability checker")
     sp.add_argument("input")
-    common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("build", help="assemble the manifold JSON")
     sp.add_argument("input")
-    common(sp)
+    refinement(sp)
+    out(sp)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify",
@@ -200,54 +208,40 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--debug-mislabel-edge", type=int, default=None,
                     help=argparse.SUPPRESS)
-    common(sp)
+    refinement(sp)
+    dot(sp)
+    sp.add_argument("-v", "--verbose", action="count", default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("extract", help="Reeb graph of a manifold JSON")
     sp.add_argument("input")
-    common(sp)
+    dot(sp)
+    out(sp)
     sp.set_defaults(func=cmd_extract)
 
     sp = sub.add_parser("surface", help="surface utilities")
     ssub = sp.add_subparsers(dest="surface_command", required=True)
     spg = ssub.add_parser("gen", help="generate a canonical surface mesh")
     spg.add_argument("label", type=int)
-    spg.add_argument("refinement", type=int, nargs="?", default=1)
+    spg.add_argument("refinement", type=_positive_int, nargs="?", default=1)
     spg.add_argument("--off", action="store_true", help="write OFF format")
-    common(spg)
+    refinement(spg)
+    out(spg)
     spg.set_defaults(func=cmd_surface, surface_command="gen")
     spc = ssub.add_parser("classify", help="classify a mesh JSON")
     spc.add_argument("input")
-    common(spc)
     spc.set_defaults(func=cmd_surface, surface_command="classify")
 
     sp = sub.add_parser("corpus", help="write seeded demo graph corpora")
     sp.add_argument("--count", type=int, default=10)
-    common(sp)
+    sp.add_argument("--seed", type=_seed, default=0)
+    out(sp)
     sp.set_defaults(func=cmd_corpus)
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "out", None),
-        refinement=getattr(args, "refinement", 1),
-        seed=getattr(args, "seed", 0),
-        emit_dot=getattr(args, "dot", False),
-        verbosity=getattr(args, "verbose", 0),
-    )
-    if cfg.refinement < 1:
-        raise SystemExit(f"refinement must be >= 1, got {cfg.refinement}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise SystemExit("seed must be an unsigned 64-bit integer")
-    return cfg
-
-
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    _config_from_args(args)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .surfaces import SurfaceMesh
+from .unionfind import UnionFind
 
 Tet = tuple[int, int, int, int]
+FaceMap = dict[tuple[int, int, int], list[int]]   # sorted face -> tets
 
 
 class ComplexError(ValueError):
@@ -35,8 +37,8 @@ def tet_faces(t: Tet):
             tuple(sorted((a, c, d))), tuple(sorted((b, c, d))))
 
 
-def face_map(cx: TetComplex) -> dict[tuple[int, int, int], list[int]]:
-    fm: dict[tuple[int, int, int], list[int]] = {}
+def face_map(cx: TetComplex) -> FaceMap:
+    fm: FaceMap = {}
     for ti, t in enumerate(cx.tets):
         for f in tet_faces(t):
             fm.setdefault(f, []).append(ti)
@@ -91,6 +93,7 @@ def _check_link(v: int, tris: list[tuple[int, int, int]], boundary: bool):
         raise ComplexError(f"boundary vertex {v} has a closed link")
     # around each link vertex the opposite edges must chain into one
     # cycle (or one path), otherwise the link pinches there
+    # (a DFS: UnionFind here made validate_complex 9-27% slower)
     for w, pairs in opp.items():
         deg: dict[int, int] = {}
         adj: dict[int, list[int]] = {}
@@ -142,6 +145,11 @@ def _check_link(v: int, tris: list[tuple[int, int, int]], boundary: bool):
 
 def validate_complex(cx: TetComplex, closed: bool = False):
     """Manifold check: face pairing plus sphere/disk vertex links."""
+    validate_faces(cx, face_map(cx), closed)
+
+
+def validate_faces(cx: TetComplex, fm: FaceMap, closed: bool = False):
+    """validate_complex on the face map of cx, already built."""
     seen = set()
     for t in cx.tets:
         if len(set(t)) != 4:
@@ -152,15 +160,13 @@ def validate_complex(cx: TetComplex, closed: bool = False):
         if key in seen:
             raise ComplexError(f"duplicate tetrahedron {key}")
         seen.add(key)
-    fm = face_map(cx)
+    bverts = set()
     for f, ts in fm.items():
         if len(ts) > 2:
             raise ComplexError(f"triangle {f} in {len(ts)} tetrahedra")
-        if closed and len(ts) == 1:
-            raise ComplexError(f"boundary triangle {f} in closed complex")
-    bverts = set()
-    for f, ts in fm.items():
         if len(ts) == 1:
+            if closed:
+                raise ComplexError(f"boundary triangle {f} in closed complex")
             bverts.update(f)
     star: dict[int, list[tuple[int, int, int]]] = {}
     for t in cx.tets:
@@ -176,17 +182,17 @@ def validate_complex(cx: TetComplex, closed: bool = False):
 
 
 def euler_characteristic(cx: TetComplex) -> int:
+    return euler_from_faces(cx, face_map(cx))
+
+
+def euler_from_faces(cx: TetComplex, fm: FaceMap) -> int:
+    """V - E + F - T, with vertices and edges read off the (sorted) faces."""
     verts = set()
     edges = set()
-    faces = set()
-    for t in cx.tets:
-        verts.update(t)
-        a, b, c, d = t
-        for e in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
-            edges.add(tuple(sorted(e)))
-        for f in tet_faces(t):
-            faces.add(f)
-    return len(verts) - len(edges) + len(faces) - len(cx.tets)
+    for a, b, c in fm:
+        verts.update((a, b, c))
+        edges.update(((a, b), (a, c), (b, c)))
+    return len(verts) - len(edges) + len(fm) - len(cx.tets)
 
 
 def boundary_surface(cx: TetComplex):
@@ -312,24 +318,16 @@ def merge_complexes(parts: list[TetComplex],
     for p in parts:
         offsets.append(total)
         total += p.nv
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(total)
     for pa, va, pb, vb in identifications:
-        ra, rb = find(offsets[pa] + va), find(offsets[pb] + vb)
-        if ra != rb:
-            parent[ra] = rb
-
-    roots = sorted({find(i) for i in range(total)})
+        uf.union(offsets[pa] + va, offsets[pb] + vb)
+    # vertices are numbered by sorted root, so the union direction fixes
+    # the output numbering
+    roots = sorted({uf.find(i) for i in range(total)})
     rid = {r: i for i, r in enumerate(roots)}
     vmaps = []
     for pi, p in enumerate(parts):
-        vmaps.append([rid[find(offsets[pi] + v)] for v in range(p.nv)])
+        vmaps.append([rid[uf.find(offsets[pi] + v)] for v in range(p.nv)])
     tets: list[Tet] = []
     tet_offsets = []
     for pi, p in enumerate(parts):

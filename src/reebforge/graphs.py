@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .unionfind import UnionFind
+
 
 class GraphError(ValueError):
     """Raised for malformed or inadmissible input graphs."""
@@ -101,20 +103,10 @@ class LabeledGraph:
                 raise GraphError(
                     f"equal endpoint values on edge {self.names[e.u]!r}-"
                     f"{self.names[e.v]!r}: height must be injective on edges")
-        # connectivity
-        seen = {0}
-        stack = [0]
-        adj: dict[int, list[int]] = {i: [] for i in range(self.n)}
+        uf = UnionFind(self.n)
         for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != self.n:
+            uf.union(e.u, e.v)
+        if len(uf.groups(range(self.n))) != 1:
             raise GraphError("graph is not connected")
 
 

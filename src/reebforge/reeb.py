@@ -17,15 +17,12 @@ inessential node.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Edge, LabeledGraph, format_rational
 from .surfaces import SurfaceMesh, classify_surface
-
-THREAD_ENV = "REEBFORGE_THREADS"
+from .unionfind import UnionFind
 
 
 class ReebError(ValueError):
@@ -86,25 +83,6 @@ def _cell_faces(cell):
             tuple(sorted((a, c))))
 
 
-class _UF:
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 @dataclass
 class _Sweep:
     """Shared precomputation for one complex; all comparisons during the
@@ -141,34 +119,17 @@ def _prepare(cells, values) -> _Sweep:
                   shared)
 
 
-def _level_components(sw: _Sweep, i: int):
-    members = [c for c in range(len(sw.cells))
-               if sw.cmin[c] <= i <= sw.cmax[c]]
-    uf = _UF(members)
+def _components(sw: _Sweep, lo: int, hi: int) -> list[list[int]]:
+    """Cells spanning ranks lo..hi, joined across shared faces that span
+    them too: level components for lo == hi, slab components for
+    hi == lo + 1.  Components come in order of their smallest cell."""
+    uf = UnionFind(len(sw.cells))
     for fmin, fmax, cs in sw.shared_faces:
-        if fmin <= i <= fmax:
-            base = cs[0]
+        if fmin <= lo and fmax >= hi:
             for c in cs[1:]:
-                uf.union(base, c)
-    comps: dict[int, list[int]] = {}
-    for c in members:
-        comps.setdefault(uf.find(c), []).append(c)
-    return comps
-
-
-def _slab_components(sw: _Sweep, i: int):
-    members = [c for c in range(len(sw.cells))
-               if sw.cmin[c] <= i and sw.cmax[c] >= i + 1]
-    uf = _UF(members)
-    for fmin, fmax, cs in sw.shared_faces:
-        if fmin <= i and fmax >= i + 1:
-            base = cs[0]
-            for c in cs[1:]:
-                uf.union(base, c)
-    comps: dict[int, list[int]] = {}
-    for c in members:
-        comps.setdefault(uf.find(c), []).append(c)
-    return comps
+                uf.union(c, cs[0])
+    return uf.groups(c for c in range(len(sw.cells))
+                     if sw.cmin[c] <= lo and sw.cmax[c] >= hi)
 
 
 def _slice_cells(sw: _Sweep, members, level: int):
@@ -227,11 +188,10 @@ def _slab_label(sw: _Sweep, members, level: int) -> int:
     pts, mesh, segs = _slice_cells(sw, members, level)
     if segs is not None:
         # 1-manifold slice: count circles, report count - 1
-        uf = _UF(range(len(pts)))
+        uf = UnionFind(len(pts))
         for a, b in segs:
             uf.union(a, b)
-        comps = {uf.find(x) for x in range(len(pts))}
-        return len(comps) - 1
+        return len(uf.groups(range(len(pts)))) - 1
     comps = classify_surface(mesh)
     if len(comps) != 1:
         raise ReebError(
@@ -239,8 +199,7 @@ def _slab_label(sw: _Sweep, members, level: int) -> int:
     return comps[0].label
 
 
-def reeb_graph_of(cells, values, pin_values=(), threads: int | None = None
-                  ) -> ReebGraph:
+def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
     """Extract the Reeb graph of PL interpolation over the given cells.
 
     cells are tetrahedra (3-manifold mode) or triangles (self-test mode,
@@ -249,8 +208,6 @@ def reeb_graph_of(cells, values, pin_values=(), threads: int | None = None
     """
     sw = _prepare(cells, values)
     L = len(sw.layers)
-    if threads is None:
-        threads = int(os.environ.get(THREAD_ENV, "1") or "1")
 
     level_comp_of: list[dict[int, int]] = []
     node_values: list[Fraction] = []
@@ -258,41 +215,27 @@ def reeb_graph_of(cells, values, pin_values=(), threads: int | None = None
     pin_set = set(pin_values)
 
     for i in range(L):
-        comps = _level_components(sw, i)
         mapping = {}
-        for root in sorted(comps):
+        for comp in _components(sw, i, i):
             nid = len(node_values)
             node_values.append(sw.layers[i])
             pinned = sw.layers[i] in pin_set
             if not pinned:
-                for c in comps[root]:
+                for c in comp:
                     if sw.cmin[c] == sw.cmax[c] == i:
                         pinned = True
                         break
             node_pinned.append(pinned)
-            for c in comps[root]:
+            for c in comp:
                 mapping[c] = nid
         level_comp_of.append(mapping)
 
-    def slab_edges(i):
-        comps = _slab_components(sw, i)
-        out = []
-        for root in sorted(comps):
-            cells_here = comps[root]
-            rep = cells_here[0]
-            down = level_comp_of[i][rep]
-            up = level_comp_of[i + 1][rep]
-            label = _slab_label(sw, cells_here, i)
-            out.append((down, up, label))
-        return out
-
-    if threads > 1 and L > 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slabs = list(pool.map(slab_edges, range(L - 1)))
-    else:
-        slabs = [slab_edges(i) for i in range(L - 1)]
-
-    edges = [(a, b, l) for chunk in slabs for a, b, l in chunk]
+    edges = []
+    for i in range(L - 1):
+        for comp in _components(sw, i, i + 1):
+            rep = comp[0]
+            edges.append((level_comp_of[i][rep], level_comp_of[i + 1][rep],
+                          _slab_label(sw, comp, i)))
     return _contract(node_values, node_pinned, edges)
 
 

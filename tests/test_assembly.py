@@ -6,7 +6,9 @@ from reebforge.assembly import (AssemblyError, Manifold3, assemble,
                                 extract_reeb, manifold_from_dict,
                                 manifold_to_dict, validate_manifold,
                                 verify_realization)
-from reebforge.complexes import euler_characteristic
+from reebforge.canonical import canonical_mesh
+from reebforge.complexes import (cone_complex, euler_characteristic,
+                                 merge_complexes)
 from reebforge.graphs import Edge, LabeledGraph
 from reebforge.reeb import labeled_isomorphic
 
@@ -157,3 +159,24 @@ def test_round_trip_isomorphism_returns_value_preserving_map():
 def test_assembly_at_refinement_two():
     res = verify_realization(THETA, refinement=2)
     assert res.ok, res.detail
+
+
+def test_validate_manifold_reports_pinched_wedge():
+    # two closed 3-spheres (doubled cones over the sphere) sharing one apex:
+    # closed, but the apex link is disconnected and no face joins the two
+    sphere = canonical_mesh(0, 1)
+    cone = cone_complex(sphere)
+    apex = sphere.nv
+    ball_double = [(0, v, 1, v) for v in range(sphere.nv)]
+    s3, _, _ = merge_complexes([cone, cone], ball_double)
+    cx, vmaps, _ = merge_complexes([s3, s3],
+                                   [(0, s3.nv - 1, 1, s3.nv - 1)])
+    n = len(cx.tets)
+    m = Manifold3(cx, [F(0)] * cx.nv, [("vertex", 0)] * n)
+    checks = {name: (ok, msg) for name, ok, msg in validate_manifold(m).checks}
+    assert checks["closed"][0]
+    assert not checks["links"][0]
+    assert checks["links"][1] == \
+        f"vertex {vmaps[0][s3.nv - 1]} link is disconnected"
+    assert checks["connected"] == (False, f"{n // 2}/{n} tetrahedra")
+    assert checks["euler"] == (False, "chi = -1")

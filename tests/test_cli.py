@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import reebforge
 from reebforge.cli import main
 
 MINIMAL = {"vertices": [{"id": "a", "value": "0/1"},
@@ -120,3 +127,65 @@ def test_corpus_writes_files(tmp_path):
     assert rc == 0
     assert len(list(out.glob("ok_*.json"))) == 3
     assert len(list(out.glob("reject_*.json"))) == 3
+
+
+def test_refinement_zero_is_an_input_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", write(tmp_path, "g.json", MINIMAL),
+              "--refinement", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--refinement: must be >= 1, got 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "g.json", "--seed", "5"],
+    ["check", "g.json", "--refinement", "2"],
+    ["build", "g.json", "--dot"],
+    ["build", "g.json", "--seed", "5"],
+    ["extract", "m.json", "--refinement", "2"],
+    ["surface", "classify", "m.json", "--refinement", "2"],
+    ["corpus", "--dot"],
+    ["corpus", "--refinement", "2"],
+    ["corpus", "--seed", "-1"],
+])
+def test_flags_only_on_the_commands_that_use_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def run_cli(tmp_path, argv, doc):
+    """Run the CLI in a fresh interpreter on one JSON document."""
+    path = write(tmp_path, "in.json", doc)
+    src = str(Path(reebforge.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "reebforge.cli", *argv, path],
+        capture_output=True, text=True, env=env, timeout=60)
+
+
+ONE_TET = {"vertices": 4, "tetrahedra": [[0, 1, 2, 3]],
+           "values": ["0/1", "1/1", "2/1", "3/1"]}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["extract"], dict(ONE_TET, values=["0/1"])),
+    (["extract"], [ONE_TET]),
+    (["extract"], dict(ONE_TET, tetrahedra=[[0, 1, 2]])),
+    (["extract"], dict(ONE_TET, tetrahedra=[[0, 1, 2, 7]])),
+    (["surface", "classify"], {"vertices": [0, 1, 2],
+                               "triangles": [[0, 1, 5]]}),
+    (["surface", "classify"], {"vertices": [], "triangles": []}),
+], ids=["truncated-values", "top-level-array", "three-vertex-tet",
+        "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
+        "no-triangles"])
+def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
+    proc = run_cli(tmp_path, argv, doc)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")

@@ -88,3 +88,20 @@ def test_validate_catches_overfull_face():
     cx = TetComplex(5, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 4)])
     with pytest.raises(ComplexError):
         validate_complex(cx)
+
+
+def test_validate_rejects_cone_over_torus():
+    # the apex link is the torus itself: closed and connected, chi 0
+    with pytest.raises(ComplexError, match=r"not a sphere \(chi=0\)"):
+        validate_complex(cone_complex(canonical_mesh(1, 1)))
+
+
+def test_validate_rejects_cones_sharing_only_their_apex():
+    # the shared apex has two disjoint spheres as its link
+    sphere = canonical_mesh(0, 1)
+    cone = cone_complex(sphere)
+    apex = sphere.nv
+    cx, vmaps, _ = merge_complexes([cone, cone], [(0, apex, 1, apex)])
+    with pytest.raises(ComplexError, match=f"vertex {vmaps[0][apex]} link "
+                                           "is disconnected"):
+        validate_complex(cx)

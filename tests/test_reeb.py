@@ -133,7 +133,7 @@ def test_slab_slices_agree_along_an_edge():
         assert classify_labels(ls.mesh) == [-2]
 
 
-def test_extraction_deterministic_across_runs_and_threads():
+def test_extraction_deterministic_across_runs():
     j = elementary_junction("sphere_split", F(0), F(1), F(2))
     base = reeb_graph_of(j.cx.tets, j.values, pin_values=[F(1)])
     snap = ([(str(n.value), n.essential) for n in base.nodes],
@@ -142,16 +142,6 @@ def test_extraction_deterministic_across_runs_and_threads():
         r = reeb_graph_of(j.cx.tets, j.values, pin_values=[F(1)])
         assert ([(str(n.value), n.essential) for n in r.nodes],
                 [(e.a, e.b, e.label) for e in r.edges]) == snap
-    r4 = reeb_graph_of(j.cx.tets, j.values, pin_values=[F(1)], threads=4)
-    assert ([(str(n.value), n.essential) for n in r4.nodes],
-            [(e.a, e.b, e.label) for e in r4.edges]) == snap
-
-
-def test_thread_env_variable(monkeypatch):
-    monkeypatch.setenv("REEBFORGE_THREADS", "4")
-    j = elementary_junction("sphere_split", F(0), F(1), F(2))
-    r = reeb_graph_of(j.cx.tets, j.values, pin_values=[F(1)])
-    assert len(r.nodes) == 4
 
 
 def test_contraction_drops_interior_layers():

@@ -31,6 +31,16 @@ def test_seven_vertex_torus():
     assert comps[0].label == 1
 
 
+def test_boundary_cycles_with_allow_boundary():
+    # annulus: inner ring 0-1-2, outer ring 3-4-5
+    annulus = SurfaceMesh(6, [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4),
+                              (2, 0, 5), (0, 3, 5)])
+    disk = SurfaceMesh(3, [(0, 1, 2)])
+    for mesh, cycles, chi in ((annulus, 2, 0), (disk, 1, 1)):
+        (comp,) = classify_surface(mesh, allow_boundary=True)
+        assert (comp.boundary_cycles, comp.chi) == (cycles, chi)
+
+
 def test_disjoint_union_classifies_per_component():
     rp2 = canonical_mesh(-1)
     klein = canonical_mesh(-2)
