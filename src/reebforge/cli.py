@@ -110,6 +110,10 @@ def cmd_extract(args) -> int:
         print(rep.summary(), file=sys.stderr)
         return EXIT_VERIFY
     reeb = extract_reeb(m)
+    if not reeb.edges:
+        print("function is constant: its Reeb graph is a single point",
+              file=sys.stderr)
+        return EXIT_REJECTED
     if args.dot:
         _write(args.out, reeb.to_dot())
     else:
@@ -119,8 +123,14 @@ def cmd_extract(args) -> int:
 
 def cmd_surface(args) -> int:
     if args.surface_command == "gen":
+        given = {args.refinement, args.refinement_arg} - {None}
+        if len(given) > 1:
+            print(f"input error: refinement {args.refinement_arg} "
+                  f"disagrees with --refinement {args.refinement}",
+                  file=sys.stderr)
+            return EXIT_INPUT
         try:
-            mesh = generate_surface(args.label, args.refinement)
+            mesh = generate_surface(args.label, given.pop() if given else 1)
         except (MeshError, ValueError) as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -182,8 +192,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "on triangulated 3-manifolds, and verify the result.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def refinement(sp):
-        sp.add_argument("--refinement", type=_positive_int, default=1,
+    def refinement(sp, default=1):
+        sp.add_argument("--refinement", type=_positive_int, default=default,
                         help="mesh refinement level (default 1)")
 
     def dot(sp):
@@ -223,9 +233,11 @@ def make_parser() -> argparse.ArgumentParser:
     ssub = sp.add_subparsers(dest="surface_command", required=True)
     spg = ssub.add_parser("gen", help="generate a canonical surface mesh")
     spg.add_argument("label", type=int)
-    spg.add_argument("refinement", type=_positive_int, nargs="?", default=1)
+    spg.add_argument("refinement_arg", metavar="refinement",
+                     type=_positive_int, nargs="?", default=None,
+                     help="same as --refinement")
     spg.add_argument("--off", action="store_true", help="write OFF format")
-    refinement(spg)
+    refinement(spg, default=None)
     out(spg)
     spg.set_defaults(func=cmd_surface, surface_command="gen")
     spc = ssub.add_parser("classify", help="classify a mesh JSON")

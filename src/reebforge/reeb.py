@@ -73,20 +73,15 @@ class ReebGraph:
         return json.dumps(graph_to_dict(self.to_labeled_graph()), indent=2)
 
 
-def _cell_faces(cell):
-    if len(cell) == 4:
-        a, b, c, d = cell
-        return (tuple(sorted((a, b, c))), tuple(sorted((a, b, d))),
-                tuple(sorted((a, c, d))), tuple(sorted((b, c, d))))
-    a, b, c = cell
-    return (tuple(sorted((a, b))), tuple(sorted((b, c))),
-            tuple(sorted((a, c))))
-
-
 @dataclass
 class _Sweep:
     """Shared precomputation for one complex; all comparisons during the
-    sweep run on integer ranks of the layer values."""
+    sweep run on integer ranks of the layer values.
+
+    Bucket 2i holds level i and bucket 2i + 1 the slab between levels i
+    and i + 1: a cell with ranks lo..hi lies in buckets 2lo..2hi, in
+    ascending order, and a face shared by cells lies in the buckets of
+    its own ranks, as the pairs of cells it joins."""
 
     cells: list[tuple]
     values: list[Fraction]
@@ -94,42 +89,59 @@ class _Sweep:
     vrank: list[int]
     cmin: list[int]
     cmax: list[int]
-    shared_faces: list[tuple[int, int, list[int]]]   # (fmin, fmax, cells)
+    bucket_cells: list[list[int]]
+    bucket_joins: list[list[tuple[int, int]]]
+    uf: UnionFind                    # over cells, reset bucket by bucket
 
 
 def _prepare(cells, values) -> _Sweep:
     layers = sorted(set(values))
     rank = {v: i for i, v in enumerate(layers)}
     vrank = [rank[v] for v in values]
+    nb = 2 * len(layers) - 1
+    bucket_cells: list[list[int]] = [[] for _ in range(nb)]
+    bucket_joins: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
     cmin, cmax = [], []
-    for cell in cells:
-        rs = [vrank[v] for v in cell]
-        cmin.append(min(rs))
-        cmax.append(max(rs))
-    fmap: dict[tuple, list[int]] = {}
+    first_cell: dict[tuple, int] = {}
     for ci, cell in enumerate(cells):
-        for f in _cell_faces(cell):
-            fmap.setdefault(f, []).append(ci)
-    shared = []
-    for f, cs in fmap.items():
-        if len(cs) >= 2:
-            rs = [vrank[v] for v in f]
-            shared.append((min(rs), max(rs), cs))
+        s = sorted(cell)     # faces of a sorted cell come out sorted
+        rs = [vrank[v] for v in s]
+        lo, hi = min(rs), max(rs)
+        cmin.append(lo)
+        cmax.append(hi)
+        for k in range(2 * lo, 2 * hi + 1):
+            bucket_cells[k].append(ci)
+        if len(s) == 4:
+            a, b, c, d = s
+            faces = ((a, b, c), (a, b, d), (a, c, d), (b, c, d))
+        else:
+            a, b, c = s
+            faces = ((a, b), (b, c), (a, c))
+        for f in faces:
+            first = first_cell.setdefault(f, ci)
+            if first != ci:
+                # every later cell on a face joins the first one
+                join = (ci, first)
+                fr = [vrank[v] for v in f]
+                for k in range(2 * min(fr), 2 * max(fr) + 1):
+                    bucket_joins[k].append(join)
     return _Sweep(list(cells), list(values), layers, vrank, cmin, cmax,
-                  shared)
+                  bucket_cells, bucket_joins, UnionFind(len(cells)))
 
 
 def _components(sw: _Sweep, lo: int, hi: int) -> list[list[int]]:
     """Cells spanning ranks lo..hi, joined across shared faces that span
     them too: level components for lo == hi, slab components for
     hi == lo + 1.  Components come in order of their smallest cell."""
-    uf = UnionFind(len(sw.cells))
-    for fmin, fmax, cs in sw.shared_faces:
-        if fmin <= lo and fmax >= hi:
-            for c in cs[1:]:
-                uf.union(c, cs[0])
-    return uf.groups(c for c in range(len(sw.cells))
-                     if sw.cmin[c] <= lo and sw.cmax[c] >= hi)
+    members = sw.bucket_cells[lo + hi]
+    # a face's cells span at least its ranks, so every join stays inside
+    # the bucket, and resetting the bucket's cells suffices
+    parent = sw.uf.parent
+    for c in members:
+        parent[c] = c
+    for a, b in sw.bucket_joins[lo + hi]:
+        sw.uf.union(a, b)
+    return sw.uf.groups(members)
 
 
 def _slice_cells(sw: _Sweep, members, level: int):
@@ -321,9 +333,8 @@ def level_set_of(cells, values, t: Fraction) -> LevelSet:
         raise ReebError(f"{t} is outside the function image")
     sw = _prepare(cells, values)
     level = max(i for i, v in enumerate(layers) if v < t)
-    members = [c for c in range(len(cells))
-               if sw.cmin[c] <= level and sw.cmax[c] >= level + 1]
-    pts, mesh, segs = _slice_cells(sw, members, level)
+    pts, mesh, segs = _slice_cells(sw, sw.bucket_cells[2 * level + 1],
+                                   level)
     if mesh is None:
         raise ReebError("level sets of triangle complexes are 1-manifolds; "
                         "no surface to return")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .unionfind import UnionFind
 
@@ -30,78 +31,111 @@ class SurfaceMesh:
 
 
 def _edge_map(triangles):
+    """Undirected edge (u, v), u < v -> its sides.  Side
+    2 * (3 * ti + k) + rev says that triangle ti runs along the edge from
+    its corner k to corner k + 1 (mod 3), from v to u when rev is 1."""
     edges: dict[tuple[int, int], list[int]] = {}
     for ti, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edges.setdefault(key, []).append(ti)
+        s = 6 * ti
+        for u, v, side in ((a, b, s), (b, c, s + 2), (c, a, s + 4)):
+            if u > v:
+                u, v, side = v, u, side + 1
+            sides = edges.get((u, v))
+            if sides is None:
+                edges[u, v] = [side]
+            else:
+                sides.append(side)
     return edges
 
 
-def validate_surface(mesh: SurfaceMesh, allow_boundary: bool = False):
-    """Check simplicial-surface invariants; returns the edge map.
+@dataclass
+class _Survey:
+    """What one pass over the edge map finds out about a valid mesh."""
 
-    Closed mode requires every edge in exactly 2 triangles and every vertex
-    link a single cycle.  Boundary mode additionally admits edges in one
-    triangle and chain links.
-    """
+    edges: dict[tuple[int, int], list[int]]
+    # triangles joined across interior edges
+    parts: UnionFind
+    # corner 3 * ti + k -> 2 * tj + same for the triangle tj across the
+    # edge leaving it, same = 1 when both run along that edge the same way;
+    # -1 on the boundary
+    across: list[int]
+    # vertex -> one of its corners, -1 for an unused vertex
+    home: list[int]
+
+
+def _survey(mesh: SurfaceMesh, allow_boundary: bool) -> _Survey:
+    triangles = mesh.triangles
+    nv = mesh.nv
     seen = set()
-    used = set()
-    for a, b, c in mesh.triangles:
-        if len({a, b, c}) != 3:
+    for a, b, c in triangles:
+        if a == b or b == c or a == c:
             raise MeshError(f"degenerate triangle ({a},{b},{c})")
-        if not all(0 <= x < mesh.nv for x in (a, b, c)):
+        if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
             raise MeshError(f"triangle vertex out of range ({a},{b},{c})")
         key = tuple(sorted((a, b, c)))
         if key in seen:
             raise MeshError(f"duplicate triangle {key}")
         seen.add(key)
-        used.update(key)
-    edges = _edge_map(mesh.triangles)
-    for key, tris in edges.items():
-        if len(tris) > 2:
-            raise MeshError(f"edge {key} in {len(tris)} triangles")
-        if len(tris) == 1 and not allow_boundary:
+    edges = _edge_map(triangles)
+    tn = len(triangles)
+    parts = UnionFind(tn)
+    # corners around one vertex, joined across the interior edges at it:
+    # a vertex link is connected iff all its corners fall in one class
+    links = UnionFind(3 * tn)
+    across = [-1] * (3 * tn)
+    rim = [0] * nv      # boundary edges at each vertex: the link's ends
+    for key, sides in edges.items():
+        if len(sides) == 2:
+            x, y = sides
+            cx, cy = x >> 1, y >> 1
+            tx, ty = cx // 3, cy // 3
+            parts.union(tx, ty)
+            same = (x ^ y ^ 1) & 1
+            across[cx] = 2 * ty + same
+            across[cy] = 2 * tx + same
+            hx = cx + 1 if cx % 3 != 2 else cx - 2
+            hy = cy + 1 if cy % 3 != 2 else cy - 2
+            if same:
+                links.union(cx, cy)
+                links.union(hx, hy)
+            else:
+                links.union(cx, hy)
+                links.union(hx, cy)
+        elif len(sides) > 2:
+            raise MeshError(f"edge {key} in {len(sides)} triangles")
+        elif not allow_boundary:
             raise MeshError(f"boundary edge {key} in closed mesh")
-    # vertex links: around each vertex the incident triangles must chain into
-    # a single cycle (or a single path when the vertex is on the boundary)
-    star: dict[int, list[int]] = {}
-    for ti, tri in enumerate(mesh.triangles):
-        for v in tri:
-            star.setdefault(v, []).append(ti)
-    # (kept apart from complexes._check_link, which ran 7-14% slower here)
-    for v, tris in star.items():
-        # link graph: nodes are the opposite edges' endpoints, each triangle
-        # contributes one link edge
-        deg: dict[int, int] = {}
-        adj: dict[int, list[int]] = {}
-        for ti in tris:
-            a, b, c = mesh.triangles[ti]
-            x, y = [w for w in (a, b, c) if w != v]
-            deg[x] = deg.get(x, 0) + 1
-            deg[y] = deg.get(y, 0) + 1
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        ends = [w for w, d in deg.items() if d == 1]
-        if any(d > 2 for d in deg.values()):
-            raise MeshError(f"vertex {v} link is not a 1-manifold")
-        if ends and not allow_boundary:
-            raise MeshError(f"vertex {v} link is not a cycle")
-        if len(ends) not in (0, 2):
-            raise MeshError(f"vertex {v} link has {len(ends)} chain ends")
-        # connectivity of the link
-        start = next(iter(adj))
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if len(comp) != len(adj):
-            raise MeshError(f"vertex {v} link is disconnected")
-    return edges
+        else:
+            rim[key[0]] += 1
+            rim[key[1]] += 1
+    corner_vertex = list(chain.from_iterable(triangles))
+    home = [-1] * nv
+    pinched = set()
+    for c in links.roots():
+        v = corner_vertex[c]
+        if home[v] < 0:
+            home[v] = c
+        else:
+            pinched.add(v)
+    if pinched or set(rim) - {0, 2}:
+        # the first bad vertex in order of first appearance
+        for v in dict.fromkeys(chain.from_iterable(triangles)):
+            if rim[v] not in (0, 2):
+                raise MeshError(f"vertex {v} link has {rim[v]} chain ends")
+            if v in pinched:
+                raise MeshError(f"vertex {v} link is disconnected")
+    return _Survey(edges, parts, across, home)
+
+
+def validate_surface(mesh: SurfaceMesh, allow_boundary: bool = False):
+    """Check simplicial-surface invariants; returns the edge map of
+    `_edge_map`.
+
+    Closed mode requires every edge in exactly 2 triangles and every vertex
+    link a single cycle.  Boundary mode additionally admits edges in one
+    triangle and chain links.
+    """
+    return _survey(mesh, allow_boundary).edges
 
 
 @dataclass
@@ -123,72 +157,56 @@ def classify_surface(mesh: SurfaceMesh,
     non-orientable.  The label is (2-chi)/2 for orientable components and
     chi-2 otherwise.
     """
-    edges = validate_surface(mesh, allow_boundary=allow_boundary)
+    sv = _survey(mesh, allow_boundary)
     tn = len(mesh.triangles)
-    uf = UnionFind(tn)
-    for tris in edges.values():
-        if len(tris) == 2:
-            uf.union(tris[0], tris[1])
+    parts = sv.parts
     # listed by root, the order `surface classify` prints them in
-    comps = sorted(uf.groups(range(tn)), key=lambda c: uf.find(c[0]))
+    comps = sorted(parts.groups(range(tn)), key=lambda c: parts.find(c[0]))
+    comp_of = [0] * tn
+    for i, tris in enumerate(comps):
+        for ti in tris:
+            comp_of[ti] = i
+    # a vertex lies in one component, since its link is connected
+    vertices: list[list[int]] = [[] for _ in comps]
+    for v, c in enumerate(sv.home):
+        if c >= 0:
+            vertices[comp_of[c // 3]].append(v)
+    nedges = [0] * len(comps)
     # boundary cycles are the components of the boundary edge graph
     rims = UnionFind(mesh.nv)
+    rim_vertices: list[list[int]] = [[] for _ in comps]
+    for (u, v), sides in sv.edges.items():
+        i = comp_of[sides[0] // 6]
+        nedges[i] += 1
+        if len(sides) == 1:
+            rims.union(u, v)
+            rim_vertices[i].append(u)
 
     # orientation propagation; orient[t] in {0,1}, flipping the triangle
-    orient = [None] * tn
-    tri_edges = []
-    for a, b, c in mesh.triangles:
-        tri_edges.append(((a, b), (b, c), (c, a)))
-
-    def directed_edges(ti):
-        des = tri_edges[ti]
-        if orient[ti] == 0:
-            return des
-        return tuple((v, u) for u, v in des)
-
+    orient = [-1] * tn
+    across = sv.across
     out = []
-    for tris in comps:
-        vset = set()
-        eset = set()
-        for ti in tris:
-            vset.update(mesh.triangles[ti])
-            for u, v in tri_edges[ti]:
-                eset.add((u, v) if u < v else (v, u))
-        bedges = [key for key in eset if len(edges[key]) == 1]
-        for u, v in bedges:
-            rims.union(u, v)
-        bcount = len({rims.find(u) for u, _ in bedges})
-        chi = len(vset) - len(eset) + len(tris)
+    for i, tris in enumerate(comps):
         orientable = True
-        start = tris[0]
-        orient[start] = 0
-        stack = [start]
+        orient[tris[0]] = 0
+        stack = [tris[0]]
         while stack:
             ti = stack.pop()
-            mine = set(directed_edges(ti))
-            for u, v in list(mine):
-                key = (u, v) if u < v else (v, u)
-                for tj in edges[key]:
-                    if tj == ti:
-                        continue
-                    # consistent orientation traverses the shared edge in
-                    # opposite directions
-                    for o in (0, 1):
-                        des = tri_edges[tj] if o == 0 else tuple(
-                            (y, x) for x, y in tri_edges[tj])
-                        if (v, u) in des:
-                            want = o
-                            break
-                    else:
-                        want = None
-                    if want is None:
-                        orientable = False
-                        continue
-                    if orient[tj] is None:
-                        orient[tj] = want
-                        stack.append(tj)
-                    elif orient[tj] != want:
-                        orientable = False
+            o = orient[ti]
+            for c in range(3 * ti, 3 * ti + 3):
+                x = across[c]
+                if x < 0:
+                    continue
+                # consistent orientations run along a shared edge in
+                # opposite directions
+                tj, want = x >> 1, o ^ (x & 1)
+                if orient[tj] < 0:
+                    orient[tj] = want
+                    stack.append(tj)
+                elif orient[tj] != want:
+                    orientable = False
+        bcount = len({rims.find(u) for u in rim_vertices[i]})
+        chi = len(vertices[i]) - nedges[i] + len(tris)
         if bcount == 0:
             if orientable:
                 if chi % 2 != 0 or chi > 2:
@@ -202,7 +220,7 @@ def classify_surface(mesh: SurfaceMesh,
                 label = chi - 2
         else:
             label = 0   # placeholder; surfaces with boundary are internal
-        out.append(SurfaceComponent(label, chi, orientable, sorted(vset),
+        out.append(SurfaceComponent(label, chi, orientable, vertices[i],
                                     tris, boundary_cycles=bcount))
     return out
 

@@ -20,9 +20,16 @@ class UnionFind:
     def union(self, a: int, b: int) -> None:
         """Hang a's root under b's root; callers that number classes by
         sorted root depend on this direction."""
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+        p = self.parent
+        # find, inlined: unions dominate the surface and sweep passes
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        while p[b] != b:
+            p[b] = p[p[b]]
+            b = p[b]
+        if a != b:
+            p[a] = b
 
     def groups(self, items) -> list[list[int]]:
         """The classes met by items, in order of first appearance, each
@@ -31,3 +38,7 @@ class UnionFind:
         for x in items:
             out.setdefault(self.find(x), []).append(x)
         return list(out.values())
+
+    def roots(self) -> list[int]:
+        """The root of every class, ascending."""
+        return [x for x, p in enumerate(self.parent) if x == p]

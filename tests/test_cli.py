@@ -189,3 +189,37 @@ def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+def test_extract_constant_function_is_a_domain_rejection(tmp_path):
+    mpath = tmp_path / "m.json"
+    main(["build", write(tmp_path, "g.json", MINIMAL), "--out", str(mpath)])
+    doc = json.loads(mpath.read_text())
+    doc["values"] = ["0/1"] * len(doc["values"])
+    for argv in (["extract"], ["extract", "--dot"]):
+        proc = run_cli(tmp_path, argv, doc)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ("function is constant: its Reeb graph is a "
+                               "single point\n")
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["0", "--refinement", "2"],
+    ["--refinement", "2", "0"],
+    ["0", "2"],
+    ["0", "2", "--refinement", "2"],
+])
+def test_surface_gen_refinement_positional_or_flag(tmp_path, argv):
+    out = tmp_path / "s.json"
+    assert main(["surface", "gen", *argv, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["triangles"]) == 256
+
+
+def test_surface_gen_disagreeing_refinements(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    rc = main(["surface", "gen", "0", "2", "--refinement", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "disagrees" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,14 +1,20 @@
+import functools
 from fractions import Fraction as F
+from itertools import combinations
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reebforge.blocks import cylinder_block, elementary_junction
+from reebforge.blocks import (build_junction, cylinder_block,
+                              elementary_junction, plan_junction)
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import surface_prism
 from reebforge.graphs import Edge, LabeledGraph
-from reebforge.reeb import (ReebError, labeled_isomorphic, level_set_of,
-                            reeb_graph_of)
+from reebforge.reeb import (ReebError, _components, _prepare, _slice_cells,
+                            labeled_isomorphic, level_set_of, reeb_graph_of)
 from reebforge.surfaces import classify_labels
+from reebforge.unionfind import UnionFind
 
 
 def bipyramid(p=6):
@@ -197,3 +203,132 @@ def test_value_mismatch_reported():
     res = labeled_isomorphic(g1, g2)
     assert not res.isomorphic
     assert "value" in res.mismatch
+
+
+# ---------------------------------------------------------------------------
+# the sweep against a full scan
+# ---------------------------------------------------------------------------
+
+def scan_components(cells, values, lo, hi):
+    """Reference for `_components`: scans every cell and every shared face
+    at each level and slab, as the sweep did before cells and faces were
+    bucketed by rank interval."""
+    layers = sorted(set(values))
+    rank = {v: i for i, v in enumerate(layers)}
+    vrank = [rank[v] for v in values]
+    fmap = {}
+    for ci, cell in enumerate(cells):
+        for f in combinations(sorted(cell), len(cell) - 1):
+            fmap.setdefault(f, []).append(ci)
+    shared = [(min(vrank[v] for v in f), max(vrank[v] for v in f), cs)
+              for f, cs in fmap.items() if len(cs) >= 2]
+    uf = UnionFind(len(cells))
+    for fmin, fmax, cs in shared:
+        if fmin <= lo and fmax >= hi:
+            for c in cs[1:]:
+                uf.union(c, cs[0])
+    return uf.groups(
+        c for c, cell in enumerate(cells)
+        if min(vrank[v] for v in cell) <= lo and
+        max(vrank[v] for v in cell) >= hi)
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_pool():
+    """(cells, values, pin values) of small complexes whose own values
+    slice them into closed surfaces or circles: criterion-2 junction
+    blocks, a cylinder, a prism, and triangle-mode surfaces."""
+    pool = []
+    for bottom, top in (((0,), (0, 0)), ((1,), (0, 1)), ((-1,), (-1, 0)),
+                        ((-2,), (-1, -1)), ((2,), (1, 1))):
+        b = build_junction(plan_junction(list(bottom), list(top)),
+                           F(0), F(1), F(2))
+        pool.append((b.cx.tets, b.values, (F(1),)))
+    b = cylinder_block(-2, F(0), F(1))
+    pool.append((b.cx.tets, b.values, ()))
+    mesh = canonical_mesh(-1, 1)
+    prism = surface_prism(mesh, 3)
+    pool.append((prism.complex.tets,
+                 [F(k, 3) for k in range(4) for _ in range(mesh.nv)], ()))
+    pool.append(bipyramid() + ((),))
+    pool.append(grid_torus_heights() + ((),))
+    klein = canonical_mesh(-2, 1)
+    pool.append((klein.triangles, [F(v % 5) for v in range(klein.nv)], ()))
+    return pool
+
+
+def _perturbed(values, rng):
+    """The same complex under another function: a few layers of random
+    integers, or the given values with a random share of vertices moved
+    to a new value between two layers."""
+    if rng.random() < 0.5:
+        top = rng.randint(1, 6)
+        return [F(rng.randint(0, top)) for _ in values]
+    layers = sorted(set(values))
+    mid = (layers[0] + layers[1]) / 2
+    return [mid if rng.random() < 0.1 else v for v in values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 9), st.booleans(), st.integers(0, 2 ** 32))
+def test_bucketed_components_match_full_scan(i, perturb, seed):
+    cells, values, _ = sweep_pool()[i]
+    if perturb:
+        values = _perturbed(values, Random(seed))
+    sw = _prepare(cells, values)
+    for lo in range(len(sw.layers)):
+        for hi in (lo, lo + 1)[:len(sw.layers) - lo]:
+            assert (_components(sw, lo, hi) ==
+                    scan_components(cells, values, lo, hi)), (lo, hi)
+
+
+def _presented(cells, values, rng):
+    """The same complex with its cells in a random order, the vertices of
+    each cell in a random order, and its vertices renumbered."""
+    new_id = list(range(len(values)))
+    rng.shuffle(new_id)
+    new_values = [None] * len(values)
+    for v, x in enumerate(values):
+        new_values[new_id[v]] = x
+    new_cells = []
+    for cell in cells:
+        cell = [new_id[v] for v in cell]
+        rng.shuffle(cell)
+        new_cells.append(tuple(cell))
+    rng.shuffle(new_cells)
+    return new_cells, new_values
+
+
+def _node_profile(r):
+    return sorted((n.value, n.essential, n.pinned, r.degree(i))
+                  for i, n in enumerate(r.nodes))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 2 ** 32))
+def test_reeb_graph_invariant_under_reordering_and_renumbering(i, seed):
+    cells, values, pins = sweep_pool()[i]
+    base = reeb_graph_of(cells, values, pin_values=pins)
+    cells2, values2 = _presented(cells, values, Random(seed))
+    other = reeb_graph_of(cells2, values2, pin_values=pins)
+    assert labeled_isomorphic(base, other.to_labeled_graph()).isomorphic
+    assert _node_profile(base) == _node_profile(other)
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_level_set_members_match_full_scan(i):
+    cells, values, _ = sweep_pool()[i]
+    layers = sorted(set(values))
+    sw = _prepare(cells, values)
+    for level, (lo, hi) in enumerate(zip(layers, layers[1:])):
+        t = (lo + hi) / 2
+        ls = level_set_of(cells, values, t)
+        members = [c for comp in scan_components(cells, values, level,
+                                                 level + 1) for c in comp]
+        pts, mesh, _ = _slice_cells(sw, sorted(members), level)
+        assert ls.mesh.triangles == mesh.triangles
+        assert len(ls.coordinates) == len(pts)
+        # and the slice does not depend on how the complex is presented
+        cells2, values2 = _presented(cells, values, Random(level))
+        assert (classify_labels(level_set_of(cells2, values2, t).mesh) ==
+                classify_labels(ls.mesh))

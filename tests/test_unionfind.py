@@ -41,6 +41,7 @@ def test_classes_equal_bfs_partition(case):
     for a, b in edges:
         uf.union(a, b)
     assert uf.groups(range(n)) == bfs_partition(n, edges)
+    assert uf.roots() == sorted({uf.find(x) for x in range(n)})
 
 
 def test_union_hangs_first_root_under_second():
