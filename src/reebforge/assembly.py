@@ -12,13 +12,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .anchors import common_refinement
 from .blocks import (Block, BlockError, cap_block, build_junction,
                      cylinder_block, fold_block, plan_junction)
 from .complexes import (ComplexError, TetComplex, euler_from_faces,
                         merge_complexes, validate_faces)
 # imported for the benchmark's tracer, which wraps them as assembly.<name>
 # (benchmarks/spans.py SITES)
+from .anchors import common_refinement  # noqa: F401
 from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
                         validate_complex)
 from .graphs import (GraphError, LabeledGraph, check_realizable,
@@ -136,23 +136,14 @@ def _vertex_block(g: LabeledGraph, v: int, eps: Fraction,
 
 
 def _identify_components(comp_a, comp_b):
-    """Vertex pairs gluing two block boundary components, via the common
-    refinement of their anchored meshes (identical meshes by design, so
-    the refinement is an exact bijection)."""
+    """Vertex pairs gluing two block boundary components.  Both carry the
+    same canonical mesh by design, so equal triangle sets make the
+    identity a simplicial isomorphism and no overlay is needed."""
     if sorted(map(sorted, comp_a.mesh.triangles)) != \
             sorted(map(sorted, comp_b.mesh.triangles)):
         raise AssemblyError(
             "anchor mismatch between glued components (planner bug)")
-    from .anchors import SchemeAnchor
-    if isinstance(comp_a.mesh.anchor, SchemeAnchor) and \
-            isinstance(comp_b.mesh.anchor, SchemeAnchor):
-        _, m1, m2 = common_refinement(comp_a.mesh, comp_b.mesh)
-        inv = {r: v for v, r in enumerate(m2)}
-        return [(comp_a.cmap[v], comp_b.cmap[inv[r]])
-                for v, r in enumerate(m1)]
-    # recipe-anchored composites: identical complexes, identity matching
-    return [(comp_a.cmap[v], comp_b.cmap[v])
-            for v in range(comp_a.mesh.nv)]
+    return list(zip(comp_a.cmap, comp_b.cmap))
 
 
 def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:

@@ -40,16 +40,6 @@ _TETRA_SPHERE = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 @dataclass
-class Column:
-    """Vertical spare prism stack through one boundary cylinder, reserved
-    for sum merges."""
-
-    spare_tri: int                       # triangle index in the comp mesh
-    tets: list[int]
-    rims: list[tuple[int, int, int]]     # outer->inner, sorted by mesh id
-
-
-@dataclass
 class BoundaryComponent:
     side: str                            # "bottom" | "top"
     value: Fraction
@@ -57,7 +47,6 @@ class BoundaryComponent:
     mesh: SurfaceMesh
     cmap: list[int]                      # mesh vertex -> block vertex (outer)
     layer_ids: list[list[int]]           # outer->inner, parallel to mesh
-    columns: list[Column] = field(default_factory=list)
     slot: int = -1
 
 
@@ -96,14 +85,6 @@ class Block:
             comp.cmap = [vmap[v] for v in comp.cmap]
             comp.layer_ids = [[vmap[v] for v in layer]
                               for layer in comp.layer_ids]
-            cols = []
-            for col in comp.columns:
-                tets = [tet_map(t) for t in col.tets]
-                if any(t is None for t in tets):
-                    continue
-                rims = [tuple(vmap[v] for v in rim) for rim in col.rims]
-                cols.append(Column(col.spare_tri, tets, rims))
-            comp.columns = cols
         self.bridge_tets = [t for t in (tet_map(t) for t in self.bridge_tets)
                             if t is not None]
 
@@ -114,19 +95,6 @@ class Block:
 
 def _layer_values(lo: Fraction, hi: Fraction, nseg: int) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(j, nseg) for j in range(nseg + 1)]
-
-
-def _attach_columns(comp: BoundaryComponent, prod, tet_offset: int,
-                    vmap, outer_to_inner_layers):
-    for spare in comp.mesh.spares[:2]:
-        tri = sorted(comp.mesh.triangles[spare])
-        tets = []
-        for j in range(prod.nlayers - 1):
-            tets += [tet_offset + t for t in prod.prism_tets[(spare, j)]]
-        rims = []
-        for layer in outer_to_inner_layers:
-            rims.append(tuple(vmap[prod.vid(v, layer)] for v in tri))
-        comp.columns.append(Column(spare, tets, rims))
 
 
 def cylinder_block(label: int, a1: Fraction, a2: Fraction,
@@ -151,11 +119,8 @@ def cylinder_block(label: int, a1: Fraction, a2: Fraction,
         "top", a2, label, mesh.copy(),
         prod.layer_vertices(segments),
         [prod.layer_vertices(j) for j in range(segments, mid - 1, -1)])
-    block = Block(prod.complex, values, a1, a2, [], [bottom, top],
-                  EdgeContract(a1, a2, label), refinement, kind="cylinder")
-    _attach_columns(bottom, prod, 0, list(range(prod.complex.nv)),
-                    list(range(segments + 1)))
-    return block
+    return Block(prod.complex, values, a1, a2, [], [bottom, top],
+                 EdgeContract(a1, a2, label), refinement, kind="cylinder")
 
 
 def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
@@ -197,8 +162,6 @@ def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
     block = Block(cx, values, a1, a2, [extreme_value], [comp],
                   EdgeContract(lo, hi, label), refinement, kind="cap")
     block.bridge_tets = [t for t in find_interior_tets(cx)][:4]
-    _attach_columns(comp, prod, toffs[1],
-                    vmaps[1], list(range(CYL_SEGS, -1, -1)))
     return block
 
 
@@ -381,7 +344,6 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
             [vmap[prod.vid(v, outer)] for v in range(e.mesh.nv)],
             [[vmap[prod.vid(v, j)] for v in range(e.mesh.nv)]
              for j in outer_layers])
-        _attach_columns(comp, prod, toffs[part_idx], vmap, outer_layers)
         comp.slot = e.slot
         boundary.append(comp)
     boundary.sort(key=lambda c: c.slot)
@@ -499,11 +461,26 @@ def merge_disjoint_union(b1: Block, b2: Block) -> Block:
     return out
 
 
+def _column(b: Block, comp: BoundaryComponent):
+    """The vertical prism stack over the first spare triangle of comp
+    whose stack is intact: (spare, tets, rims), rims outer->inner with
+    corners in sorted mesh-id order."""
+    for spare in comp.mesh.spares:
+        tri = sorted(comp.mesh.triangles[spare])
+        rims = [tuple(layer[v] for v in tri) for layer in comp.layer_ids]
+        verts = {v for rim in rims for v in rim}
+        tets = {ti for ti, t in enumerate(b.cx.tets)
+                if all(v in verts for v in t)}
+        if len(tets) == 3 * (len(rims) - 1):
+            return spare, tets, rims
+    raise BlockError("no spare tube available on a picked component")
+
+
 def merge_connected_sum(b1: Block, b2: Block, side: str,
                         pick1: int, pick2: int) -> Block:
     """Join two blocks and connected-sum one picked boundary component of
-    each on the given side, by drilling the reserved columns down to the
-    connectors and gluing the sockets wall to wall."""
+    each on the given side, by drilling a column of spare prisms down to
+    the connectors and gluing the sockets wall to wall."""
     a = _merge_singular_value(b1, b2)
     b1 = _as_mergeable(b1, a)
     b2 = _as_mergeable(b2, a)
@@ -518,16 +495,14 @@ def merge_connected_sum(b1: Block, b2: Block, side: str,
         raise BlockError(f"picked components must lie on side {side!r}")
     if c1.value != c2.value:
         raise BlockError("picked components sit at different values")
-    if not c1.columns or not c2.columns:
-        raise BlockError("no spare tube available on a picked component")
-    col1 = c1.columns.pop(0)
-    col2 = c2.columns.pop(0)
-    if len(col1.rims) != len(col2.rims):
+    spare1, tets1, rims1 = _column(b1, c1)
+    spare2, tets2, rims2 = _column(b2, c2)
+    if len(rims1) != len(rims2):
         raise BlockError("column layer counts differ")
-    cx1, tmap1 = remove_tets(b1.cx, set(col1.tets))
-    cx2, tmap2 = remove_tets(b2.cx, set(col2.tets))
+    cx1, tmap1 = remove_tets(b1.cx, tets1)
+    cx2, tmap2 = remove_tets(b2.cx, tets2)
     ident = []
-    for r1, r2 in zip(col1.rims, col2.rims):
+    for r1, r2 in zip(rims1, rims2):
         for x, y in zip(r1, r2):
             ident.append((0, x, 1, y))
     cx, vmaps, toffs = merge_complexes([cx1, cx2], ident)
@@ -547,7 +522,7 @@ def merge_connected_sum(b1: Block, b2: Block, side: str,
     b2.remap(vmaps[1], mk_tet_map(tmap2, toffs[1]))
 
     summed, map1, map2 = connected_sum_mesh_maps(
-        c1.mesh, col1.spare_tri, c2.mesh, col2.spare_tri)
+        c1.mesh, spare1, c2.mesh, spare2)
     cmap = [None] * summed.nv
     layer_ids = [[None] * summed.nv for _ in c1.layer_ids]
     for v in range(c1.mesh.nv):
@@ -560,7 +535,7 @@ def merge_connected_sum(b1: Block, b2: Block, side: str,
             layer_ids[d][map2[v]] = c2.layer_ids[d][v]
     merged_comp = BoundaryComponent(
         side, c1.value, connected_sum_label(c1.label, c2.label),
-        summed, cmap, layer_ids, columns=[])
+        summed, cmap, layer_ids)
     boundary = [c for c in b1.boundary if c is not c1]
     boundary += [c for c in b2.boundary if c is not c2]
     boundary.append(merged_comp)
@@ -774,8 +749,8 @@ def fold_block(j: Block, vertex_value, direction: str,
 # ---------------------------------------------------------------------------
 
 def block_to_dict(b: Block) -> dict:
-    """Mesh, function values, and contract; merge resources (columns,
-    bridge tets) are construction-time data and are not serialized."""
+    """Mesh, function values, and contract; bridge tets are
+    construction-time data and are not serialized."""
     from .graphs import format_rational
     if isinstance(b.contract, EdgeContract):
         contract = {"kind": "edge", "lo": format_rational(b.contract.lo),

@@ -34,9 +34,17 @@ def _load_graph(path: str) -> LabeledGraph:
     return parse_graph(text)
 
 
+class _OutputError(Exception):
+    """An --out path that cannot be written: an input error."""
+
+
 def _write(path: str | None, text: str):
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write {path}: {exc.strerror}") \
+                from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -77,6 +85,11 @@ def cmd_verify(args) -> int:
         g = _load_graph(args.input)
     except GraphError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    edge = args.debug_mislabel_edge
+    if edge is not None and not 0 <= edge < len(g.edges):
+        print(f"input error: --debug-mislabel-edge {edge} is not an edge "
+              f"index in 0..{len(g.edges) - 1}", file=sys.stderr)
         return EXIT_INPUT
     report = check_realizable(g)
     if not report.ok:
@@ -158,13 +171,17 @@ def cmd_surface(args) -> int:
 def cmd_corpus(args) -> int:
     from .corpus import realizable_corpus, violating_corpus
     outdir = Path(args.out or "corpus")
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {outdir}: {exc.strerror}") \
+            from exc
     good = realizable_corpus(args.seed, args.count)
     bad = violating_corpus(args.seed + 1, args.count)
     for i, g in enumerate(good):
-        (outdir / f"ok_{i:03d}.json").write_text(serialize_graph(g))
+        _write(str(outdir / f"ok_{i:03d}.json"), serialize_graph(g))
     for i, g in enumerate(bad):
-        (outdir / f"reject_{i:03d}.json").write_text(serialize_graph(g))
+        _write(str(outdir / f"reject_{i:03d}.json"), serialize_graph(g))
     print(f"wrote {len(good)} realizable and {len(bad)} rejection graphs "
           f"to {outdir}")
     return EXIT_OK
@@ -245,7 +262,7 @@ def make_parser() -> argparse.ArgumentParser:
     spc.set_defaults(func=cmd_surface, surface_command="classify")
 
     sp = sub.add_parser("corpus", help="write seeded demo graph corpora")
-    sp.add_argument("--count", type=int, default=10)
+    sp.add_argument("--count", type=_positive_int, default=10)
     sp.add_argument("--seed", type=_seed, default=0)
     out(sp)
     sp.set_defaults(func=cmd_corpus)
@@ -258,6 +275,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except _OutputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

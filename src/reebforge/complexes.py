@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .surfaces import SurfaceMesh
+from .surfaces import MeshError, SurfaceMesh, survey
 from .unionfind import UnionFind
 
 Tet = tuple[int, int, int, int]
@@ -63,86 +63,6 @@ def find_interior_tets(cx: TetComplex) -> list[int]:
     return [ti for ti, t in enumerate(cx.tets) if not any(v in bv for v in t)]
 
 
-def _check_link(v: int, tris: list[tuple[int, int, int]], boundary: bool):
-    """Certify a vertex link is a sphere (interior) or a disk (boundary).
-
-    Edge-combinatorial: overfull edges, cycle-or-chain neighbourhoods at
-    every link vertex, connectivity, and the Euler characteristic (a
-    connected closed surface with chi 2 is a sphere; chi 1 with boundary
-    is a disk).
-    """
-    edge_count: dict[tuple[int, int], int] = {}
-    opp: dict[int, list[tuple[int, int]]] = {}
-    for a, b, c in tris:
-        for x, y in ((a, b), (b, c), (a, c)):
-            key = (x, y) if x < y else (y, x)
-            edge_count[key] = edge_count.get(key, 0) + 1
-        opp.setdefault(a, []).append((b, c))
-        opp.setdefault(b, []).append((a, c))
-        opp.setdefault(c, []).append((a, b))
-    nb_edges = 0
-    for key, cnt in edge_count.items():
-        if cnt > 2:
-            raise ComplexError(f"vertex {v} link edge {key} in {cnt} "
-                               "triangles")
-        if cnt == 1:
-            nb_edges += 1
-    if nb_edges and not boundary:
-        raise ComplexError(f"interior vertex {v} has a link with boundary")
-    if not nb_edges and boundary:
-        raise ComplexError(f"boundary vertex {v} has a closed link")
-    # around each link vertex the opposite edges must chain into one
-    # cycle (or one path), otherwise the link pinches there
-    # (a DFS: UnionFind here made validate_complex 9-27% slower)
-    for w, pairs in opp.items():
-        deg: dict[int, int] = {}
-        adj: dict[int, list[int]] = {}
-        for x, y in pairs:
-            deg[x] = deg.get(x, 0) + 1
-            deg[y] = deg.get(y, 0) + 1
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        ends = sum(1 for c in deg.values() if c == 1)
-        if any(c > 2 for c in deg.values()) or ends not in (0, 2):
-            raise ComplexError(f"vertex {v} link pinches at {w}")
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(adj):
-            raise ComplexError(f"vertex {v} link is singular at {w}")
-    # connectivity of the whole link
-    simple_adj: dict[int, list[int]] = {}
-    for (x, y) in edge_count:
-        simple_adj.setdefault(x, []).append(y)
-        simple_adj.setdefault(y, []).append(x)
-    start = next(iter(simple_adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in simple_adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(simple_adj):
-        raise ComplexError(f"vertex {v} link is disconnected")
-    chi = len(opp) - len(edge_count) + len(tris)
-    if boundary:
-        if chi != 1:
-            raise ComplexError(
-                f"boundary vertex {v} link is not a disk (chi={chi})")
-    else:
-        if chi != 2:
-            raise ComplexError(
-                f"interior vertex {v} link is not a sphere (chi={chi})")
-
-
 def validate_complex(cx: TetComplex, closed: bool = False):
     """Manifold check: face pairing plus sphere/disk vertex links."""
     validate_faces(cx, face_map(cx), closed)
@@ -177,8 +97,30 @@ def validate_faces(cx: TetComplex, fm: FaceMap, closed: bool = False):
         star.setdefault(d, []).append((a, b, c))
     if len(star) != cx.nv:
         raise ComplexError("isolated vertex")
+    # every vertex link must be a sphere, or a disk on the boundary: a
+    # connected surface (by the surface survey) with chi 2 or 1
     for v, tris in star.items():
-        _check_link(v, tris, boundary=v in bverts)
+        pos: dict[int, int] = {}
+        link = [(pos.setdefault(a, len(pos)), pos.setdefault(b, len(pos)),
+                 pos.setdefault(c, len(pos))) for a, b, c in tris]
+        try:
+            sv = survey(SurfaceMesh(len(pos), link), allow_boundary=True)
+        except MeshError as exc:
+            raise ComplexError(f"vertex {v} link is not a surface") from exc
+        boundary = v in bverts
+        if any(len(sides) == 1 for sides in sv.edges.values()) != boundary:
+            raise ComplexError(f"boundary vertex {v} has a closed link"
+                               if boundary else
+                               f"interior vertex {v} has a link with "
+                               "boundary")
+        if len(sv.parts.roots()) != 1:
+            raise ComplexError(f"vertex {v} link is disconnected")
+        chi = len(pos) - len(sv.edges) + len(link)
+        if chi != (1 if boundary else 2):
+            raise ComplexError(
+                f"boundary vertex {v} link is not a disk (chi={chi})"
+                if boundary else
+                f"interior vertex {v} link is not a sphere (chi={chi})")
 
 
 def euler_characteristic(cx: TetComplex) -> int:

@@ -49,7 +49,7 @@ def _edge_map(triangles):
 
 
 @dataclass
-class _Survey:
+class Survey:
     """What one pass over the edge map finds out about a valid mesh."""
 
     edges: dict[tuple[int, int], list[int]]
@@ -63,7 +63,16 @@ class _Survey:
     home: list[int]
 
 
-def _survey(mesh: SurfaceMesh, allow_boundary: bool) -> _Survey:
+def survey(mesh: SurfaceMesh, allow_boundary: bool) -> Survey:
+    """Check that mesh is a simplicial surface and survey it in one pass.
+
+    Raises MeshError on a degenerate, out-of-range or duplicate triangle,
+    an edge in more than two triangles, a boundary edge when
+    allow_boundary is false, and a vertex whose link is not one cycle or
+    one path.  The edge map, triangle components and corner adjacency of
+    the returned Survey serve both the slice classifier and the vertex
+    link check of tetrahedral complexes.
+    """
     triangles = mesh.triangles
     nv = mesh.nv
     seen = set()
@@ -124,7 +133,7 @@ def _survey(mesh: SurfaceMesh, allow_boundary: bool) -> _Survey:
                 raise MeshError(f"vertex {v} link has {rim[v]} chain ends")
             if v in pinched:
                 raise MeshError(f"vertex {v} link is disconnected")
-    return _Survey(edges, parts, across, home)
+    return Survey(edges, parts, across, home)
 
 
 def validate_surface(mesh: SurfaceMesh, allow_boundary: bool = False):
@@ -135,7 +144,7 @@ def validate_surface(mesh: SurfaceMesh, allow_boundary: bool = False):
     link a single cycle.  Boundary mode additionally admits edges in one
     triangle and chain links.
     """
-    return _survey(mesh, allow_boundary).edges
+    return survey(mesh, allow_boundary).edges
 
 
 @dataclass
@@ -157,7 +166,7 @@ def classify_surface(mesh: SurfaceMesh,
     non-orientable.  The label is (2-chi)/2 for orientable components and
     chi-2 otherwise.
     """
-    sv = _survey(mesh, allow_boundary)
+    sv = survey(mesh, allow_boundary)
     tn = len(mesh.triangles)
     parts = sv.parts
     # listed by root, the order `surface classify` prints them in

@@ -196,6 +196,34 @@ def test_sum_merge_sphere_neutral():
     assert_verified(m)
 
 
+def test_sum_merge_on_a_summed_component():
+    # the column of the summed component is found over one of its
+    # remaining spare triangles
+    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
+    b2 = cylinder_block(1, F(0), F(2))
+    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
+    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "top")
+    m = merge_connected_sum(b1, b2, "top", p1, p2)
+    b3 = cylinder_block(2, F(0), F(2))
+    p3 = next(i for i, c in enumerate(b3.boundary) if c.side == "top")
+    m = merge_connected_sum(m, b3, "top", len(m.boundary) - 1, p3)
+    assert m.labels("top") == [0, 3]
+    assert m.labels("bottom") == [0, 1, 2]
+    assert_verified(m)
+
+
+def test_sum_merge_needs_a_spare_tube():
+    # a block read back from JSON carries no spare triangles
+    from reebforge.blocks import block_from_dict, block_to_dict
+    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
+    b2 = block_from_dict(block_to_dict(
+        elementary_junction("sphere_split", F(0), F(1), F(2))))
+    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
+    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "top")
+    with pytest.raises(BlockError, match="no spare tube"):
+        merge_connected_sum(b1, b2, "top", p1, p2)
+
+
 def test_sum_merge_requires_matching_side():
     b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
     b2 = elementary_junction("sphere_split", F(0), F(1), F(2))

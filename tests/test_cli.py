@@ -157,16 +157,20 @@ def test_flags_only_on_the_commands_that_use_them(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def run_cli(tmp_path, argv, doc):
-    """Run the CLI in a fresh interpreter on one JSON document."""
-    path = write(tmp_path, "in.json", doc)
+def run_argv(argv, cwd=None):
+    """Run the CLI in a fresh interpreter."""
     src = str(Path(reebforge.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "reebforge.cli", *argv, path],
-        capture_output=True, text=True, env=env, timeout=60)
+        [sys.executable, "-m", "reebforge.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, cwd=cwd)
+
+
+def run_cli(tmp_path, argv, doc):
+    """Run the CLI in a fresh interpreter on one JSON document."""
+    return run_argv([*argv, write(tmp_path, "in.json", doc)])
 
 
 ONE_TET = {"vertices": 4, "tetrahedra": [[0, 1, 2, 3]],
@@ -223,3 +227,47 @@ def test_surface_gen_disagreeing_refinements(tmp_path, capsys):
     assert rc == 2
     assert "disagrees" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "g.json", "--out", "missing/m.json"],
+    ["build", "g.json", "--out", "adir"],
+    ["extract", "m.json", "--out", "missing/r.json"],
+    ["extract", "m.json", "--out", "adir"],
+    ["surface", "gen", "0", "--out", "missing/s.json"],
+    ["surface", "gen", "0", "--out", "adir"],
+    ["corpus", "--count", "1", "--out", "afile"],
+], ids=["build-missing-dir", "build-at-dir", "extract-missing-dir",
+        "extract-at-dir", "surface-gen-missing-dir", "surface-gen-at-dir",
+        "corpus-at-file"])
+def test_unwritable_out_is_an_input_error(tmp_path, argv):
+    write(tmp_path, "g.json", MINIMAL)
+    assert main(["build", str(tmp_path / "g.json"),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    proc = run_argv(argv, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: cannot write")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("edge", ["99", "1", "-1"])
+def test_mislabel_edge_out_of_range_is_an_input_error(tmp_path, edge):
+    proc = run_argv(["verify", write(tmp_path, "g.json", MINIMAL),
+                     "--debug-mislabel-edge", edge])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"input error: --debug-mislabel-edge {edge} is "
+                           "not an edge index in 0..0\n")
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_corpus_count_must_be_positive(tmp_path, count):
+    proc = run_argv(["corpus", "--count", count,
+                     "--out", str(tmp_path / "c")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--count: must be >= 1" in proc.stderr
+    assert not (tmp_path / "c").exists()

@@ -183,7 +183,8 @@ def oracle_validate(mesh: SurfaceMesh, allow_boundary: bool = False):
     for ti, tri in enumerate(mesh.triangles):
         for v in tri:
             star.setdefault(v, []).append(ti)
-    # (kept apart from complexes._check_link, which ran 7-14% slower here)
+    # (this walk and the tet-complex link check, kept as the reference in
+    # tests/test_complexes.py, both went into surfaces.survey)
     for v, tris in star.items():
         # link graph: nodes are the opposite edges' endpoints, each triangle
         # contributes one link edge
