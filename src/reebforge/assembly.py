@@ -228,21 +228,22 @@ def validate_manifold(m: Manifold3) -> ManifoldReport:
                    "no boundary triangles" if not bf else
                    f"{len(bf)} boundary triangles, e.g. {bf[:3]}"))
     try:
-        validate_faces(m.cx, fm, closed=False)
+        chi = validate_faces(m.cx, fm)
         checks.append(("links", True, "all vertex links are spheres/disks"))
     except ComplexError as exc:
         checks.append(("links", False, str(exc)))
+        chi = euler_from_faces(m.cx, fm)
     # connectivity over tets through shared faces
     n = len(m.cx.tets)
     if n:
         uf = UnionFind(n)
         for ts in fm.values():
-            for i in range(len(ts) - 1):
-                uf.union(ts[i], ts[i + 1])
-        reached = len(uf.groups(range(n))[0])
+            for t in ts:
+                uf.union(t, ts[0])
+        roots = [uf.find(t) for t in range(n)]
+        reached = roots.count(roots[0])
         checks.append(("connected", reached == n,
                        f"{reached}/{n} tetrahedra"))
-    chi = euler_from_faces(m.cx, fm)
     checks.append(("euler", chi == 0, f"chi = {chi}"))
     ok = len(m.provenance) == len(m.cx.tets) and \
         all(kind in ("vertex", "edge") for kind, _ in m.provenance)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .surfaces import MeshError, SurfaceMesh, survey
+from .surfaces import SurfaceMesh
 from .unionfind import UnionFind
 
 Tet = tuple[int, int, int, int]
@@ -68,59 +68,113 @@ def validate_complex(cx: TetComplex, closed: bool = False):
     validate_faces(cx, face_map(cx), closed)
 
 
-def validate_faces(cx: TetComplex, fm: FaceMap, closed: bool = False):
-    """validate_complex on the face map of cx, already built."""
+# a sorted tet (a, b, c, d) has vertex slots 0-3 and edge slots 0-5, edge
+# slot e joining the vertex slots _EDGE[e]; the face that omits vertex slot
+# k has vertex slots _FACE_VERTS[k] and, in the face's own order (xy, xz,
+# yz), edge slots _FACE_EDGES[k]
+_EDGE = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_FACE_VERTS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+_FACE_EDGES = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
+
+
+def _slot_classes(fm: FaceMap, st: list[Tet], w: int, slots) -> UnionFind:
+    """Union-find over the nodes (tet t, slot i) = w * t + i, joining
+    across every interior face the slots of its two tets that slots[k]
+    names for the face omitting vertex slot k."""
+    uf = UnionFind(w * len(st))
+    union = uf.union
+    for (x, y, z), ts in fm.items():
+        if len(ts) == 2:
+            t1, t2 = ts
+            # the vertex slot each sorted tet leaves out of the sorted face
+            a = st[t1]
+            s1 = slots[0 if a[0] != x else 1 if a[1] != y else
+                       2 if a[2] != z else 3]
+            a = st[t2]
+            s2 = slots[0 if a[0] != x else 1 if a[1] != y else
+                       2 if a[2] != z else 3]
+            b1, b2 = w * t1, w * t2
+            union(b1 + s1[0], b2 + s2[0])
+            union(b1 + s1[1], b2 + s2[1])
+            union(b1 + s1[2], b2 + s2[2])
+    return uf
+
+
+def validate_faces(cx: TetComplex, fm: FaceMap, closed: bool = False) -> int:
+    """validate_complex on the face map of cx, already built; returns the
+    Euler characteristic of cx.
+
+    The link of v has a vertex per edge, an edge per face and a triangle
+    per tet at v.  It is a sphere (a disk on the boundary) when it pinches
+    nowhere, is connected and has chi 2 (1).  The link of v pinches at w
+    when the tets around edge vw fall apart into more than one class of
+    (tet, edge slot) nodes joined across shared faces; it is connected
+    when the tets at v form one class of (tet, vertex slot) nodes.
+    """
+    nv = cx.nv
+    st: list[Tet] = []
     seen = set()
+    chi = [0] * nv          # per vertex: link chi, as tets - faces + edges
     for t in cx.tets:
-        if len(set(t)) != 4:
+        s = tuple(sorted(t))
+        a, b, c, d = s
+        if a == b or b == c or c == d:
             raise ComplexError(f"degenerate tetrahedron {t}")
-        if not all(0 <= v < cx.nv for v in t):
+        if a < 0 or d >= nv:
             raise ComplexError(f"tetrahedron vertex out of range {t}")
-        key = tuple(sorted(t))
-        if key in seen:
-            raise ComplexError(f"duplicate tetrahedron {key}")
-        seen.add(key)
-    bverts = set()
+        if s in seen:
+            raise ComplexError(f"duplicate tetrahedron {s}")
+        seen.add(s)
+        st.append(s)
+        chi[a] += 1
+        chi[b] += 1
+        chi[c] += 1
+        chi[d] += 1
+    del seen
+    if 0 in chi:
+        raise ComplexError("isolated vertex")
+    boundary = bytearray(nv)
     for f, ts in fm.items():
         if len(ts) > 2:
             raise ComplexError(f"triangle {f} in {len(ts)} tetrahedra")
+        a, b, c = f
+        chi[a] -= 1
+        chi[b] -= 1
+        chi[c] -= 1
         if len(ts) == 1:
             if closed:
                 raise ComplexError(f"boundary triangle {f} in closed complex")
-            bverts.update(f)
-    star: dict[int, list[tuple[int, int, int]]] = {}
-    for t in cx.tets:
-        a, b, c, d = t
-        star.setdefault(a, []).append((b, c, d))
-        star.setdefault(b, []).append((a, c, d))
-        star.setdefault(c, []).append((a, b, d))
-        star.setdefault(d, []).append((a, b, c))
-    if len(star) != cx.nv:
-        raise ComplexError("isolated vertex")
-    # every vertex link must be a sphere, or a disk on the boundary: a
-    # connected surface (by the surface survey) with chi 2 or 1
-    for v, tris in star.items():
-        pos: dict[int, int] = {}
-        link = [(pos.setdefault(a, len(pos)), pos.setdefault(b, len(pos)),
-                 pos.setdefault(c, len(pos))) for a, b, c in tris]
-        try:
-            sv = survey(SurfaceMesh(len(pos), link), allow_boundary=True)
-        except MeshError as exc:
-            raise ComplexError(f"vertex {v} link is not a surface") from exc
-        boundary = v in bverts
-        if any(len(sides) == 1 for sides in sv.edges.values()) != boundary:
-            raise ComplexError(f"boundary vertex {v} has a closed link"
-                               if boundary else
-                               f"interior vertex {v} has a link with "
-                               "boundary")
-        if len(sv.parts.roots()) != 1:
+            boundary[a] = boundary[b] = boundary[c] = 1
+    # one class per edge, or the link of one end pinches at the other; the
+    # union-finds are built one after the other to bound peak memory
+    edges = set()
+    for r in _slot_classes(fm, st, 6, _FACE_EDGES).roots():
+        t, e = divmod(r, 6)
+        i, j = _EDGE[e]
+        u, w = st[t][i], st[t][j]
+        if u * nv + w in edges:
+            raise ComplexError(f"vertex {u} link pinches at {w}")
+        edges.add(u * nv + w)
+        chi[u] += 1
+        chi[w] += 1
+    ne = len(edges)
+    del edges
+    home = bytearray(nv)
+    for r in _slot_classes(fm, st, 4, _FACE_VERTS).roots():
+        t, k = divmod(r, 4)
+        v = st[t][k]
+        if home[v]:
             raise ComplexError(f"vertex {v} link is disconnected")
-        chi = len(pos) - len(sv.edges) + len(link)
-        if chi != (1 if boundary else 2):
+        home[v] = 1
+    # a link edge ab of v is a boundary edge exactly when the face vab lies
+    # in one tet, so a link has boundary iff its vertex is a boundary vertex
+    for v in range(nv):
+        if chi[v] != (1 if boundary[v] else 2):
             raise ComplexError(
-                f"boundary vertex {v} link is not a disk (chi={chi})"
-                if boundary else
-                f"interior vertex {v} link is not a sphere (chi={chi})")
+                f"boundary vertex {v} link is not a disk (chi={chi[v]})"
+                if boundary[v] else
+                f"interior vertex {v} link is not a sphere (chi={chi[v]})")
+    return nv - ne + len(fm) - len(st)
 
 
 def euler_characteristic(cx: TetComplex) -> int:

@@ -288,22 +288,19 @@ def _contract(node_values, node_pinned, edges) -> ReebGraph:
             changed = True
 
     live_edges = [e for e in edges if e is not None]
-    used = sorted({n for n in range(len(node_values)) if alive[n]})
+    used = [n for n in range(len(node_values)) if alive[n]]
     renum = {n: i for i, n in enumerate(used)}
-    degree = {n: 0 for n in used}
-    for a, b, _ in live_edges:
-        degree[a] += 1
-        degree[b] += 1
+    # (neighbour, label) per edge end, gathered in one pass
+    around: dict[int, list] = {n: [] for n in used}
+    for a, b, label in live_edges:
+        around[a].append((b, label))
+        around[b].append((a, label))
     nodes = []
     for n in used:
-        inc_labels = {e[2] for e in live_edges if n in (e[0], e[1])}
-        essential = (node_pinned[n] or degree[n] != 2 or
-                     len(inc_labels) > 1)
-        if degree[n] == 2 and not essential:
-            # parallel double edge back to one neighbour, kept to avoid loops
-            nb = [e[0] if e[1] == n else e[1]
-                  for e in live_edges if n in (e[0], e[1])]
-            essential = nb[0] == nb[1]
+        inc = around[n]
+        # a parallel double edge back to one neighbour is kept to avoid loops
+        essential = (node_pinned[n] or len(inc) != 2 or
+                     inc[0][1] != inc[1][1] or inc[0][0] == inc[1][0])
         nodes.append(ReebNode(node_values[n], essential, node_pinned[n]))
     redges = sorted(
         (ReebEdge(min(renum[a], renum[b]), max(renum[a], renum[b]), l)

@@ -1,16 +1,22 @@
+from collections import deque
 from fractions import Fraction as F
+from functools import lru_cache
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reebforge.assembly import (AssemblyError, Manifold3, assemble,
                                 extract_reeb, manifold_from_dict,
                                 manifold_to_dict, validate_manifold,
                                 verify_realization)
 from reebforge.canonical import canonical_mesh
-from reebforge.complexes import (cone_complex, euler_characteristic,
-                                 merge_complexes)
+from reebforge.complexes import (TetComplex, boundary_faces, cone_complex,
+                                 euler_characteristic, face_map,
+                                 merge_complexes, remove_tets)
 from reebforge.graphs import Edge, LabeledGraph
 from reebforge.reeb import labeled_isomorphic
+from test_complexes import _accepts, _identify, oracle_validate
 
 
 def make(names, values, edges):
@@ -180,3 +186,72 @@ def test_validate_manifold_reports_pinched_wedge():
         f"vertex {vmaps[0][s3.nv - 1]} link is disconnected"
     assert checks["connected"] == (False, f"{n // 2}/{n} tetrahedra")
     assert checks["euler"] == (False, "chi = -1")
+
+
+# ---------------------------------------------------------------------------
+# every check of validate_manifold against its own reference, on damaged
+# manifolds: chi and connectivity must be reported even when links fail
+# ---------------------------------------------------------------------------
+
+def _reached_by_bfs(cx) -> int:
+    """Tets reached from tet 0 through shared faces."""
+    nbrs: dict[int, set[int]] = {}
+    for ts in face_map(cx).values():
+        for t in ts:
+            nbrs.setdefault(t, set()).update(ts)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for u in nbrs[queue.popleft()] - seen:
+            seen.add(u)
+            queue.append(u)
+    return len(seen)
+
+
+@lru_cache(maxsize=None)
+def _assembled(i: int) -> Manifold3:
+    return assemble((MINIMAL, THETA)[i])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1), st.integers(0, 2 ** 32), st.integers(0, 4),
+       st.sampled_from([None, "near", "far"]), st.booleans(), st.booleans())
+def test_every_check_matches_its_reference(i, seed, holes, glue, stray,
+                                           keep_provenance):
+    # removed tets make boundary; identified vertices make degenerate
+    # tets, pinched or disconnected links; a stray tet on new vertices
+    # makes the complex disconnected
+    rng = Random(seed)
+    m = _assembled(i)
+    drop = set(rng.sample(range(len(m.cx.tets)), holes))
+    cx, _ = remove_tets(m.cx, drop)
+    provenance = [p for ti, p in enumerate(m.provenance) if ti not in drop]
+    if stray:
+        cx = TetComplex(cx.nv + 4, cx.tets + [tuple(range(cx.nv,
+                                                           cx.nv + 4))])
+        provenance.append(("edge", 0))
+    if glue:
+        u = rng.choice(rng.choice(cx.tets))
+        if glue == "near":
+            nbrs = {x for t in cx.tets if u in t for x in t}
+            w = rng.choice(rng.choice([t for t in cx.tets
+                                       if nbrs & set(t)]))
+        else:
+            w = rng.randrange(cx.nv)
+        if w != u:
+            cx = _identify(cx, u, w)
+    if keep_provenance:
+        provenance = list(m.provenance)
+    damaged = Manifold3(cx, [F(0)] * cx.nv, provenance)
+    checks = {name: (ok, msg)
+              for name, ok, msg in validate_manifold(damaged).checks}
+    assert list(checks) == ["closed", "links", "connected", "euler",
+                            "provenance"]
+    assert checks["closed"][0] == (not boundary_faces(cx))
+    assert checks["links"][0] == _accepts(oracle_validate, cx)
+    n = len(cx.tets)
+    reached = _reached_by_bfs(cx)
+    assert checks["connected"] == (reached == n, f"{reached}/{n} tetrahedra")
+    chi = euler_characteristic(cx)
+    assert checks["euler"] == (chi == 0, f"chi = {chi}")
+    assert checks["provenance"][0] == (len(provenance) == n)

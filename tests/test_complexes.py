@@ -252,6 +252,26 @@ def _double_cone():
                            ident)[0]
 
 
+def _chained_wedge_cone():
+    # cone over sphere v torus v sphere, the torus wedged to each sphere at
+    # a different point: the apex link is connected with chi 2 but pinched
+    sphere, torus = canonical_mesh(0, 1), canonical_mesh(1, 1)
+    n0, n1 = sphere.nv, torus.nv
+    p, q = WEDGE_POINTS
+    maps = [lambda v: v,
+            lambda v: p if v == 0 else n0 + v - 1,
+            lambda v: q if v == 0 else n0 + n1 - 2 + v]
+    tris = [tuple(f(v) for v in t)
+            for mesh, f in zip((sphere, torus, sphere), maps)
+            for t in mesh.triangles]
+    return cone_complex(SurfaceMesh(2 * n0 + n1 - 2, tris))
+
+
+# vertex 0 of the first sphere and the last torus vertex; the apex is the
+# vertex after the three summands
+WEDGE_POINTS = (0, canonical_mesh(0, 1).nv + canonical_mesh(1, 1).nv - 2)
+
+
 # (name, builder, accepted as built)
 BASES = [
     ("sphere_split", lambda: elementary_junction(
@@ -269,6 +289,7 @@ BASES = [
     ("cone_torus", lambda: cone_complex(canonical_mesh(1, 1)), False),
     ("cone_projective", lambda: cone_complex(canonical_mesh(-1, 1)), False),
     ("shared_apex", _shared_apex, False),
+    ("chained_wedge_cone", _chained_wedge_cone, False),
 ]
 
 
@@ -283,6 +304,16 @@ def test_link_check_verdicts_on_the_bases(i):
     cx = _base(i)
     assert _accepts(validate_complex, cx) == BASES[i][2]
     assert _accepts(oracle_validate, cx) == BASES[i][2]
+
+
+def test_pinched_link_names_where_it_pinches():
+    # the apex link is connected with chi 2: only the pinch rejects it
+    i = [name for name, _, _ in BASES].index("chained_wedge_cone")
+    cx = _base(i)
+    p, q = WEDGE_POINTS
+    with pytest.raises(ComplexError, match=rf"^vertex ({p}|{q}) link "
+                                           rf"pinches at {cx.nv - 1}$"):
+        validate_complex(cx)
 
 
 def _identify(cx: TetComplex, u: int, w: int) -> TetComplex:

@@ -11,7 +11,8 @@ from reebforge.blocks import (build_junction, cylinder_block,
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import surface_prism
 from reebforge.graphs import Edge, LabeledGraph
-from reebforge.reeb import (ReebError, _components, _prepare, _slice_cells,
+from reebforge.reeb import (ReebEdge, ReebError, ReebGraph, ReebNode,
+                            _components, _contract, _prepare, _slice_cells,
                             labeled_isomorphic, level_set_of, reeb_graph_of)
 from reebforge.surfaces import classify_labels
 from reebforge.unionfind import UnionFind
@@ -165,6 +166,85 @@ def test_no_inessential_degree2_nodes_survive():
         if r.degree(i) == 2 and not n.pinned:
             labels = {e.label for e in r.edges if i in (e.a, e.b)}
             assert len(labels) > 1
+
+
+def contract_reference(node_values, node_pinned, edges) -> ReebGraph:
+    """reeb._contract before its final loop gathered degrees, labels and
+    neighbours in one pass (it rescanned every live edge per node), kept
+    verbatim as the reference."""
+    edges = [list(e) for e in edges]
+    alive = [True] * len(node_values)
+    incident: dict[int, list[int]] = {i: [] for i in range(len(node_values))}
+    for ei, (a, b, _) in enumerate(edges):
+        incident[a].append(ei)
+        incident[b].append(ei)
+
+    changed = True
+    while changed:
+        changed = False
+        for n in range(len(node_values)):
+            if not alive[n] or node_pinned[n]:
+                continue
+            inc = [ei for ei in incident[n] if edges[ei] is not None]
+            if len(inc) != 2:
+                continue
+            e1, e2 = inc
+            if edges[e1][2] != edges[e2][2]:
+                continue
+            x = edges[e1][0] if edges[e1][1] == n else edges[e1][1]
+            y = edges[e2][0] if edges[e2][1] == n else edges[e2][1]
+            if x == n or y == n or x == y:
+                continue
+            label = edges[e1][2]
+            edges[e1] = None
+            edges[e2] = None
+            newe = [x, y, label]
+            incident[x].append(len(edges))
+            incident[y].append(len(edges))
+            edges.append(newe)
+            incident[len(edges) - 1] = []
+            alive[n] = False
+            changed = True
+
+    live_edges = [e for e in edges if e is not None]
+    used = sorted({n for n in range(len(node_values)) if alive[n]})
+    renum = {n: i for i, n in enumerate(used)}
+    degree = {n: 0 for n in used}
+    for a, b, _ in live_edges:
+        degree[a] += 1
+        degree[b] += 1
+    nodes = []
+    for n in used:
+        inc_labels = {e[2] for e in live_edges if n in (e[0], e[1])}
+        essential = (node_pinned[n] or degree[n] != 2 or
+                     len(inc_labels) > 1)
+        if degree[n] == 2 and not essential:
+            # parallel double edge back to one neighbour, kept to avoid loops
+            nb = [e[0] if e[1] == n else e[1]
+                  for e in live_edges if n in (e[0], e[1])]
+            essential = nb[0] == nb[1]
+        nodes.append(ReebNode(node_values[n], essential, node_pinned[n]))
+    redges = sorted(
+        (ReebEdge(min(renum[a], renum[b]), max(renum[a], renum[b]), l)
+         for a, b, l in live_edges),
+        key=lambda e: (e.a, e.b, e.label))
+    return ReebGraph(nodes, redges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.integers(-1, 1)).filter(lambda e: e[0] != e[1]),
+             max_size=12))))
+def test_contraction_matches_reference(graph):
+    # extraction joins a level component to one of the next level, so an
+    # edge never returns to its own node; labels in -1..1 make chains,
+    # label changes and parallel double edges common
+    pinned, edges = graph
+    values = [F(i) for i in range(len(pinned))]
+    assert _contract(values, pinned, edges) == \
+        contract_reference(values, pinned, edges)
 
 
 # ---------------------------------------------------------------------------
