@@ -22,10 +22,6 @@ class AnchorError(ValueError):
     """Raised when anchor metadata is missing, mismatched, or corrupt."""
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class PolygonScheme:
     """Planar polygon with paired sides encoding a closed surface.

@@ -10,9 +10,7 @@ by interior connected sums ("bridges": remove an interior tetrahedron on
 each side and join the exposed sphere sockets with a spherical shell).
 
 Merging two blocks at the same singular value is another bridge between
-their connectors (disjoint-union merge), or a vertical tunnel drilled from
-one picked boundary component of each down to the connectors, glued wall
-to wall, which connected-sums the picked components (sum merge).
+their connectors (disjoint-union merge).
 """
 from __future__ import annotations
 
@@ -461,91 +459,6 @@ def merge_disjoint_union(b1: Block, b2: Block) -> Block:
     return out
 
 
-def _column(b: Block, comp: BoundaryComponent):
-    """The vertical prism stack over the first spare triangle of comp
-    whose stack is intact: (spare, tets, rims), rims outer->inner with
-    corners in sorted mesh-id order."""
-    for spare in comp.mesh.spares:
-        tri = sorted(comp.mesh.triangles[spare])
-        rims = [tuple(layer[v] for v in tri) for layer in comp.layer_ids]
-        verts = {v for rim in rims for v in rim}
-        tets = {ti for ti, t in enumerate(b.cx.tets)
-                if all(v in verts for v in t)}
-        if len(tets) == 3 * (len(rims) - 1):
-            return spare, tets, rims
-    raise BlockError("no spare tube available on a picked component")
-
-
-def merge_connected_sum(b1: Block, b2: Block, side: str,
-                        pick1: int, pick2: int) -> Block:
-    """Join two blocks and connected-sum one picked boundary component of
-    each on the given side, by drilling a column of spare prisms down to
-    the connectors and gluing the sockets wall to wall."""
-    a = _merge_singular_value(b1, b2)
-    b1 = _as_mergeable(b1, a)
-    b2 = _as_mergeable(b2, a)
-    if b1.refinement != b2.refinement:
-        raise BlockError("refinement mismatch")
-    try:
-        c1 = b1.boundary[pick1]
-        c2 = b2.boundary[pick2]
-    except IndexError:
-        raise BlockError("picked component does not exist") from None
-    if c1.side != side or c2.side != side:
-        raise BlockError(f"picked components must lie on side {side!r}")
-    if c1.value != c2.value:
-        raise BlockError("picked components sit at different values")
-    spare1, tets1, rims1 = _column(b1, c1)
-    spare2, tets2, rims2 = _column(b2, c2)
-    if len(rims1) != len(rims2):
-        raise BlockError("column layer counts differ")
-    cx1, tmap1 = remove_tets(b1.cx, tets1)
-    cx2, tmap2 = remove_tets(b2.cx, tets2)
-    ident = []
-    for r1, r2 in zip(rims1, rims2):
-        for x, y in zip(r1, r2):
-            ident.append((0, x, 1, y))
-    cx, vmaps, toffs = merge_complexes([cx1, cx2], ident)
-    values = [None] * cx.nv
-    for v in range(cx1.nv):
-        values[vmaps[0][v]] = b1.values[v]
-    for v in range(cx2.nv):
-        tgt = vmaps[1][v]
-        if values[tgt] is not None and values[tgt] != b2.values[v]:
-            raise BlockError("value clash while merging")
-        values[tgt] = b2.values[v]
-
-    def mk_tet_map(tmap, off):
-        return lambda t: (off + tmap[t]) if t in tmap else None
-
-    b1.remap(vmaps[0], mk_tet_map(tmap1, toffs[0]))
-    b2.remap(vmaps[1], mk_tet_map(tmap2, toffs[1]))
-
-    summed, map1, map2 = connected_sum_mesh_maps(
-        c1.mesh, spare1, c2.mesh, spare2)
-    cmap = [None] * summed.nv
-    layer_ids = [[None] * summed.nv for _ in c1.layer_ids]
-    for v in range(c1.mesh.nv):
-        cmap[map1[v]] = c1.cmap[v]
-        for d in range(len(layer_ids)):
-            layer_ids[d][map1[v]] = c1.layer_ids[d][v]
-    for v in range(c2.mesh.nv):
-        cmap[map2[v]] = c2.cmap[v]
-        for d in range(len(layer_ids)):
-            layer_ids[d][map2[v]] = c2.layer_ids[d][v]
-    merged_comp = BoundaryComponent(
-        side, c1.value, connected_sum_label(c1.label, c2.label),
-        summed, cmap, layer_ids)
-    boundary = [c for c in b1.boundary if c is not c1]
-    boundary += [c for c in b2.boundary if c is not c2]
-    boundary.append(merged_comp)
-    contract = StarContract(a, [(c.value, c.label) for c in boundary])
-    out = Block(cx, values, min(b1.a1, b2.a1), max(b1.a2, b2.a2), [a],
-                boundary, contract, b1.refinement, kind="junction")
-    out.bridge_tets = b1.bridge_tets + b2.bridge_tets
-    return out
-
-
 # ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
@@ -572,7 +485,14 @@ class PlanError(ValueError):
     pass
 
 
+def _check_op(node) -> None:
+    """A plan node is a cell or a disjoint merge of two subplans."""
+    if node["op"] not in ("cell", "disjoint"):
+        raise PlanError(f"unknown plan op {node['op']!r}")
+
+
 def _eval_node(node) -> tuple[list[int], list[int]]:
+    _check_op(node)
     if node["op"] == "cell":
         if node.get("kind", "cell") != "cell":
             b, t = JUNCTION_KINDS[node["kind"]]
@@ -582,19 +502,7 @@ def _eval_node(node) -> tuple[list[int], list[int]]:
         return sorted(node["bottom"]), sorted(node["top"])
     lb, lt = _eval_node(node["left"])
     rb, rt = _eval_node(node["right"])
-    if node["op"] == "disjoint":
-        return sorted(lb + rb), sorted(lt + rt)
-    if node["op"] == "sum":
-        side = node["side"]
-        i, j = node["pick_left"], node["pick_right"]
-        if side == "bottom":
-            l1, l2 = lb.pop(i), rb.pop(j)
-            lb.append(connected_sum_label(l1, l2))
-            return sorted(lb + rb), sorted(lt + rt)
-        l1, l2 = lt.pop(i), rt.pop(j)
-        lt.append(connected_sum_label(l1, l2))
-        return sorted(lb + rb), sorted(lt + rt)
-    raise PlanError(f"unknown plan op {node['op']!r}")
+    return sorted(lb + rb), sorted(lt + rt)
 
 
 def evaluate_plan(plan: Plan) -> tuple[list[int], list[int]]:
@@ -673,6 +581,7 @@ def build_junction(plan: Plan, a1, a, a2, refinement: int = 1) -> Block:
     a1, a, a2 = Fraction(a1), Fraction(a), Fraction(a2)
 
     def build(node) -> Block:
+        _check_op(node)
         if node["op"] == "cell":
             if node.get("kind", "cell") != "cell":
                 return elementary_junction(node["kind"], a1, a, a2,
@@ -680,12 +589,7 @@ def build_junction(plan: Plan, a1, a, a2, refinement: int = 1) -> Block:
                                            flip=bool(node.get("flip")))
             return junction_cell(node["bottom"], node["top"], a1, a, a2,
                                  refinement)
-        left = build(node["left"])
-        right = build(node["right"])
-        if node["op"] == "disjoint":
-            return merge_disjoint_union(left, right)
-        return merge_connected_sum(left, right, node["side"],
-                                   node["pick_left"], node["pick_right"])
+        return merge_disjoint_union(build(node["left"]), build(node["right"]))
 
     block = build(plan.node)
     want = (sorted(plan.bottom), sorted(plan.top))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .anchors import PolygonScheme, SchemeAnchor, scheme_for_label
 from .complexes import (TetComplex, boundary_surface, circle_prism,
-                        find_interior_tets, merge_complexes, surface_prism)
+                        merge_complexes, surface_prism)
 from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
                        connected_sum_mesh_maps, find_spare_triangles,
@@ -238,8 +238,8 @@ def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
 
 
 def generate_surface(label: int, refinement: int = 1) -> SurfaceMesh:
-    """Canonical closed connected mesh with the given label; anchored to
-    its scheme (directly for the elementary labels, by sum recipe above)."""
+    """Canonical closed connected mesh with the given label; the elementary
+    labels are anchored to their scheme, connected sums carry no anchor."""
     return canonical_mesh(label, refinement)
 
 
@@ -255,9 +255,6 @@ class Solid:
     boundary: SurfaceMesh
     bmap: list[int]          # boundary mesh vertex -> complex vertex
     label: int
-
-    def interior_tets(self) -> list[int]:
-        return find_interior_tets(self.cx)
 
 
 def _disk_mesh(P: int) -> SurfaceMesh:

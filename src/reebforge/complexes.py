@@ -9,7 +9,7 @@ shared walls identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .surfaces import SurfaceMesh
 from .unionfind import UnionFind
@@ -31,16 +31,12 @@ class TetComplex:
         return TetComplex(self.nv, list(self.tets))
 
 
-def tet_faces(t: Tet):
-    a, b, c, d = t
-    return (tuple(sorted((a, b, c))), tuple(sorted((a, b, d))),
-            tuple(sorted((a, c, d))), tuple(sorted((b, c, d))))
-
-
 def face_map(cx: TetComplex) -> FaceMap:
     fm: FaceMap = {}
     for ti, t in enumerate(cx.tets):
-        for f in tet_faces(t):
+        # the faces of a sorted tet come out sorted
+        a, b, c, d = sorted(t)
+        for f in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
             fm.setdefault(f, []).append(ti)
     return fm
 
@@ -221,8 +217,6 @@ def _staircase(bottom: tuple[int, int, int], top: tuple[int, int, int],
 class PrismProduct:
     complex: TetComplex
     mesh: SurfaceMesh
-    nlayers: int                                  # number of vertex layers
-    prism_tets: dict[tuple[int, int], list[int]] = field(default_factory=dict)
 
     def vid(self, v: int, layer: int) -> int:
         return layer * self.mesh.nv + v
@@ -237,15 +231,12 @@ def surface_prism(mesh: SurfaceMesh, nseg: int) -> PrismProduct:
         raise ComplexError("product needs at least one segment")
     nv = mesh.nv
     tets: list[Tet] = []
-    prod = PrismProduct(TetComplex(nv * (nseg + 1), tets), mesh, nseg + 1)
     for j in range(nseg):
-        for ti, tri in enumerate(mesh.triangles):
+        for tri in mesh.triangles:
             bottom = tuple(j * nv + v for v in tri)
             top = tuple((j + 1) * nv + v for v in tri)
-            start = len(tets)
             tets.extend(_staircase(bottom, top, tri))
-            prod.prism_tets[(ti, j)] = [start, start + 1, start + 2]
-    return prod
+    return PrismProduct(TetComplex(nv * (nseg + 1), tets), mesh)
 
 
 def circle_prism(mesh: SurfaceMesh, nseg: int,
@@ -257,20 +248,17 @@ def circle_prism(mesh: SurfaceMesh, nseg: int,
     nv = mesh.nv
     sigma = twist if twist is not None else list(range(nv))
     tets: list[Tet] = []
-    prod = PrismProduct(TetComplex(nv * nseg, tets), mesh, nseg)
     for j in range(nseg):
         wrap = j == nseg - 1
         jj = 0 if wrap else j + 1
-        for ti, tri in enumerate(mesh.triangles):
+        for tri in mesh.triangles:
             bottom = tuple(j * nv + v for v in tri)
             if wrap:
                 top = tuple(jj * nv + sigma[v] for v in tri)
             else:
                 top = tuple(jj * nv + v for v in tri)
-            start = len(tets)
             tets.extend(_staircase(bottom, top, tri))
-            prod.prism_tets[(ti, j)] = [start, start + 1, start + 2]
-    return prod
+    return PrismProduct(TetComplex(nv * nseg, tets), mesh)
 
 
 def cone_complex(mesh: SurfaceMesh, base_offset: int = 0,

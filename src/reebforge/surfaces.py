@@ -53,25 +53,23 @@ class Survey:
     """What one pass over the edge map finds out about a valid mesh."""
 
     edges: dict[tuple[int, int], list[int]]
-    # triangles joined across interior edges
+    # triangles joined across shared edges
     parts: UnionFind
     # corner 3 * ti + k -> 2 * tj + same for the triangle tj across the
-    # edge leaving it, same = 1 when both run along that edge the same way;
-    # -1 on the boundary
+    # edge leaving it, same = 1 when both run along that edge the same way
     across: list[int]
     # vertex -> one of its corners, -1 for an unused vertex
     home: list[int]
 
 
-def survey(mesh: SurfaceMesh, allow_boundary: bool) -> Survey:
-    """Check that mesh is a simplicial surface and survey it in one pass.
+def survey(mesh: SurfaceMesh) -> Survey:
+    """Check that mesh is a closed simplicial surface and survey it in one
+    pass.
 
     Raises MeshError on a degenerate, out-of-range or duplicate triangle,
-    an edge in more than two triangles, a boundary edge when
-    allow_boundary is false, and a vertex whose link is not one cycle or
-    one path.  The edge map, triangle components and corner adjacency of
-    the returned Survey serve both the slice classifier and the vertex
-    link check of tetrahedral complexes.
+    an edge in other than two triangles, and a vertex whose link is not
+    one cycle.  The edge map, triangle components and corner adjacency of
+    the returned Survey serve the slice classifier.
     """
     triangles = mesh.triangles
     nv = mesh.nv
@@ -92,7 +90,6 @@ def survey(mesh: SurfaceMesh, allow_boundary: bool) -> Survey:
     # a vertex link is connected iff all its corners fall in one class
     links = UnionFind(3 * tn)
     across = [-1] * (3 * tn)
-    rim = [0] * nv      # boundary edges at each vertex: the link's ends
     for key, sides in edges.items():
         if len(sides) == 2:
             x, y = sides
@@ -112,11 +109,8 @@ def survey(mesh: SurfaceMesh, allow_boundary: bool) -> Survey:
                 links.union(hx, cy)
         elif len(sides) > 2:
             raise MeshError(f"edge {key} in {len(sides)} triangles")
-        elif not allow_boundary:
-            raise MeshError(f"boundary edge {key} in closed mesh")
         else:
-            rim[key[0]] += 1
-            rim[key[1]] += 1
+            raise MeshError(f"boundary edge {key} in closed mesh")
     corner_vertex = list(chain.from_iterable(triangles))
     home = [-1] * nv
     pinched = set()
@@ -126,25 +120,18 @@ def survey(mesh: SurfaceMesh, allow_boundary: bool) -> Survey:
             home[v] = c
         else:
             pinched.add(v)
-    if pinched or set(rim) - {0, 2}:
-        # the first bad vertex in order of first appearance
-        for v in dict.fromkeys(chain.from_iterable(triangles)):
-            if rim[v] not in (0, 2):
-                raise MeshError(f"vertex {v} link has {rim[v]} chain ends")
-            if v in pinched:
-                raise MeshError(f"vertex {v} link is disconnected")
+    if pinched:
+        # the first in order of appearance
+        v = next(v for v in corner_vertex if v in pinched)
+        raise MeshError(f"vertex {v} link is disconnected")
     return Survey(edges, parts, across, home)
 
 
-def validate_surface(mesh: SurfaceMesh, allow_boundary: bool = False):
-    """Check simplicial-surface invariants; returns the edge map of
-    `_edge_map`.
-
-    Closed mode requires every edge in exactly 2 triangles and every vertex
-    link a single cycle.  Boundary mode additionally admits edges in one
-    triangle and chain links.
-    """
-    return survey(mesh, allow_boundary).edges
+def validate_surface(mesh: SurfaceMesh):
+    """Check closed-surface invariants, every edge in exactly 2 triangles
+    and every vertex link a single cycle; returns the edge map of
+    `_edge_map`."""
+    return survey(mesh).edges
 
 
 @dataclass
@@ -154,19 +141,17 @@ class SurfaceComponent:
     orientable: bool
     vertices: list[int]
     triangles: list[int]   # indices into the mesh triangle list
-    boundary_cycles: int = 0
 
 
-def classify_surface(mesh: SurfaceMesh,
-                     allow_boundary: bool = False) -> list[SurfaceComponent]:
-    """Classify each connected component of a triangulated surface.
+def classify_surface(mesh: SurfaceMesh) -> list[SurfaceComponent]:
+    """Classify each connected component of a closed triangulated surface.
 
     Computes chi = V - E + F and decides orientability by propagating
     triangle orientations across shared edges; a propagation conflict means
     non-orientable.  The label is (2-chi)/2 for orientable components and
     chi-2 otherwise.
     """
-    sv = survey(mesh, allow_boundary)
+    sv = survey(mesh)
     tn = len(mesh.triangles)
     parts = sv.parts
     # listed by root, the order `surface classify` prints them in
@@ -180,16 +165,6 @@ def classify_surface(mesh: SurfaceMesh,
     for v, c in enumerate(sv.home):
         if c >= 0:
             vertices[comp_of[c // 3]].append(v)
-    nedges = [0] * len(comps)
-    # boundary cycles are the components of the boundary edge graph
-    rims = UnionFind(mesh.nv)
-    rim_vertices: list[list[int]] = [[] for _ in comps]
-    for (u, v), sides in sv.edges.items():
-        i = comp_of[sides[0] // 6]
-        nedges[i] += 1
-        if len(sides) == 1:
-            rims.union(u, v)
-            rim_vertices[i].append(u)
 
     # orientation propagation; orient[t] in {0,1}, flipping the triangle
     orient = [-1] * tn
@@ -204,8 +179,6 @@ def classify_surface(mesh: SurfaceMesh,
             o = orient[ti]
             for c in range(3 * ti, 3 * ti + 3):
                 x = across[c]
-                if x < 0:
-                    continue
                 # consistent orientations run along a shared edge in
                 # opposite directions
                 tj, want = x >> 1, o ^ (x & 1)
@@ -214,23 +187,20 @@ def classify_surface(mesh: SurfaceMesh,
                     stack.append(tj)
                 elif orient[tj] != want:
                     orientable = False
-        bcount = len({rims.find(u) for u in rim_vertices[i]})
-        chi = len(vertices[i]) - nedges[i] + len(tris)
-        if bcount == 0:
-            if orientable:
-                if chi % 2 != 0 or chi > 2:
-                    raise MeshError(
-                        f"impossible closed surface: chi={chi} orientable")
-                label = (2 - chi) // 2
-            else:
-                if chi > 1:
-                    raise MeshError(
-                        f"impossible closed surface: chi={chi} non-orientable")
-                label = chi - 2
+        # each edge lies in two triangles of the component: E = 3F / 2
+        chi = len(vertices[i]) - len(tris) // 2
+        if orientable:
+            if chi % 2 != 0 or chi > 2:
+                raise MeshError(
+                    f"impossible closed surface: chi={chi} orientable")
+            label = (2 - chi) // 2
         else:
-            label = 0   # placeholder; surfaces with boundary are internal
+            if chi > 1:
+                raise MeshError(
+                    f"impossible closed surface: chi={chi} non-orientable")
+            label = chi - 2
         out.append(SurfaceComponent(label, chi, orientable, vertices[i],
-                                    tris, boundary_cycles=bcount))
+                                    tris))
     return out
 
 
@@ -252,15 +222,6 @@ def connected_sum_label(r1: int, r2: int) -> int:
     if r1 < 0:
         return r1 - 2 * r2
     return r2 - 2 * r1
-
-
-@dataclass
-class SumRecipe:
-    """Anchor metadata for meshes produced by connected sums."""
-    left: object
-    left_spare: int
-    right: object
-    right_spare: int
 
 
 def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
@@ -303,8 +264,7 @@ def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     for s in m2.spares:
         if s != d2:
             spares.append(base2 + index2[s])
-    anchor = SumRecipe(m1.anchor, d1, m2.anchor, d2)
-    return SurfaceMesh(len(used), triangles, anchor, spares), map1, map2
+    return SurfaceMesh(len(used), triangles, None, spares), map1, map2
 
 
 def connected_sum_mesh(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,

@@ -79,12 +79,6 @@ def test_refinement_requires_anchor():
         common_refinement(m1, m2)
 
 
-def test_composite_labels_carry_recipe_anchor():
-    m = canonical_mesh(3, 1)
-    from reebforge.surfaces import SumRecipe
-    assert isinstance(m.anchor, SumRecipe)
-
-
 @pytest.mark.parametrize("label", [-1, -2])
 def test_refinement_across_grid_sizes(label):
     m1 = canonical_mesh(label, 1)

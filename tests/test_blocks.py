@@ -4,8 +4,7 @@ import pytest
 
 from reebforge.blocks import (Block, BlockError, cap_block, cylinder_block,
                               elementary_junction, fold_block, junction_cell,
-                              merge_connected_sum, merge_disjoint_union,
-                              verify_block)
+                              merge_disjoint_union, verify_block)
 from reebforge.reeb import level_set_of
 from reebforge.surfaces import classify_labels
 
@@ -161,77 +160,6 @@ def test_disjoint_merge_mixed():
     assert m.labels("bottom") == [-1, 0]
     assert m.labels("top") == [-1, 1]
     assert_verified(m)
-
-
-def test_sum_merge_two_projective_pairs():
-    b1 = elementary_junction("sphere_to_projective_pair", F(0), F(1), F(2))
-    b2 = elementary_junction("sphere_to_projective_pair", F(0), F(1), F(2))
-    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "bottom")
-    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "bottom")
-    m = merge_connected_sum(b1, b2, "bottom", p1, p2)
-    assert m.labels("bottom") == [0]
-    assert m.labels("top") == [-1, -1, -1, -1]
-    assert_verified(m)
-
-
-def test_sum_merge_cylinder_tops():
-    b1 = cylinder_block(1, F(0), F(2))
-    b2 = cylinder_block(2, F(0), F(2))
-    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
-    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "top")
-    m = merge_connected_sum(b1, b2, "top", p1, p2)
-    assert m.labels("top") == [3]
-    assert m.labels("bottom") == [1, 2]
-    assert_verified(m)
-
-
-def test_sum_merge_sphere_neutral():
-    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
-    b2 = cylinder_block(0, F(0), F(2))
-    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
-    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "top")
-    m = merge_connected_sum(b1, b2, "top", p1, p2)
-    assert m.labels("top") == [0, 0]
-    assert m.labels("bottom") == [0, 0]
-    assert_verified(m)
-
-
-def test_sum_merge_on_a_summed_component():
-    # the column of the summed component is found over one of its
-    # remaining spare triangles
-    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
-    b2 = cylinder_block(1, F(0), F(2))
-    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
-    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "top")
-    m = merge_connected_sum(b1, b2, "top", p1, p2)
-    b3 = cylinder_block(2, F(0), F(2))
-    p3 = next(i for i, c in enumerate(b3.boundary) if c.side == "top")
-    m = merge_connected_sum(m, b3, "top", len(m.boundary) - 1, p3)
-    assert m.labels("top") == [0, 3]
-    assert m.labels("bottom") == [0, 1, 2]
-    assert_verified(m)
-
-
-def test_sum_merge_needs_a_spare_tube():
-    # a block read back from JSON carries no spare triangles
-    from reebforge.blocks import block_from_dict, block_to_dict
-    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
-    b2 = block_from_dict(block_to_dict(
-        elementary_junction("sphere_split", F(0), F(1), F(2))))
-    p1 = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
-    p2 = next(i for i, c in enumerate(b2.boundary) if c.side == "top")
-    with pytest.raises(BlockError, match="no spare tube"):
-        merge_connected_sum(b1, b2, "top", p1, p2)
-
-
-def test_sum_merge_requires_matching_side():
-    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
-    b2 = elementary_junction("sphere_split", F(0), F(1), F(2))
-    top = next(i for i, c in enumerate(b1.boundary) if c.side == "top")
-    bottom = next(i for i, c in enumerate(b2.boundary)
-                  if c.side == "bottom")
-    with pytest.raises(BlockError, match="side"):
-        merge_connected_sum(b1, b2, "top", top, bottom)
 
 
 def test_merge_requires_shared_singular_value():

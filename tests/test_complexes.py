@@ -25,13 +25,6 @@ def test_surface_prism_is_product_manifold():
     assert classify_labels(bmesh) == [1, 1]
 
 
-def test_surface_prism_prism_index():
-    mesh = canonical_mesh(0, 1)
-    prod = surface_prism(mesh, 2)
-    assert len(prod.prism_tets) == len(mesh.triangles) * 2
-    assert all(len(v) == 3 for v in prod.prism_tets.values())
-
-
 def test_cone_over_sphere_is_ball():
     sphere = canonical_mesh(0, 1)
     cx = cone_complex(sphere)
@@ -314,6 +307,36 @@ def test_pinched_link_names_where_it_pinches():
     with pytest.raises(ComplexError, match=rf"^vertex ({p}|{q}) link "
                                            rf"pinches at {cx.nv - 1}$"):
         validate_complex(cx)
+
+
+# ---------------------------------------------------------------------------
+# reference face map: every face sorted on its own, the implementation the
+# one sort per tet replaced, kept verbatim
+# ---------------------------------------------------------------------------
+
+def tet_faces(t):
+    a, b, c, d = t
+    return (tuple(sorted((a, b, c))), tuple(sorted((a, b, d))),
+            tuple(sorted((a, c, d))), tuple(sorted((b, c, d))))
+
+
+def oracle_face_map(cx: TetComplex):
+    fm = {}
+    for ti, t in enumerate(cx.tets):
+        for f in tet_faces(t):
+            fm.setdefault(f, []).append(ti)
+    return fm
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(BASES) - 1), st.integers(0, 2 ** 32))
+def test_face_map_matches_reference(i, seed):
+    # the same faces, each listing its tets in order, whatever order the
+    # vertices of each tet come in
+    rng = Random(seed)
+    cx = TetComplex(_base(i).nv,
+                    [tuple(rng.sample(t, 4)) for t in _base(i).tets])
+    assert face_map(cx) == oracle_face_map(cx)
 
 
 def _identify(cx: TetComplex, u: int, w: int) -> TetComplex:

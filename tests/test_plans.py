@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebforge.blocks import (PlanError, build_junction, evaluate_plan,
-                              plan_junction, verify_block)
+from reebforge.blocks import (Plan, PlanError, build_junction,
+                              evaluate_plan, plan_junction, verify_block)
 from reebforge.graphs import is_odd_chi
 
 
@@ -41,7 +41,6 @@ def test_plan_rejects_empty_side():
 
 
 def test_plan_json_round_trip():
-    from reebforge.blocks import Plan
     plan = plan_junction([-1, 0], [-1, 2])
     again = Plan.from_json(plan.to_json())
     assert evaluate_plan(again) == evaluate_plan(plan)
@@ -51,6 +50,20 @@ def test_plan_determinism():
     p1 = plan_junction([2, -1, -1], [0, 3])
     p2 = plan_junction([-1, 2, -1], [3, 0])
     assert p1.to_json() == p2.to_json()
+
+
+@pytest.mark.parametrize("run", [
+    evaluate_plan, lambda plan: build_junction(plan, F(0), F(1), F(2))],
+    ids=["evaluate", "build"])
+@pytest.mark.parametrize("op", ["sum", "foo"])
+def test_plan_rejects_unknown_op(op, run):
+    # a plan holds cells and disjoint merges only
+    cell = {"op": "cell", "kind": "sphere_split", "flip": False}
+    node = {"op": op, "left": cell, "right": cell, "side": "top",
+            "pick_left": 0, "pick_right": 0}
+    plan = Plan(node, [0, 0], [0, 0, 0, 0])
+    with pytest.raises(PlanError, match=f"^unknown plan op '{op}'$"):
+        run(plan)
 
 
 labels = st.integers(-3, 3)

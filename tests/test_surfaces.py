@@ -35,16 +35,6 @@ def test_seven_vertex_torus():
     assert comps[0].label == 1
 
 
-def test_boundary_cycles_with_allow_boundary():
-    # annulus: inner ring 0-1-2, outer ring 3-4-5
-    annulus = SurfaceMesh(6, [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4),
-                              (2, 0, 5), (0, 3, 5)])
-    disk = SurfaceMesh(3, [(0, 1, 2)])
-    for mesh, cycles, chi in ((annulus, 2, 0), (disk, 1, 1)):
-        (comp,) = classify_surface(mesh, allow_boundary=True)
-        assert (comp.boundary_cycles, comp.chi) == (cycles, chi)
-
-
 def test_disjoint_union_classifies_per_component():
     rp2 = canonical_mesh(-1)
     klein = canonical_mesh(-2)
@@ -308,17 +298,17 @@ def oracle_classify(mesh: SurfaceMesh,
         else:
             label = 0   # placeholder; surfaces with boundary are internal
         out.append(SurfaceComponent(label, chi, orientable, sorted(vset),
-                                    tris, boundary_cycles=bcount))
+                                    tris))
     return out
 
 
-def _classified(mesh, fn, allow_boundary=False):
+def _classified(mesh, fn):
     try:
-        comps = fn(mesh, allow_boundary=allow_boundary)
+        comps = fn(mesh)
     except MeshError as exc:
         return str(exc)
-    return [(c.label, c.chi, c.orientable, c.vertices, c.triangles,
-             c.boundary_cycles) for c in comps]
+    return [(c.label, c.chi, c.orientable, c.vertices, c.triangles)
+            for c in comps]
 
 
 @st.composite
@@ -353,9 +343,9 @@ def test_classifier_matches_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(presented_meshes(), st.integers(0, 12), st.booleans())
 def test_classifier_matches_reference_with_faults(case, holes, pinch):
-    # removing triangles makes boundary and chain links; identifying two
-    # vertices makes pinched links, or degenerate, duplicate or overfull
-    # triangles: output or message must agree in both modes
+    # removing triangles makes boundary edges; identifying two vertices
+    # makes pinched links, or degenerate, duplicate or overfull triangles:
+    # output or message must agree
     mesh, rng = case
     tris = list(mesh.triangles)
     for _ in range(min(holes, len(tris) - 1)):
@@ -364,9 +354,8 @@ def test_classifier_matches_reference_with_faults(case, holes, pinch):
         u, w = rng.sample(range(mesh.nv), 2)
         tris = [tuple(u if v == w else v for v in t) for t in tris]
     faulty = SurfaceMesh(mesh.nv, tris)
-    for allow in (False, True):
-        assert (_classified(faulty, classify_surface, allow) ==
-                _classified(faulty, oracle_classify, allow))
+    assert (_classified(faulty, classify_surface) ==
+            _classified(faulty, oracle_classify))
 
 
 def test_canonical_meshes_classify_as_the_reference():
@@ -377,45 +366,39 @@ def test_canonical_meshes_classify_as_the_reference():
 
 
 # one single-fault mesh per message: two tetrahedron boundaries sharing
-# vertex 0, a tetrahedron boundary missing a face, two triangles meeting
-# at a vertex
+# vertex 0, a tetrahedron boundary missing a face
 PINCHED = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
            (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
 
 
-@pytest.mark.parametrize("mesh,allow,message", [
-    (SurfaceMesh(3, [(0, 1, 1)]), False, "degenerate triangle (0,1,1)"),
-    (SurfaceMesh(3, [(0, 1, 5)]), False,
-     "triangle vertex out of range (0,1,5)"),
-    (SurfaceMesh(4, list(TETRA.triangles) + [(2, 1, 0)]), False,
+@pytest.mark.parametrize("mesh,message", [
+    (SurfaceMesh(3, [(0, 1, 1)]), "degenerate triangle (0,1,1)"),
+    (SurfaceMesh(3, [(0, 1, 5)]), "triangle vertex out of range (0,1,5)"),
+    (SurfaceMesh(4, list(TETRA.triangles) + [(2, 1, 0)]),
      "duplicate triangle (0, 1, 2)"),
-    (SurfaceMesh(5, list(TETRA.triangles) + [(0, 1, 4)]), False,
+    (SurfaceMesh(5, list(TETRA.triangles) + [(0, 1, 4)]),
      "edge (0, 1) in 3 triangles"),
-    (SurfaceMesh(4, TETRA.triangles[:3]), False,
+    (SurfaceMesh(4, TETRA.triangles[:3]),
      "boundary edge (1, 2) in closed mesh"),
-    (SurfaceMesh(5, [(0, 1, 2), (0, 3, 4)]), True,
-     "vertex 0 link has 4 chain ends"),
-    (SurfaceMesh(7, PINCHED), False, "vertex 0 link is disconnected"),
-    (SurfaceMesh(7, PINCHED), True, "vertex 0 link is disconnected"),
+    (SurfaceMesh(7, PINCHED), "vertex 0 link is disconnected"),
 ], ids=["degenerate", "out-of-range", "duplicate", "overfull-edge",
-        "boundary-edge", "chain-ends", "disconnected",
-        "disconnected-with-boundary"])
-def test_single_fault_messages(mesh, allow, message):
-    assert _classified(mesh, oracle_classify, allow) == message
+        "boundary-edge", "disconnected"])
+def test_single_fault_messages(mesh, message):
+    assert _classified(mesh, oracle_classify) == message
     for fn in (classify_surface, validate_surface):
         with pytest.raises(MeshError) as exc:
-            fn(mesh, allow_boundary=allow)
+            fn(mesh)
         assert str(exc.value) == message
 
 
 def test_link_faults_surface_as_edge_faults():
     # a vertex link that is no 1-manifold needs an edge in 3 triangles, and
-    # an open link in a closed mesh needs an edge in 1: the edge checks
-    # name these faults before any link is looked at
+    # an open link needs an edge in 1: the edge checks name these faults
+    # before any link is looked at
     fan = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-    for mesh, allow, message in (
-            (SurfaceMesh(5, fan), True, "edge (0, 1) in 3 triangles"),
-            (SurfaceMesh(3, [(0, 1, 2)]), False,
+    for mesh, message in (
+            (SurfaceMesh(5, fan), "edge (0, 1) in 3 triangles"),
+            (SurfaceMesh(3, [(0, 1, 2)]),
              "boundary edge (0, 1) in closed mesh")):
-        assert _classified(mesh, oracle_classify, allow) == message
-        assert _classified(mesh, classify_surface, allow) == message
+        assert _classified(mesh, oracle_classify) == message
+        assert _classified(mesh, classify_surface) == message
