@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocks import (Block, BlockError, cap_block, build_junction,
-                     cylinder_block, fold_block, plan_junction)
+                     cylinder_block, fold_block, glued_values,
+                     plan_junction)
 from .complexes import (ComplexError, TetComplex, euler_from_faces,
                         merge_complexes, validate_faces)
 # imported for the benchmark's tracer, which wraps them as assembly.<name>
@@ -141,8 +142,8 @@ def _identify_components(comp_a, comp_b):
     identity a simplicial isomorphism and no overlay is needed."""
     if sorted(map(sorted, comp_a.mesh.triangles)) != \
             sorted(map(sorted, comp_b.mesh.triangles)):
-        raise AssemblyError(
-            "anchor mismatch between glued components (planner bug)")
+        raise AssemblyError("glued components carry different triangle "
+                            "sets (planner bug)")
     return list(zip(comp_a.cmap, comp_b.cmap))
 
 
@@ -186,14 +187,8 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
         for x, y in _identify_components(comp_hi, cyl_top):
             ident.append((hi, x, cyl_part, y))
 
-    cx, vmaps, toffs = merge_complexes(parts, ident)
-    values: list = [None] * cx.nv
-    for pi, vals in enumerate(part_values):
-        for v, val in enumerate(vals):
-            tgt = vmaps[pi][v]
-            if values[tgt] is not None and values[tgt] != val:
-                raise AssemblyError("value clash at a glued interface")
-            values[tgt] = val
+    cx, vmaps, _ = merge_complexes(parts, ident)
+    values = glued_values(cx.nv, vmaps, part_values)
     provenance: list[tuple[str, int]] = []
     for vi in range(len(blocks)):
         provenance += [("vertex", vi)] * len(blocks[vi].cx.tets)

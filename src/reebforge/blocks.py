@@ -14,18 +14,19 @@ their connectors (disjoint-union merge).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canonical import canonical_mesh, solid_for_label
+from .canonical import (Solid, boundary_connect_sum, canonical_mesh,
+                        solid_for_label)
 from .complexes import (ComplexError, TetComplex, boundary_surface,
                         find_interior_tets, merge_complexes, remove_tets,
                         surface_prism, validate_complex)
 from .graphs import euler_char, is_odd_chi
 from .reeb import ReebGraph, reeb_graph_of
-from .surfaces import (MeshError, SurfaceMesh, classify_surface,
-                       connected_sum_label, connected_sum_mesh_maps)
+from .surfaces import MeshError, SurfaceMesh, classify_surface
 
 CYL_SEGS = 2          # segments per block cylinder; layers 0..CYL_SEGS
 
@@ -77,22 +78,53 @@ class Block:
     def labels(self, side: str) -> list[int]:
         return sorted(c.label for c in self.boundary if c.side == side)
 
-    def remap(self, vmap, tet_map):
-        """Rewrite all vertex/tet references after surgery or union."""
+    def remap(self, vmap, tmap: dict[int, int], toff: int):
+        """Rewrite all vertex/tet references after surgery or union: vmap
+        and tmap + toff send old vertices and surviving tets to new ones."""
         for comp in self.boundary:
             comp.cmap = [vmap[v] for v in comp.cmap]
             comp.layer_ids = [[vmap[v] for v in layer]
                               for layer in comp.layer_ids]
-        self.bridge_tets = [t for t in (tet_map(t) for t in self.bridge_tets)
-                            if t is not None]
+        self.bridge_tets = [toff + tmap[t] for t in self.bridge_tets
+                            if t in tmap]
+
+
+def glued_values(nv: int, vmaps, part_values) -> list[Fraction]:
+    """The function on a complex of nv vertices merged by merge_complexes:
+    each part's values carried through its vertex map.  Vertices that the
+    merge identifies must carry the same value."""
+    values: list = [None] * nv
+    for vmap, vals in zip(vmaps, part_values):
+        for tgt, val in zip(vmap, vals):
+            old = values[tgt]
+            if old is None:
+                values[tgt] = val
+            elif old != val:
+                raise BlockError("value clash at a glued interface")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # cylinders and caps
 # ---------------------------------------------------------------------------
 
-def _layer_values(lo: Fraction, hi: Fraction, nseg: int) -> list[Fraction]:
-    return [lo + (hi - lo) * Fraction(j, nseg) for j in range(nseg + 1)]
+def _prism_values(nv: int, lo: Fraction, hi: Fraction,
+                  nseg: int) -> list[Fraction]:
+    """Values of a surface prism with nv vertices a layer, rising linearly
+    from lo on layer 0 to hi on layer nseg."""
+    layers = [lo + (hi - lo) * Fraction(j, nseg) for j in range(nseg + 1)]
+    return [x for x in layers for _ in range(nv)]
+
+
+def _end_component(side: str, value: Fraction, label: int, prod, vmap,
+                   layers) -> BoundaryComponent:
+    """Boundary component on the given layers of a surface prism, outer
+    layer first; vmap sends prism vertices to block vertices."""
+    mesh = prod.mesh
+    layer_ids = [[vmap[prod.vid(v, j)] for v in range(mesh.nv)]
+                 for j in layers]
+    return BoundaryComponent(side, value, label, mesh.copy(),
+                             list(layer_ids[0]), layer_ids)
 
 
 def cylinder_block(label: int, a1: Fraction, a2: Fraction,
@@ -104,19 +136,12 @@ def cylinder_block(label: int, a1: Fraction, a2: Fraction,
         raise BlockError("cylinder needs a1 < a2")
     mesh = canonical_mesh(label, refinement)
     prod = surface_prism(mesh, segments)
-    layer_vals = _layer_values(a1, a2, segments)
-    values = []
-    for j in range(segments + 1):
-        values += [layer_vals[j]] * mesh.nv
+    values = _prism_values(mesh.nv, a1, a2, segments)
+    ids = range(prod.complex.nv)
     mid = segments // 2
-    bottom = BoundaryComponent(
-        "bottom", a1, label, mesh.copy(),
-        prod.layer_vertices(0),
-        [prod.layer_vertices(j) for j in range(mid + 1)])
-    top = BoundaryComponent(
-        "top", a2, label, mesh.copy(),
-        prod.layer_vertices(segments),
-        [prod.layer_vertices(j) for j in range(segments, mid - 1, -1)])
+    bottom = _end_component("bottom", a1, label, prod, ids, range(mid + 1))
+    top = _end_component("top", a2, label, prod, ids,
+                         range(segments, mid - 1, -1))
     return Block(prod.complex, values, a1, a2, [], [bottom, top],
                  EdgeContract(a1, a2, label), refinement, kind="cylinder")
 
@@ -138,22 +163,12 @@ def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
     rising = boundary_value > extreme_value
     # collar layer 0 glues onto the solid boundary
     ident = [(0, solid.bmap[v], 1, prod.vid(v, 0)) for v in range(mesh.nv)]
-    cx, vmaps, toffs = merge_complexes([solid.cx, prod.complex], ident)
-    values = [None] * cx.nv
-    for v in range(solid.cx.nv):
-        values[vmaps[0][v]] = extreme_value
-    layer_vals = _layer_values(extreme_value, boundary_value, CYL_SEGS)
-    for j in range(CYL_SEGS + 1):
-        for v in range(mesh.nv):
-            tgt = vmaps[1][prod.vid(v, j)]
-            if values[tgt] is None or j > 0:
-                values[tgt] = layer_vals[j]
-    side = "top" if rising else "bottom"
-    comp = BoundaryComponent(
-        side, boundary_value, label, mesh.copy(),
-        [vmaps[1][prod.vid(v, CYL_SEGS)] for v in range(mesh.nv)],
-        [[vmaps[1][prod.vid(v, j)] for v in range(mesh.nv)]
-         for j in range(CYL_SEGS, -1, -1)])
+    cx, vmaps, _ = merge_complexes([solid.cx, prod.complex], ident)
+    values = glued_values(cx.nv, vmaps, [
+        [extreme_value] * solid.cx.nv,
+        _prism_values(mesh.nv, extreme_value, boundary_value, CYL_SEGS)])
+    comp = _end_component("top" if rising else "bottom", boundary_value,
+                          label, prod, vmaps[1], range(CYL_SEGS, -1, -1))
     lo, hi = ((extreme_value, boundary_value) if rising
               else (boundary_value, extreme_value))
     a1, a2 = lo, hi
@@ -183,32 +198,16 @@ class _Piece:
 
 
 def _glue_solid(cx: TetComplex, ends: list[_End], target: int, solid):
-    """Boundary-connect-sum a solid onto one end surface of a piece."""
+    """Boundary-connect-sum a solid onto one end surface of a piece; the
+    piece enters the sum as a solid bounded by that end."""
     end = ends[target]
-    sa = end.mesh.spares[0]
-    sb = solid.boundary.spares[0]
-    ta = end.mesh.triangles[sa]
-    tb = solid.boundary.triangles[sb]
-    summed, map_a, map_b = connected_sum_mesh_maps(end.mesh, sa,
-                                                   solid.boundary, sb)
-    ident = [(0, end.emap[x], 1, solid.bmap[y])
-             for x, y in zip(sorted(ta), sorted(tb))]
-    merged, vmaps, _ = merge_complexes([cx, solid.cx], ident)
-    new_ends = []
-    for i, e in enumerate(ends):
-        if i == target:
-            emap = [0] * summed.nv
-            for v in range(end.mesh.nv):
-                emap[map_a[v]] = vmaps[0][end.emap[v]]
-            for v in range(solid.boundary.nv):
-                emap[map_b[v]] = vmaps[1][solid.bmap[v]]
-            new_ends.append(_End(e.side, e.slot,
-                                 connected_sum_label(e.label, solid.label),
-                                 summed, emap))
-        else:
-            new_ends.append(_End(e.side, e.slot, e.label, e.mesh,
-                                 [vmaps[0][v] for v in e.emap]))
-    return merged, new_ends
+    summed, vmap = boundary_connect_sum(
+        Solid(cx, end.mesh, end.emap, end.label), solid)
+    ends = [_End(e.side, e.slot, e.label, e.mesh, [vmap[v] for v in e.emap])
+            for e in ends]
+    ends[target] = _End(end.side, end.slot, summed.label, summed.boundary,
+                        summed.bmap)
+    return summed.cx, ends
 
 
 def _odd_pair_piece(slot_a, slot_b, refinement: int) -> _Piece:
@@ -235,37 +234,26 @@ def _solid_piece(slot, refinement: int) -> _Piece:
                                   solid.boundary, solid.bmap)])
 
 
-def _bridge_parts(pieces: list[_Piece]):
-    """Chain the pieces with interior connected sums; returns the part
-    complexes (bridge tets removed), shells, and identification list."""
-    parts = []
-    removed: list[list[tuple]] = []     # per piece: removed tet vertex sets
-    budgets = []
-    for i, piece in enumerate(pieces):
-        need = (0 if len(pieces) == 1 else
-                1 if i in (0, len(pieces) - 1) else 2)
-        interior = find_interior_tets(piece.cx)
-        if len(interior) < need:
-            raise BlockError("piece lacks interior tets for bridging")
-        chosen = interior[:need]
-        verts = [tuple(sorted(piece.cx.tets[t])) for t in chosen]
-        cx, _ = remove_tets(piece.cx, set(chosen))
-        parts.append(cx)
-        removed.append(verts)
-        budgets.append(need)
-    shells = []
-    ident = []
-    np = len(pieces)
-    for i in range(np - 1):
-        shell = surface_prism(_TETRA_SPHERE, 2).complex
-        shell_part = np + len(shells)
-        shells.append(shell)
-        left_socket = removed[i][-1]
-        right_socket = removed[i + 1][0]
+def _bridge_parts(cxs: list[TetComplex], sockets: list[list[int]]):
+    """Chain the complexes with interior connected sums: remove the tets
+    sockets[i] from cxs[i] and join the last socket of each complex to the
+    first of the next with a spherical shell.  Returns the parts (the
+    complexes, then the shells), the identifications, and each complex's
+    remove_tets tet map."""
+    parts, tmaps, ident = [], [], []
+    for cx, drop in zip(cxs, sockets):
+        part, tmap = remove_tets(cx, set(drop))
+        parts.append(part)
+        tmaps.append(tmap)
+    n = len(cxs)
+    for i in range(n - 1):
+        left = sorted(cxs[i].tets[sockets[i][-1]])
+        right = sorted(cxs[i + 1].tets[sockets[i + 1][0]])
+        parts.append(surface_prism(_TETRA_SPHERE, 2).complex)
         for k in range(4):
-            ident.append((i, left_socket[k], shell_part, k))
-            ident.append((i + 1, right_socket[k], shell_part, 2 * 4 + k))
-    return parts + shells, ident
+            ident.append((i, left[k], n + i, k))
+            ident.append((i + 1, right[k], n + i, 8 + k))
+    return parts, ident, tmaps
 
 
 def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
@@ -300,53 +288,42 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
     for s in even:
         pieces.append(_solid_piece(s, refinement))
 
-    parts, ident = _bridge_parts(pieces)
     npieces = len(pieces)
+    sockets = []
+    for i, piece in enumerate(pieces):
+        need = 0 if npieces == 1 else 1 if i in (0, npieces - 1) else 2
+        interior = find_interior_tets(piece.cx)
+        if len(interior) < need:
+            raise BlockError("piece lacks interior tets for bridging")
+        sockets.append(interior[:need])
+    parts, ident, _ = _bridge_parts([p.cx for p in pieces], sockets)
+    part_values = [[a] * p.nv for p in parts]   # pieces and bridge shells
 
     # cylinders: one per end, glued along the inner layer
     cyl_info = []
     for pi, piece in enumerate(pieces):
         for e in piece.ends:
             prod = surface_prism(e.mesh, CYL_SEGS)
-            part_idx = len(parts)
-            parts.append(prod.complex)
-            inner = 0 if e.side == "top" else CYL_SEGS
+            if e.side == "bottom":
+                span, layers = (a1, a), range(CYL_SEGS + 1)
+            else:
+                span, layers = (a, a2), range(CYL_SEGS, -1, -1)
             for v in range(e.mesh.nv):
-                ident.append((pi, e.emap[v], part_idx, prod.vid(v, inner)))
-            cyl_info.append((part_idx, prod, e))
+                ident.append((pi, e.emap[v], len(parts),
+                              prod.vid(v, layers[-1])))
+            cyl_info.append((len(parts), prod, e, layers))
+            parts.append(prod.complex)
+            part_values.append(_prism_values(e.mesh.nv, *span, CYL_SEGS))
 
     cx, vmaps, toffs = merge_complexes(parts, ident)
-    values: list = [None] * cx.nv
-    n_constant = len(parts) - len(cyl_info)   # pieces and bridge shells
-    for pi in range(n_constant):
-        for v in range(parts[pi].nv):
-            values[vmaps[pi][v]] = a
+    values = glued_values(cx.nv, vmaps, part_values)
     boundary = []
-    for part_idx, prod, e in cyl_info:
-        vmap = vmaps[part_idx]
-        if e.side == "bottom":
-            layer_vals = _layer_values(a1, a, CYL_SEGS)
-            outer_layers = list(range(CYL_SEGS + 1))
-            outer, bval = 0, a1
-        else:
-            layer_vals = _layer_values(a, a2, CYL_SEGS)
-            outer_layers = list(range(CYL_SEGS, -1, -1))
-            outer, bval = CYL_SEGS, a2
-        for j in range(CYL_SEGS + 1):
-            for v in range(e.mesh.nv):
-                tgt = vmap[prod.vid(v, j)]
-                if values[tgt] is None:
-                    values[tgt] = layer_vals[j]
-        comp = BoundaryComponent(
-            e.side, bval, e.label, e.mesh.copy(),
-            [vmap[prod.vid(v, outer)] for v in range(e.mesh.nv)],
-            [[vmap[prod.vid(v, j)] for v in range(e.mesh.nv)]
-             for j in outer_layers])
+    for part_idx, prod, e, layers in cyl_info:
+        comp = _end_component(e.side, a1 if e.side == "bottom" else a2,
+                              e.label, prod, vmaps[part_idx], layers)
         comp.slot = e.slot
         boundary.append(comp)
     boundary.sort(key=lambda c: c.slot)
-    if any(v is None for v in values):
-        raise BlockError("vertex escaped value assignment")
     lo = a1 if bottom_labels else a
     hi = a2 if top_labels else a
     contract = StarContract(a, [(c.value, c.label) for c in boundary])
@@ -422,35 +399,13 @@ def merge_disjoint_union(b1: Block, b2: Block) -> Block:
         raise BlockError("refinement mismatch")
     if not b1.bridge_tets or not b2.bridge_tets:
         raise BlockError("no spare bridge material left")
-    t1 = b1.bridge_tets[0]
-    t2 = b2.bridge_tets[0]
-    socket1 = tuple(sorted(b1.cx.tets[t1]))
-    socket2 = tuple(sorted(b2.cx.tets[t2]))
-    cx1, tmap1 = remove_tets(b1.cx, {t1})
-    cx2, tmap2 = remove_tets(b2.cx, {t2})
-    shell = surface_prism(_TETRA_SPHERE, 2).complex
-    ident = [(0, socket1[k], 2, k) for k in range(4)]
-    ident += [(1, socket2[k], 2, 8 + k) for k in range(4)]
-    cx, vmaps, toffs = merge_complexes([cx1, cx2, shell], ident)
-
-    values = [None] * cx.nv
-    for v in range(cx1.nv):
-        values[vmaps[0][v]] = b1.values[v]
-    for v in range(cx2.nv):
-        tgt = vmaps[1][v]
-        if values[tgt] is not None and values[tgt] != b2.values[v]:
-            raise BlockError("value clash while merging")
-        values[tgt] = b2.values[v]
-    for v in range(shell.nv):
-        tgt = vmaps[2][v]
-        if values[tgt] is None:
-            values[tgt] = a
-
-    def mk_tet_map(tmap, off):
-        return lambda t: (off + tmap[t]) if t in tmap else None
-
-    b1.remap(vmaps[0], mk_tet_map(tmap1, toffs[0]))
-    b2.remap(vmaps[1], mk_tet_map(tmap2, toffs[1]))
+    parts, ident, tmaps = _bridge_parts(
+        [b1.cx, b2.cx], [b1.bridge_tets[:1], b2.bridge_tets[:1]])
+    cx, vmaps, toffs = merge_complexes(parts, ident)
+    values = glued_values(cx.nv, vmaps,
+                          [b1.values, b2.values, [a] * parts[2].nv])
+    b1.remap(vmaps[0], tmaps[0], toffs[0])
+    b2.remap(vmaps[1], tmaps[1], toffs[1])
     boundary = b1.boundary + b2.boundary
     contract = StarContract(a, [(c.value, c.label) for c in boundary])
     out = Block(cx, values, min(b1.a1, b2.a1), max(b1.a2, b2.a2), [a],
@@ -465,66 +420,40 @@ def merge_disjoint_union(b1: Block, b2: Block) -> Block:
 
 @dataclass
 class Plan:
-    """Tree of junction cells and merges with the target label multisets."""
+    """Junction cells, each a (bottom labels, top labels) pair, joined in
+    order by disjoint-union merges, with the target label multisets."""
 
-    node: dict
+    cells: list[tuple[list[int], list[int]]]
     bottom: list[int]
     top: list[int]
 
     def to_json(self) -> str:
         return json.dumps({"bottom": self.bottom, "top": self.top,
-                           "plan": self.node}, indent=2)
+                           "cells": self.cells}, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "Plan":
         doc = json.loads(text)
-        return Plan(doc["plan"], list(doc["bottom"]), list(doc["top"]))
+        return Plan([(list(b), list(t)) for b, t in doc["cells"]],
+                    list(doc["bottom"]), list(doc["top"]))
 
 
 class PlanError(ValueError):
     pass
 
 
-def _check_op(node) -> None:
-    """A plan node is a cell or a disjoint merge of two subplans."""
-    if node["op"] not in ("cell", "disjoint"):
-        raise PlanError(f"unknown plan op {node['op']!r}")
-
-
-def _eval_node(node) -> tuple[list[int], list[int]]:
-    _check_op(node)
-    if node["op"] == "cell":
-        if node.get("kind", "cell") != "cell":
-            b, t = JUNCTION_KINDS[node["kind"]]
-            if node.get("flip"):
-                b, t = t, b
-            return sorted(b), sorted(t)
-        return sorted(node["bottom"]), sorted(node["top"])
-    lb, lt = _eval_node(node["left"])
-    rb, rt = _eval_node(node["right"])
-    return sorted(lb + rb), sorted(lt + rt)
-
-
 def evaluate_plan(plan: Plan) -> tuple[list[int], list[int]]:
-    return _eval_node(plan.node)
-
-
-def _named_kind_for(bottom, top):
-    b, t = tuple(sorted(bottom)), tuple(sorted(top))
-    for name, (kb, kt) in JUNCTION_KINDS.items():
-        if (b, t) == (tuple(sorted(kb)), tuple(sorted(kt))):
-            return name, False
-        if (b, t) == (tuple(sorted(kt)), tuple(sorted(kb))):
-            return name, True
-    return None
+    """The bottom and top label multisets the cells of a plan add up to."""
+    return (sorted(l for b, _ in plan.cells for l in b),
+            sorted(l for _, t in plan.cells for l in t))
 
 
 def plan_junction(bottom, top) -> Plan:
     """Plan a junction realizing the two label multisets.
 
-    Odd-chi components are paired (across sides first), every pair and
-    every even-chi component becomes one cell, and the cells are folded
-    together with disjoint-union merges.
+    A target of one of the JUNCTION_KINDS shapes, either way up, is one
+    cell.  Otherwise odd-chi components are paired (across sides first),
+    and every pair and every even-chi component becomes one cell.
     """
     bottom, top = sorted(bottom), sorted(top)
     if not bottom or not top:
@@ -535,11 +464,9 @@ def plan_junction(bottom, top) -> Plan:
             f"odd-chi component count {total_odd} is odd; the Euler "
             "characteristics of the two sides differ by an odd number")
 
-    named = _named_kind_for(bottom, top)
-    if named:
-        kind, flip = named
-        node = {"op": "cell", "kind": kind, "flip": flip}
-        return Plan(node, list(bottom), list(top))
+    target = (tuple(bottom), tuple(top))
+    if any(target in ((b, t), (t, b)) for b, t in JUNCTION_KINDS.values()):
+        return Plan([(list(bottom), list(top))], list(bottom), list(top))
 
     dd = [l for l in bottom if is_odd_chi(l)]
     uu = [l for l in top if is_odd_chi(l)]
@@ -558,18 +485,7 @@ def plan_junction(bottom, top) -> Plan:
         cells.append(([ed.pop(0)], [eu.pop(0)]))
     cells += [([l], []) for l in ed]
     cells += [([], [l]) for l in eu]
-
-    def leaf(cell):
-        named = _named_kind_for(cell[0], cell[1])
-        if named and cell[0] and cell[1]:
-            return {"op": "cell", "kind": named[0], "flip": named[1]}
-        return {"op": "cell", "kind": "cell",
-                "bottom": cell[0], "top": cell[1]}
-
-    node = leaf(cells[0])
-    for cell in cells[1:]:
-        node = {"op": "disjoint", "left": node, "right": leaf(cell)}
-    plan = Plan(node, list(bottom), list(top))
+    plan = Plan(cells, list(bottom), list(top))
     got = evaluate_plan(plan)
     if got != (bottom, top):
         raise PlanError(f"planner arithmetic drifted: {got}")
@@ -577,26 +493,15 @@ def plan_junction(bottom, top) -> Plan:
 
 
 def build_junction(plan: Plan, a1, a, a2, refinement: int = 1) -> Block:
-    """Evaluate a plan into a verified-shape junction block."""
+    """Build each cell of a plan as a junction cell and fold them together
+    with disjoint-union merges."""
     a1, a, a2 = Fraction(a1), Fraction(a), Fraction(a2)
-
-    def build(node) -> Block:
-        _check_op(node)
-        if node["op"] == "cell":
-            if node.get("kind", "cell") != "cell":
-                return elementary_junction(node["kind"], a1, a, a2,
-                                           refinement,
-                                           flip=bool(node.get("flip")))
-            return junction_cell(node["bottom"], node["top"], a1, a, a2,
-                                 refinement)
-        return merge_disjoint_union(build(node["left"]), build(node["right"]))
-
-    block = build(plan.node)
+    got = evaluate_plan(plan)
     want = (sorted(plan.bottom), sorted(plan.top))
-    got = (block.labels("bottom"), block.labels("top"))
-    if got != want:
-        raise BlockError(f"junction produced {got}, plan promised {want}")
-    return block
+    if not plan.cells or got != want:
+        raise BlockError(f"plan cells add up to {got}, plan promised {want}")
+    return functools.reduce(merge_disjoint_union, (
+        junction_cell(b, t, a1, a, a2, refinement) for b, t in plan.cells))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .complexes import (TetComplex, boundary_surface, circle_prism,
                         merge_complexes, surface_prism)
 from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
-                       connected_sum_mesh_maps, find_spare_triangles,
-                       validate_surface)
+                       connected_sum_label, connected_sum_mesh_maps,
+                       find_spare_triangles, validate_surface)
 from .unionfind import UnionFind
 
 
@@ -197,6 +197,16 @@ def _sphere_mesh(refinement: int) -> SurfaceMesh:
 _MESH_CACHE: dict[tuple[int, int], SurfaceMesh] = {}
 
 
+def _summands(label: int) -> list[int]:
+    """The elementary labels whose connected sum, taken left to right, is
+    the canonical mesh (and solid) of a nonzero label."""
+    if label > 0:
+        return [1] * label
+    if label % 2 == 0:
+        return [-2] * (-label // 2)
+    return [-1] + [-2] * ((-label - 1) // 2)
+
+
 def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
     """The one triangulation of each surface used at block interfaces."""
     key = (label, refinement)
@@ -211,22 +221,11 @@ def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
         mesh = _projective_grid(P)
     elif label == -2:
         mesh = _klein_grid(P)
-    elif label >= 2:
-        mesh = canonical_mesh(1, refinement)
-        for _ in range(label - 1):
-            nxt = canonical_mesh(1, refinement)
-            mesh, _, _ = connected_sum_mesh_maps(mesh, mesh.spares[0],
-                                                 nxt, nxt.spares[0])
-    elif label % 2 == 0:
-        mesh = canonical_mesh(-2, refinement)
-        for _ in range((-label - 2) // 2):
-            nxt = canonical_mesh(-2, refinement)
-            mesh, _, _ = connected_sum_mesh_maps(mesh, mesh.spares[0],
-                                                 nxt, nxt.spares[0])
     else:
-        mesh = canonical_mesh(-1, refinement)
-        for _ in range((-label - 1) // 2):
-            nxt = canonical_mesh(-2, refinement)
+        first, *rest = _summands(label)
+        mesh = canonical_mesh(first, refinement)
+        for summand in rest:
+            nxt = canonical_mesh(summand, refinement)
             mesh, _, _ = connected_sum_mesh_maps(mesh, mesh.spares[0],
                                                  nxt, nxt.spares[0])
     comps = classify_surface(mesh)
@@ -335,9 +334,10 @@ def klein_solid(refinement: int = 1) -> Solid:
     return _product_solid(refinement, twist=True)
 
 
-def boundary_connect_sum(a: Solid, b: Solid) -> Solid:
+def boundary_connect_sum(a: Solid, b: Solid) -> tuple[Solid, list[int]]:
     """Glue two solids along one spare boundary triangle each; the
-    boundaries undergo the matching surface connected sum."""
+    boundaries undergo the matching surface connected sum.  Also returns
+    the vertex map of a's complex into the sum."""
     sa, sb = a.boundary.spares[0], b.boundary.spares[0]
     ta, tb = a.boundary.triangles[sa], b.boundary.triangles[sb]
     surf, map_a, map_b = connected_sum_mesh_maps(a.boundary, sa,
@@ -350,8 +350,8 @@ def boundary_connect_sum(a: Solid, b: Solid) -> Solid:
         bmap[map_a[v]] = vmaps[0][a.bmap[v]]
     for v in range(b.boundary.nv):
         bmap[map_b[v]] = vmaps[1][b.bmap[v]]
-    from .surfaces import connected_sum_label
-    return Solid(cx, surf, bmap, connected_sum_label(a.label, b.label))
+    return (Solid(cx, surf, bmap, connected_sum_label(a.label, b.label)),
+            vmaps[0])
 
 
 _SOLID_CACHE: dict[tuple[int, int], Solid] = {}
@@ -370,18 +370,12 @@ def solid_for_label(label: int, refinement: int = 1) -> Solid:
             f"no compact 3-manifold bounds the odd-chi surface r={label}")
     if label == 0:
         acc = ball_solid(refinement)
-    elif label == 1:
-        acc = torus_solid(refinement)
-    elif label == -2:
-        acc = klein_solid(refinement)
-    elif label >= 2:
-        acc = torus_solid(refinement)
-        for _ in range(label - 1):
-            acc = boundary_connect_sum(acc, torus_solid(refinement))
     else:
-        acc = klein_solid(refinement)
-        for _ in range((-label - 2) // 2):
-            acc = boundary_connect_sum(acc, klein_solid(refinement))
+        makers = {1: torus_solid, -2: klein_solid}
+        first, *rest = _summands(label)
+        acc = makers[first](refinement)
+        for summand in rest:
+            acc, _ = boundary_connect_sum(acc, makers[summand](refinement))
     if label not in (0, 1, -2):
         want = canonical_mesh(label, refinement)
         if sorted(map(sorted, acc.boundary.triangles)) != sorted(

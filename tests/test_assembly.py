@@ -6,10 +6,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebforge.assembly import (AssemblyError, Manifold3, assemble,
-                                extract_reeb, manifold_from_dict,
-                                manifold_to_dict, validate_manifold,
-                                verify_realization)
+from reebforge.assembly import (AssemblyError, Manifold3,
+                                _identify_components, assemble, extract_reeb,
+                                manifold_from_dict, manifold_to_dict,
+                                validate_manifold, verify_realization)
+from reebforge.blocks import cylinder_block
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (TetComplex, boundary_faces, cone_complex,
                                  euler_characteristic, face_map,
@@ -99,6 +100,13 @@ def test_equal_height_vertices():
              [(0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 0)])
     res = verify_realization(g)
     assert res.ok, res.detail
+
+
+def test_gluing_rejects_components_of_different_meshes():
+    sphere = cylinder_block(0, F(0), F(1)).boundary[1]
+    torus = cylinder_block(1, F(1), F(2)).boundary[0]
+    with pytest.raises(AssemblyError, match="different triangle sets"):
+        _identify_components(sphere, torus)
 
 
 def test_deleted_tet_detected():

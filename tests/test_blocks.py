@@ -3,8 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from reebforge.blocks import (Block, BlockError, cap_block, cylinder_block,
-                              elementary_junction, fold_block, junction_cell,
-                              merge_disjoint_union, verify_block)
+                              elementary_junction, fold_block, glued_values,
+                              junction_cell, merge_disjoint_union,
+                              verify_block)
+from reebforge.complexes import TetComplex, merge_complexes
 from reebforge.reeb import level_set_of
 from reebforge.surfaces import classify_labels
 
@@ -133,6 +135,13 @@ def test_generic_cell_pass_through():
 # ---------------------------------------------------------------------------
 # merges
 # ---------------------------------------------------------------------------
+
+def test_glued_values_reject_a_clash():
+    tet = TetComplex(4, [(0, 1, 2, 3)])
+    cx, vmaps, _ = merge_complexes([tet, tet], [(0, 3, 1, 0)])
+    with pytest.raises(BlockError, match="value clash at a glued interface"):
+        glued_values(cx.nv, vmaps, [[F(0)] * 4, [F(1)] * 4])
+
 
 def test_disjoint_merge_of_projective_passes():
     b1 = elementary_junction("projective_pass", F(0), F(1), F(2))

@@ -3,21 +3,29 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebforge.blocks import (Plan, PlanError, build_junction,
+from reebforge.blocks import (BlockError, Plan, PlanError, build_junction,
                               evaluate_plan, plan_junction, verify_block)
 from reebforge.graphs import is_odd_chi
 
 
 def test_plan_sphere_split_is_named_leaf():
     plan = plan_junction([0], [0, 0])
-    assert plan.node["op"] == "cell"
-    assert plan.node["kind"] == "sphere_split"
+    assert plan.cells == [([0], [0, 0])]
 
 
 def test_plan_projective_pair_is_named_leaf():
     plan = plan_junction([0], [-1, -1])
-    assert plan.node["op"] == "cell"
-    assert plan.node["kind"] == "sphere_to_projective_pair"
+    assert plan.cells == [([0], [-1, -1])]
+
+
+def test_plan_flipped_named_shape_is_one_cell():
+    plan = plan_junction([-1, -1], [0])
+    assert plan.cells == [([-1, -1], [0])]
+
+
+def test_plan_chains_cells():
+    plan = plan_junction([-1, 2], [-1])
+    assert plan.cells == [([-1], [-1]), ([2], [])]
 
 
 def test_plan_parity_shift_case():
@@ -52,18 +60,13 @@ def test_plan_determinism():
     assert p1.to_json() == p2.to_json()
 
 
-@pytest.mark.parametrize("run", [
-    evaluate_plan, lambda plan: build_junction(plan, F(0), F(1), F(2))],
-    ids=["evaluate", "build"])
-@pytest.mark.parametrize("op", ["sum", "foo"])
-def test_plan_rejects_unknown_op(op, run):
-    # a plan holds cells and disjoint merges only
-    cell = {"op": "cell", "kind": "sphere_split", "flip": False}
-    node = {"op": op, "left": cell, "right": cell, "side": "top",
-            "pick_left": 0, "pick_right": 0}
-    plan = Plan(node, [0, 0], [0, 0, 0, 0])
-    with pytest.raises(PlanError, match=f"^unknown plan op '{op}'$"):
-        run(plan)
+@pytest.mark.parametrize("cells", [[], [([0], [0, 0])],
+                                   [([0], [0, 0]), ([0], [0, 0])]],
+                         ids=["none", "short", "long"])
+def test_build_rejects_cells_that_miss_the_target(cells):
+    plan = Plan(cells, [0, 0], [0, 0, 0])
+    with pytest.raises(BlockError, match="add up to"):
+        build_junction(plan, F(0), F(1), F(2))
 
 
 labels = st.integers(-3, 3)
