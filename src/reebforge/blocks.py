@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .canonical import (Solid, boundary_connect_sum, canonical_mesh,
@@ -79,14 +79,15 @@ class Block:
         return sorted(c.label for c in self.boundary if c.side == side)
 
     def remap(self, vmap, tmap: dict[int, int], toff: int):
-        """Rewrite all vertex/tet references after surgery or union: vmap
-        and tmap + toff send old vertices and surviving tets to new ones."""
-        for comp in self.boundary:
-            comp.cmap = [vmap[v] for v in comp.cmap]
-            comp.layer_ids = [[vmap[v] for v in layer]
-                              for layer in comp.layer_ids]
-        self.bridge_tets = [toff + tmap[t] for t in self.bridge_tets
-                            if t in tmap]
+        """Copies of the boundary components and bridge tets carried into
+        a merged complex: vmap and tmap + toff send old vertices and
+        surviving tets to new ones.  The block itself is left as it is."""
+        boundary = [replace(comp, cmap=[vmap[v] for v in comp.cmap],
+                            layer_ids=[[vmap[v] for v in layer]
+                                       for layer in comp.layer_ids])
+                    for comp in self.boundary]
+        return boundary, [toff + tmap[t] for t in self.bridge_tets
+                          if t in tmap]
 
 
 def glued_values(nv: int, vmaps, part_values) -> list[Fraction]:
@@ -404,13 +405,13 @@ def merge_disjoint_union(b1: Block, b2: Block) -> Block:
     cx, vmaps, toffs = merge_complexes(parts, ident)
     values = glued_values(cx.nv, vmaps,
                           [b1.values, b2.values, [a] * parts[2].nv])
-    b1.remap(vmaps[0], tmaps[0], toffs[0])
-    b2.remap(vmaps[1], tmaps[1], toffs[1])
-    boundary = b1.boundary + b2.boundary
+    boundary1, bridge1 = b1.remap(vmaps[0], tmaps[0], toffs[0])
+    boundary2, bridge2 = b2.remap(vmaps[1], tmaps[1], toffs[1])
+    boundary = boundary1 + boundary2
     contract = StarContract(a, [(c.value, c.label) for c in boundary])
     out = Block(cx, values, min(b1.a1, b2.a1), max(b1.a2, b2.a2), [a],
                 boundary, contract, b1.refinement, kind="junction")
-    out.bridge_tets = b1.bridge_tets[1:] + b2.bridge_tets[1:]
+    out.bridge_tets = bridge1[1:] + bridge2[1:]
     return out
 
 

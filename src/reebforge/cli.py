@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 def _load_graph(path: str) -> LabeledGraph:
@@ -278,6 +279,12 @@ def main(argv=None) -> int:
     except _OutputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a fault of the program, not of the input: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

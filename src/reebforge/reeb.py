@@ -3,9 +3,10 @@ functions on tetrahedral (and, for self-tests, triangle) complexes.
 
 The sweep works on integer ranks of the distinct vertex values.  Every
 cell's vertices sit on layer values, so a cell meeting an open slab spans
-it; slab and level components come from union-find over cells joined
-across shared faces, and each slab component touches exactly one level
-component at each end.
+it.  Slab components come from union-find over cells joined across shared
+faces, a level's components are classes of the slab components on either
+side and its flat cells, and each slab component touches exactly one
+level component at each end.
 
 A level component is treated as certainly singular when it contains a
 cell on which the function is constant (the PL stand-in for a fat
@@ -75,73 +76,126 @@ class ReebGraph:
 
 @dataclass
 class _Sweep:
-    """Shared precomputation for one complex; all comparisons during the
-    sweep run on integer ranks of the layer values.
-
-    Bucket 2i holds level i and bucket 2i + 1 the slab between levels i
-    and i + 1: a cell with ranks lo..hi lies in buckets 2lo..2hi, in
-    ascending order, and a face shared by cells lies in the buckets of
-    its own ranks, as the pairs of cells it joins."""
+    """Shared precomputation for one complex, on integer ranks of the
+    layer values.  Slab s lies between levels s and s + 1; cells, and the
+    pairs of cells a shared face joins, are filed in every slab they span.
+    Level i keeps what its two slabs miss: flat cells (lo == hi == i),
+    joins across flat faces, and cells spanning both slabs."""
 
     cells: list[tuple]
-    values: list[Fraction]
     layers: list[Fraction]
     vrank: list[int]
     cmin: list[int]
-    cmax: list[int]
-    bucket_cells: list[list[int]]
-    bucket_joins: list[list[tuple[int, int]]]
-    uf: UnionFind                    # over cells, reset bucket by bucket
+    slab_cells: list[list[int]]
+    slab_joins: list[list[tuple[int, int]]]
+    flat_cells: list[list[int]]
+    flat_joins: list[list[tuple[int, int]]]
+    cross: list[list[int]]         # spanning both, no vertex at rank i
+    cross_at: list[list[int]]      # spanning both, a vertex at rank i
 
 
 def _prepare(cells, values) -> _Sweep:
     layers = sorted(set(values))
     rank = {v: i for i, v in enumerate(layers)}
     vrank = [rank[v] for v in values]
-    nb = 2 * len(layers) - 1
-    bucket_cells: list[list[int]] = [[] for _ in range(nb)]
-    bucket_joins: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
-    cmin, cmax = [], []
-    first_cell: dict[tuple, int] = {}
+    n, L = len(vrank), len(layers)
+    # number the vertices by (rank, id): a cell sorted by that position
+    # lists its ranks ascending, and so does each of its faces
+    order = sorted(range(n), key=vrank.__getitem__)
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    prank = [vrank[v] for v in order]
+    slab_cells, slab_joins = ([[] for _ in range(L - 1)] for _ in range(2))
+    flat_cells, flat_joins, cross, cross_at = (
+        [[] for _ in range(L)] for _ in range(4))
+    cmin, first_cell = [], {}
     for ci, cell in enumerate(cells):
-        s = sorted(cell)     # faces of a sorted cell come out sorted
-        rs = [vrank[v] for v in s]
-        lo, hi = min(rs), max(rs)
-        cmin.append(lo)
-        cmax.append(hi)
-        for k in range(2 * lo, 2 * hi + 1):
-            bucket_cells[k].append(ci)
+        s = sorted([pos[v] for v in cell])
         if len(s) == 4:
             a, b, c, d = s
-            faces = ((a, b, c), (a, b, d), (a, c, d), (b, c, d))
+            ra, rb, rc, hi = prank[a], prank[b], prank[c], prank[d]
+            ab = (a * n + b) * n
+            faces = ((ab + c, ra, rc), (ab + d, ra, hi),
+                     ((a * n + c) * n + d, ra, hi),
+                     ((b * n + c) * n + d, rb, hi))
+            mids = (rb, rc)
         else:
             a, b, c = s
-            faces = ((a, b), (b, c), (a, c))
-        for f in faces:
-            first = first_cell.setdefault(f, ci)
+            ra, rb, hi = prank[a], prank[b], prank[c]
+            faces = ((a * n + b, ra, rb), (a * n + c, ra, hi),
+                     (b * n + c, rb, hi))
+            mids = (rb,)
+        cmin.append(ra)
+        if ra == hi:
+            flat_cells[ra].append(ci)
+        for k in range(ra, hi):
+            slab_cells[k].append(ci)
+        for k in range(ra + 1, hi):
+            (cross_at if k in mids else cross)[k].append(ci)
+        for key, lo, up in faces:
+            first = first_cell.setdefault(key, ci)
             if first != ci:
                 # every later cell on a face joins the first one
                 join = (ci, first)
-                fr = [vrank[v] for v in f]
-                for k in range(2 * min(fr), 2 * max(fr) + 1):
-                    bucket_joins[k].append(join)
-    return _Sweep(list(cells), list(values), layers, vrank, cmin, cmax,
-                  bucket_cells, bucket_joins, UnionFind(len(cells)))
+                if lo == up:
+                    flat_joins[lo].append(join)
+                for k in range(lo, up):
+                    slab_joins[k].append(join)
+    return _Sweep(list(cells), layers, vrank, cmin, slab_cells, slab_joins,
+                  flat_cells, flat_joins, cross, cross_at)
 
 
-def _components(sw: _Sweep, lo: int, hi: int) -> list[list[int]]:
-    """Cells spanning ranks lo..hi, joined across shared faces that span
-    them too: level components for lo == hi, slab components for
-    hi == lo + 1.  Components come in order of their smallest cell."""
-    members = sw.bucket_cells[lo + hi]
-    # a face's cells span at least its ranks, so every join stays inside
-    # the bucket, and resetting the bucket's cells suffices
-    parent = sw.uf.parent
-    for c in members:
-        parent[c] = c
-    for a, b in sw.bucket_joins[lo + hi]:
-        sw.uf.union(a, b)
-    return sw.uf.groups(members)
+def _levels(sw: _Sweep):
+    """Yield (i, below, above, classes, carried) for each level i upward.
+    below and above are the components of slabs i - 1 and i (cells joined
+    across faces spanning the slab).  classes are level i's components,
+    the quotient of below, above and the flat cells at i through cells
+    spanning both slabs and faces in level i: lists of items, k standing
+    for below[k], len(below) + k for above[k], the rest for flat cells.
+    carried[k] is the component of slab i - 1 with the cells and slice of
+    above[k] (its level component has no vertex at rank i), or -1.  All
+    come in order of smallest cell."""
+    n, L = len(sw.cells), len(sw.layers)
+    uf = UnionFind(n)
+    parent = uf.parent
+    below, below_of, above_of = [], [0] * n, [0] * n
+    for i in range(L):
+        above = []
+        if i < L - 1:
+            members = sw.slab_cells[i]
+            # a face's cells span at least its ranks, so every join stays
+            # inside the slab, and resetting the slab's cells suffices
+            for c in members:
+                parent[c] = c
+            for a, b in sw.slab_joins[i]:
+                uf.union(a, b)
+            above = uf.groups(members)
+            for k, comp in enumerate(above):
+                for c in comp:
+                    above_of[c] = k
+        nb, na = len(below), len(above)
+        flats = sw.flat_cells[i]
+        items = UnionFind(nb + na + len(flats))
+        at_rank = [len(comp) for comp in below]
+        for c in sw.cross[i]:           # all else has a vertex at rank i
+            at_rank[below_of[c]] -= 1
+            items.union(below_of[c], nb + above_of[c])
+        for c in sw.cross_at[i]:
+            items.union(below_of[c], nb + above_of[c])
+        flat_item = {c: nb + na + j for j, c in enumerate(flats)}
+        for join in sw.flat_joins[i]:
+            items.union(*(flat_item[c] if c in flat_item else
+                          below_of[c] if sw.cmin[c] < i else
+                          nb + above_of[c] for c in join))
+        firsts = [comp[0] for comp in below + above] + flats
+        classes = items.groups(sorted(range(len(firsts)),
+                                      key=firsts.__getitem__))
+        carried = [below_of[c] if sw.cmin[c] < i and not at_rank[below_of[c]]
+                   else -1 for c in (comp[0] for comp in above)]
+        yield i, below, above, classes, carried
+        below = above
+        below_of, above_of = above_of, below_of
 
 
 def _slice_cells(sw: _Sweep, members, level: int):
@@ -153,10 +207,7 @@ def _slice_cells(sw: _Sweep, members, level: int):
     pts: dict[tuple[int, int], int] = {}
 
     def pid(u, v):
-        key = (u, v) if u < v else (v, u)
-        if key not in pts:
-            pts[key] = len(pts)
-        return pts[key]
+        return pts.setdefault((u, v) if u < v else (v, u), len(pts))
 
     tris = []
     segs = []
@@ -219,35 +270,25 @@ def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
     level values whose nodes must survive contraction.
     """
     sw = _prepare(cells, values)
-    L = len(sw.layers)
-
-    level_comp_of: list[dict[int, int]] = []
-    node_values: list[Fraction] = []
-    node_pinned: list[bool] = []
     pin_set = set(pin_values)
-
-    for i in range(L):
-        mapping = {}
-        for comp in _components(sw, i, i):
+    node_values, node_pinned, edges = [], [], []
+    below_node, below_label = [], []
+    for i, below, above, classes, carried in _levels(sw):
+        nb, na = len(below), len(above)
+        node_of = [0] * (nb + na + len(sw.flat_cells[i]))
+        for cls in classes:
             nid = len(node_values)
             node_values.append(sw.layers[i])
-            pinned = sw.layers[i] in pin_set
-            if not pinned:
-                for c in comp:
-                    if sw.cmin[c] == sw.cmax[c] == i:
-                        pinned = True
-                        break
-            node_pinned.append(pinned)
-            for c in comp:
-                mapping[c] = nid
-        level_comp_of.append(mapping)
-
-    edges = []
-    for i in range(L - 1):
-        for comp in _components(sw, i, i + 1):
-            rep = comp[0]
-            edges.append((level_comp_of[i][rep], level_comp_of[i + 1][rep],
-                          _slab_label(sw, comp, i)))
+            # a flat cell witnesses a singular level component
+            node_pinned.append(sw.layers[i] in pin_set or
+                               max(cls) >= nb + na)
+            for item in cls:
+                node_of[item] = nid
+        edges += zip(below_node, node_of[:nb], below_label)
+        below_node = node_of[nb:nb + na]
+        # a regular level component leaves the slice unchanged
+        below_label = [below_label[k] if k >= 0 else _slab_label(sw, comp, i)
+                       for comp, k in zip(above, carried)]
     return _contract(node_values, node_pinned, edges)
 
 
@@ -330,8 +371,7 @@ def level_set_of(cells, values, t: Fraction) -> LevelSet:
         raise ReebError(f"{t} is outside the function image")
     sw = _prepare(cells, values)
     level = max(i for i, v in enumerate(layers) if v < t)
-    pts, mesh, segs = _slice_cells(sw, sw.bucket_cells[2 * level + 1],
-                                   level)
+    pts, mesh, segs = _slice_cells(sw, sw.slab_cells[level], level)
     if mesh is None:
         raise ReebError("level sets of triangle complexes are 1-manifolds; "
                         "no surface to return")

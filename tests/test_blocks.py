@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from reebforge.blocks import (Block, BlockError, cap_block, cylinder_block,
-                              elementary_junction, fold_block, glued_values,
-                              junction_cell, merge_disjoint_union,
-                              verify_block)
+from reebforge.blocks import (Block, BlockError, block_to_json, cap_block,
+                              cylinder_block, elementary_junction, fold_block,
+                              glued_values, junction_cell,
+                              merge_disjoint_union, verify_block)
 from reebforge.complexes import TetComplex, merge_complexes
 from reebforge.reeb import level_set_of
 from reebforge.surfaces import classify_labels
@@ -169,6 +169,16 @@ def test_disjoint_merge_mixed():
     assert m.labels("bottom") == [-1, 0]
     assert m.labels("top") == [-1, 1]
     assert_verified(m)
+
+
+def test_disjoint_merge_leaves_its_arguments_alone():
+    b1 = elementary_junction("projective_pass", F(0), F(1), F(2))
+    b2 = elementary_junction("sphere_to_torus", F(0), F(1), F(2))
+    before = block_to_json(b1), block_to_json(b2)
+    m = merge_disjoint_union(b1, b2)
+    assert (block_to_json(b1), block_to_json(b2)) == before
+    assert not {id(c) for c in m.boundary} & {
+        id(c) for c in b1.boundary + b2.boundary}
 
 
 def test_merge_requires_shared_singular_value():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import reebforge
+from reebforge import cli
 from reebforge.cli import main
 
 MINIMAL = {"vertices": [{"id": "a", "value": "0/1"},
@@ -271,3 +272,14 @@ def test_corpus_count_must_be_positive(tmp_path, count):
     assert "Traceback" not in proc.stderr
     assert "--count: must be >= 1" in proc.stderr
     assert not (tmp_path / "c").exists()
+
+
+def test_unexpected_exception_is_one_internal_error_line(
+        tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("planner bug\nsecond line")
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(["check", write(tmp_path, "g.json", MINIMAL)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: planner bug second line\n"
+    assert "Traceback" not in err

@@ -1,4 +1,6 @@
 import functools
+from dataclasses import dataclass
+from fractions import Fraction
 from fractions import Fraction as F
 from itertools import combinations
 from random import Random
@@ -12,8 +14,9 @@ from reebforge.canonical import canonical_mesh
 from reebforge.complexes import surface_prism
 from reebforge.graphs import Edge, LabeledGraph
 from reebforge.reeb import (ReebEdge, ReebError, ReebGraph, ReebNode,
-                            _components, _contract, _prepare, _slice_cells,
-                            labeled_isomorphic, level_set_of, reeb_graph_of)
+                            _contract, _levels, _prepare, _slab_label,
+                            _slice_cells, labeled_isomorphic, level_set_of,
+                            reeb_graph_of)
 from reebforge.surfaces import classify_labels
 from reebforge.unionfind import UnionFind
 
@@ -290,9 +293,9 @@ def test_value_mismatch_reported():
 # ---------------------------------------------------------------------------
 
 def scan_components(cells, values, lo, hi):
-    """Reference for `_components`: scans every cell and every shared face
-    at each level and slab, as the sweep did before cells and faces were
-    bucketed by rank interval."""
+    """Reference for the level and slab components of `_levels`: scans
+    every cell and every shared face at each level and slab, as the sweep
+    did before cells and faces were bucketed by rank interval."""
     layers = sorted(set(values))
     rank = {v: i for i, v in enumerate(layers)}
     vrank = [rank[v] for v in values]
@@ -356,10 +359,148 @@ def test_bucketed_components_match_full_scan(i, perturb, seed):
     if perturb:
         values = _perturbed(values, Random(seed))
     sw = _prepare(cells, values)
-    for lo in range(len(sw.layers)):
-        for hi in (lo, lo + 1)[:len(sw.layers) - lo]:
-            assert (_components(sw, lo, hi) ==
-                    scan_components(cells, values, lo, hi)), (lo, hi)
+    for lvl, below, above, classes, carried in _levels(sw):
+        if lvl + 1 < len(sw.layers):
+            assert above == scan_components(cells, values, lvl, lvl + 1), lvl
+        parts = below + above + [[c] for c in sw.flat_cells[lvl]]
+        level = [sorted({c for k in cls for c in parts[k]}) for cls in classes]
+        assert level == scan_components(cells, values, lvl, lvl), lvl
+        # a slab component carries the label of the one below exactly when
+        # no cell of its level component has a vertex at this rank
+        for comp, k in zip(above, carried):
+            home = next(comp_ for comp_ in level if comp[0] in comp_)
+            regular = all(sw.vrank[v] != lvl for c in home for v in cells[c])
+            assert (k >= 0) == regular, lvl
+            assert not regular or below[k] == comp, lvl
+
+
+# the sweep before level components were quotients of slab components,
+# kept verbatim as the oracle of `reeb_graph_of`
+
+@dataclass
+class ReferenceSweep:
+    """Shared precomputation for one complex; all comparisons during the
+    sweep run on integer ranks of the layer values.
+
+    Bucket 2i holds level i and bucket 2i + 1 the slab between levels i
+    and i + 1: a cell with ranks lo..hi lies in buckets 2lo..2hi, in
+    ascending order, and a face shared by cells lies in the buckets of
+    its own ranks, as the pairs of cells it joins."""
+
+    cells: list[tuple]
+    values: list[Fraction]
+    layers: list[Fraction]
+    vrank: list[int]
+    cmin: list[int]
+    cmax: list[int]
+    bucket_cells: list[list[int]]
+    bucket_joins: list[list[tuple[int, int]]]
+    uf: UnionFind                    # over cells, reset bucket by bucket
+
+
+def prepare_reference(cells, values) -> ReferenceSweep:
+    layers = sorted(set(values))
+    rank = {v: i for i, v in enumerate(layers)}
+    vrank = [rank[v] for v in values]
+    nb = 2 * len(layers) - 1
+    bucket_cells: list[list[int]] = [[] for _ in range(nb)]
+    bucket_joins: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
+    cmin, cmax = [], []
+    first_cell: dict[tuple, int] = {}
+    for ci, cell in enumerate(cells):
+        s = sorted(cell)     # faces of a sorted cell come out sorted
+        rs = [vrank[v] for v in s]
+        lo, hi = min(rs), max(rs)
+        cmin.append(lo)
+        cmax.append(hi)
+        for k in range(2 * lo, 2 * hi + 1):
+            bucket_cells[k].append(ci)
+        if len(s) == 4:
+            a, b, c, d = s
+            faces = ((a, b, c), (a, b, d), (a, c, d), (b, c, d))
+        else:
+            a, b, c = s
+            faces = ((a, b), (b, c), (a, c))
+        for f in faces:
+            first = first_cell.setdefault(f, ci)
+            if first != ci:
+                # every later cell on a face joins the first one
+                join = (ci, first)
+                fr = [vrank[v] for v in f]
+                for k in range(2 * min(fr), 2 * max(fr) + 1):
+                    bucket_joins[k].append(join)
+    return ReferenceSweep(list(cells), list(values), layers, vrank, cmin,
+                          cmax, bucket_cells, bucket_joins,
+                          UnionFind(len(cells)))
+
+
+def components_reference(sw: ReferenceSweep, lo: int,
+                         hi: int) -> list[list[int]]:
+    """Cells spanning ranks lo..hi, joined across shared faces that span
+    them too: level components for lo == hi, slab components for
+    hi == lo + 1.  Components come in order of their smallest cell."""
+    members = sw.bucket_cells[lo + hi]
+    # a face's cells span at least its ranks, so every join stays inside
+    # the bucket, and resetting the bucket's cells suffices
+    parent = sw.uf.parent
+    for c in members:
+        parent[c] = c
+    for a, b in sw.bucket_joins[lo + hi]:
+        sw.uf.union(a, b)
+    return sw.uf.groups(members)
+
+
+def sweep_reference(cells, values, pin_values=()) -> ReebGraph:
+    """Extract the Reeb graph of PL interpolation over the given cells.
+
+    (Reference: the sweep before level components were taken as
+    quotients of slab components and regular levels carried the slab
+    label across, kept verbatim.)
+
+    cells are tetrahedra (3-manifold mode) or triangles (self-test mode,
+    where edge labels record circle count minus one).  pin_values marks
+    level values whose nodes must survive contraction.
+    """
+    sw = prepare_reference(cells, values)
+    L = len(sw.layers)
+
+    level_comp_of: list[dict[int, int]] = []
+    node_values: list[Fraction] = []
+    node_pinned: list[bool] = []
+    pin_set = set(pin_values)
+
+    for i in range(L):
+        mapping = {}
+        for comp in components_reference(sw, i, i):
+            nid = len(node_values)
+            node_values.append(sw.layers[i])
+            pinned = sw.layers[i] in pin_set
+            if not pinned:
+                for c in comp:
+                    if sw.cmin[c] == sw.cmax[c] == i:
+                        pinned = True
+                        break
+            node_pinned.append(pinned)
+            for c in comp:
+                mapping[c] = nid
+        level_comp_of.append(mapping)
+
+    edges = []
+    for i in range(L - 1):
+        for comp in components_reference(sw, i, i + 1):
+            rep = comp[0]
+            edges.append((level_comp_of[i][rep], level_comp_of[i + 1][rep],
+                          _slab_label(sw, comp, i)))
+    return _contract(node_values, node_pinned, edges)
+
+
+def _outcome(sweep, cells, values, pins):
+    """The Reeb graph a sweep returns, or the type and message of what it
+    raises."""
+    try:
+        return sweep(cells, values, pin_values=pins)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def _presented(cells, values, rng):
@@ -412,3 +553,39 @@ def test_level_set_members_match_full_scan(i):
         cells2, values2 = _presented(cells, values, Random(level))
         assert (classify_labels(level_set_of(cells2, values2, t).mesh) ==
                 classify_labels(ls.mesh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9), st.sampled_from(["own", "perturbed", "presented"]),
+       st.integers(0, 2 ** 32), st.integers(0, 3))
+def test_sweep_matches_reference(i, mode, seed, npins):
+    cells, values, pins = sweep_pool()[i]
+    rng = Random(seed)
+    if mode == "perturbed":
+        values = _perturbed(values, rng)
+    elif mode == "presented":
+        cells, values = _presented(cells, values, rng)
+    layers = sorted(set(values))
+    pins = pins + tuple(rng.sample(layers, min(npins, len(layers))))
+    got = _outcome(reeb_graph_of, cells, values, pins)
+    assert got == _outcome(sweep_reference, cells, values, pins)
+    # the complexes' own functions slice them into closed pieces
+    assert mode == "perturbed" or isinstance(got, ReebGraph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 9), st.booleans(), st.integers(0, 2 ** 32))
+def test_sweep_matches_reference_on_corrupt_input(i, identify, seed):
+    # a few cells removed, or two vertices made one: both sweeps raise the
+    # same error, or return the same graph
+    cells, values, pins = sweep_pool()[i]
+    rng = Random(seed)
+    cells = list(cells)
+    if identify:
+        u, w = rng.sample(range(len(values)), 2)
+        cells = [tuple(w if v == u else v for v in cell) for cell in cells]
+    else:
+        for _ in range(rng.randint(1, 3)):
+            del cells[rng.randrange(len(cells))]
+    assert (_outcome(reeb_graph_of, cells, values, pins) ==
+            _outcome(sweep_reference, cells, values, pins))
