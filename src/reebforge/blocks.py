@@ -175,7 +175,8 @@ def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
     a1, a2 = lo, hi
     block = Block(cx, values, a1, a2, [extreme_value], [comp],
                   EdgeContract(lo, hi, label), refinement, kind="cap")
-    block.bridge_tets = [t for t in find_interior_tets(cx)][:4]
+    # the collar's outer layer is the whole boundary of the cap
+    block.bridge_tets = find_interior_tets(cx, comp.cmap)[:4]
     return block
 
 
@@ -290,10 +291,12 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
         pieces.append(_solid_piece(s, refinement))
 
     npieces = len(pieces)
+    # the ends of a piece are its whole boundary
+    ends = [[v for e in piece.ends for v in e.emap] for piece in pieces]
     sockets = []
     for i, piece in enumerate(pieces):
         need = 0 if npieces == 1 else 1 if i in (0, npieces - 1) else 2
-        interior = find_interior_tets(piece.cx)
+        interior = find_interior_tets(piece.cx, ends[i])
         if len(interior) < need:
             raise BlockError("piece lacks interior tets for bridging")
         sockets.append(interior[:need])
@@ -332,9 +335,11 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
                   kind="junction")
     bridge = []
     for pi in range(npieces):
-        off = toffs[pi]
-        for t in find_interior_tets(parts[pi]):
-            bridge.append(off + t)
+        # removing an interior tet puts all four of its faces on the
+        # boundary, so the socket tets' vertices join the ends
+        holes = [v for t in sockets[pi] for v in pieces[pi].cx.tets[t]]
+        bridge += [toffs[pi] + t
+                   for t in find_interior_tets(parts[pi], ends[pi] + holes)]
     block.bridge_tets = bridge[:8]
     return block
 

@@ -92,13 +92,9 @@ def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
                 poly_triangles.append(cell)
                 triangles.append(tuple(quo[v] for v in cell))
 
+    # point lid(i, j) = j * W + i
     points = [(Fraction(i, P), Fraction(j, P))
               for j in range(W) for i in range(W)]
-    # lattice ids above are j*W+i; reorder points accordingly
-    points = [None] * (W * W)
-    for j in range(W):
-        for i in range(W):
-            points[lid(i, j)] = (Fraction(i, P), Fraction(j, P))
     anchor = SchemeAnchor(scheme, points, poly_triangles, quo)
     mesh = SurfaceMesh(len(classes), triangles, anchor)
     validate_surface(mesh)

@@ -27,16 +27,26 @@ EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
 
+class _InputError(Exception):
+    """A path, document or flag the command cannot use: main reports it
+    as one input error line."""
+
+
 def _load_graph(path: str) -> LabeledGraph:
     try:
-        text = Path(path).read_text()
+        return parse_graph(Path(path).read_text())
     except OSError as exc:
-        raise GraphError(f"cannot read {path}: {exc}") from exc
-    return parse_graph(text)
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+    except GraphError as exc:
+        raise _InputError(exc) from exc
 
 
-class _OutputError(Exception):
-    """An --out path that cannot be written: an input error."""
+def _load_document(path: str, parse):
+    """parse applied to the JSON document at path."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError) as exc:
+        raise _InputError(exc) from exc
 
 
 def _write(path: str | None, text: str):
@@ -44,29 +54,20 @@ def _write(path: str | None, text: str):
         try:
             Path(path).write_text(text)
         except OSError as exc:
-            raise _OutputError(f"cannot write {path}: {exc.strerror}") \
+            raise _InputError(f"cannot write {path}: {exc.strerror}") \
                 from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def cmd_check(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except GraphError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = check_realizable(g)
+    report = check_realizable(_load_graph(args.input))
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_REJECTED
 
 
 def cmd_build(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except GraphError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.input)
     report = check_realizable(g)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
@@ -82,16 +83,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _load_graph(args.input)
-    except GraphError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_graph(args.input)
     edge = args.debug_mislabel_edge
     if edge is not None and not 0 <= edge < len(g.edges):
-        print(f"input error: --debug-mislabel-edge {edge} is not an edge "
-              f"index in 0..{len(g.edges) - 1}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"--debug-mislabel-edge {edge} is not an edge "
+                          f"index in 0..{len(g.edges) - 1}")
     report = check_realizable(g)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
@@ -113,12 +109,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    try:
-        doc = json.loads(Path(args.input).read_text())
-        m = manifold_from_dict(doc)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    m = _load_document(args.input, manifold_from_dict)
     rep = validate_manifold(m)
     if not rep.ok:
         print(rep.summary(), file=sys.stderr)
@@ -139,10 +130,8 @@ def cmd_surface(args) -> int:
     if args.surface_command == "gen":
         given = {args.refinement, args.refinement_arg} - {None}
         if len(given) > 1:
-            print(f"input error: refinement {args.refinement_arg} "
-                  f"disagrees with --refinement {args.refinement}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"refinement {args.refinement_arg} disagrees "
+                              f"with --refinement {args.refinement}")
         try:
             mesh = generate_surface(args.label, given.pop() if given else 1)
         except (MeshError, ValueError) as exc:
@@ -153,11 +142,7 @@ def cmd_surface(args) -> int:
         else:
             _write(args.out, mesh_to_json(mesh))
         return EXIT_OK
-    try:
-        mesh = mesh_from_dict(json.loads(Path(args.input).read_text()))
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    mesh = _load_document(args.input, mesh_from_dict)
     try:
         comps = classify_surface(mesh)
     except MeshError as exc:
@@ -175,7 +160,7 @@ def cmd_corpus(args) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _OutputError(f"cannot write {outdir}: {exc.strerror}") \
+        raise _InputError(f"cannot write {outdir}: {exc.strerror}") \
             from exc
     good = realizable_corpus(args.seed, args.count)
     bad = violating_corpus(args.seed + 1, args.count)
@@ -276,7 +261,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except _OutputError as exc:
+    except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -45,18 +45,11 @@ def boundary_faces(cx: TetComplex) -> list[tuple[int, int, int]]:
     return [f for f, ts in face_map(cx).items() if len(ts) == 1]
 
 
-def boundary_vertices(cx: TetComplex) -> set[int]:
-    out: set[int] = set()
-    for f in boundary_faces(cx):
-        out.update(f)
-    return out
-
-
-def find_interior_tets(cx: TetComplex) -> list[int]:
-    """Tets whose vertices all avoid the boundary; removing one leaves a
-    clean sphere socket."""
-    bv = boundary_vertices(cx)
-    return [ti for ti, t in enumerate(cx.tets) if not any(v in bv for v in t)]
+def find_interior_tets(cx: TetComplex, boundary) -> list[int]:
+    """Tets with no vertex in boundary, the boundary vertices of cx as its
+    builder knows them; removing one leaves a clean sphere socket."""
+    bv = set(boundary)
+    return [ti for ti, t in enumerate(cx.tets) if bv.isdisjoint(t)]
 
 
 def validate_complex(cx: TetComplex, closed: bool = False):

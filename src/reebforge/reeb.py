@@ -301,32 +301,31 @@ def _contract(node_values, node_pinned, edges) -> ReebGraph:
         incident[a].append(ei)
         incident[b].append(ei)
 
-    changed = True
-    while changed:
-        changed = False
-        for n in range(len(node_values)):
-            if not alive[n] or node_pinned[n]:
-                continue
-            inc = [ei for ei in incident[n] if edges[ei] is not None]
-            if len(inc) != 2:
-                continue
-            e1, e2 = inc
-            if edges[e1][2] != edges[e2][2]:
-                continue
-            x = edges[e1][0] if edges[e1][1] == n else edges[e1][1]
-            y = edges[e2][0] if edges[e2][1] == n else edges[e2][1]
-            if x == n or y == n or x == y:
-                continue
-            label = edges[e1][2]
-            edges[e1] = None
-            edges[e2] = None
-            newe = [x, y, label]
-            incident[x].append(len(edges))
-            incident[y].append(len(edges))
-            edges.append(newe)
-            incident[len(edges) - 1] = []
-            alive[n] = False
-            changed = True
+    # contracting n keeps the degree and edge labels of every other node;
+    # it can only make a neighbour's two ends meet, which blocks that
+    # neighbour and never unblocks one, so one pass reaches the fixpoint
+    for n in range(len(node_values)):
+        if node_pinned[n]:
+            continue
+        inc = [ei for ei in incident[n] if edges[ei] is not None]
+        if len(inc) != 2:
+            continue
+        e1, e2 = inc
+        if edges[e1][2] != edges[e2][2]:
+            continue
+        x = edges[e1][0] if edges[e1][1] == n else edges[e1][1]
+        y = edges[e2][0] if edges[e2][1] == n else edges[e2][1]
+        if x == n or y == n or x == y:
+            continue
+        label = edges[e1][2]
+        edges[e1] = None
+        edges[e2] = None
+        newe = [x, y, label]
+        incident[x].append(len(edges))
+        incident[y].append(len(edges))
+        edges.append(newe)
+        incident[len(edges) - 1] = []
+        alive[n] = False
 
     live_edges = [e for e in edges if e is not None]
     used = [n for n in range(len(node_values)) if alive[n]]

@@ -242,7 +242,6 @@ def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     for a, b in zip(sorted(t1), sorted(t2)):
         remap2[b] = a
     triangles = [t for i, t in enumerate(m1.triangles) if i != d1]
-    kept1 = [i for i in range(len(m1.triangles)) if i != d1]
     for i, (a, b, c) in enumerate(m2.triangles):
         if i == d2:
             continue
@@ -253,17 +252,11 @@ def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     triangles = [(pos[a], pos[b], pos[c]) for a, b, c in triangles]
     map1 = [pos[v] for v in range(m1.nv)]
     map2 = [pos[remap2[v]] for v in range(m2.nv)]
-    spares = []
-    index1 = {old: new for new, old in enumerate(kept1)}
-    for s in m1.spares:
-        if s != d1:
-            spares.append(index1[s])
-    base2 = len(kept1)
-    kept2 = [i for i in range(len(m2.triangles)) if i != d2]
-    index2 = {old: new for new, old in enumerate(kept2)}
-    for s in m2.spares:
-        if s != d2:
-            spares.append(base2 + index2[s])
+    # a triangle's index drops by one past the removed spare; the second
+    # mesh's triangles follow the first's
+    base2 = len(m1.triangles) - 1
+    spares = ([s - (s > d1) for s in m1.spares if s != d1] +
+              [base2 + s - (s > d2) for s in m2.spares if s != d2])
     return SurfaceMesh(len(used), triangles, None, spares), map1, map2
 
 

@@ -1,12 +1,17 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from reebforge.blocks import (Block, BlockError, block_to_json, cap_block,
-                              cylinder_block, elementary_junction, fold_block,
-                              glued_values, junction_cell,
-                              merge_disjoint_union, verify_block)
-from reebforge.complexes import TetComplex, merge_complexes
+from reebforge import blocks
+from reebforge.blocks import (Block, BlockError, block_to_json,
+                              build_junction, cap_block, cylinder_block,
+                              elementary_junction, fold_block, glued_values,
+                              junction_cell, merge_disjoint_union,
+                              plan_junction, verify_block)
+from reebforge.complexes import TetComplex, boundary_faces, merge_complexes
+from reebforge.graphs import euler_char, is_odd_chi
 from reebforge.reeb import level_set_of
 from reebforge.surfaces import classify_labels
 
@@ -259,7 +264,6 @@ def test_verify_detects_corrupted_block():
 # ---------------------------------------------------------------------------
 
 def _chi_parity(labels):
-    from reebforge.graphs import euler_char
     return sum(euler_char(l) for l in labels) % 2
 
 
@@ -294,3 +298,49 @@ def test_block_json_round_trip_fold():
     f = fold_block(j, F(0), "min", [F(1), F(2), F(3)])
     f2 = block_from_dict(block_to_dict(f))
     assert verify_block(f2).ok
+
+
+# ---------------------------------------------------------------------------
+# interior tets: the builders' boundaries against the face map
+# ---------------------------------------------------------------------------
+
+def face_map_interior(cx: TetComplex) -> list[int]:
+    """The derivation the builders used to make: the tets with no vertex on
+    a face that lies in one tet."""
+    bv = {v for f in boundary_faces(cx) for v in f}
+    return [ti for ti, t in enumerate(cx.tets) if bv.isdisjoint(t)]
+
+
+def checked_interior_tets():
+    """Patch find_interior_tets in blocks with a copy that checks every
+    answer, sockets and bridge tets alike, against face_map_interior."""
+    real = blocks.find_interior_tets
+
+    def checked(cx, boundary):
+        got = real(cx, boundary)
+        assert got == face_map_interior(cx)
+        return got
+    return mock.patch.object(blocks, "find_interior_tets", checked)
+
+
+_SIDE = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(sorted)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_SIDE, _SIDE)
+@example([0], [0, 0])
+@example([-1, 2], [-2, -3])
+def test_junction_interior_tets_match_the_face_map(bottom, top):
+    if sum(map(is_odd_chi, bottom + top)) % 2:
+        bottom = bottom + [-1]
+    with checked_interior_tets():
+        build_junction(plan_junction(bottom, top), 0, 1, 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([l for l in range(-6, 7) if euler_char(l) % 2 == 0]),
+       st.booleans())
+def test_cap_bridge_tets_match_the_face_map(label, rising):
+    with checked_interior_tets():
+        b = cap_block(label, 0, 1) if rising else cap_block(label, 1, 0)
+    assert b.bridge_tets == face_map_interior(b.cx)[:4]

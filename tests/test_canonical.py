@@ -70,7 +70,7 @@ def test_solids_reject_odd_chi():
 @pytest.mark.parametrize("maker", [torus_solid, klein_solid])
 def test_product_solids_have_interior_tets(maker):
     s = maker(1)
-    assert len(find_interior_tets(s.cx)) >= 2
+    assert len(find_interior_tets(s.cx, s.bmap)) >= 2
 
 
 def test_boundary_sum_of_solids_tracks_canonical():

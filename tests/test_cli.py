@@ -254,6 +254,19 @@ def test_unwritable_out_is_an_input_error(tmp_path, argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["check"], ["build"], ["verify"],
+                                     ["extract"], ["surface", "classify"]])
+@pytest.mark.parametrize("path", ["missing.json", "adir"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, command, path):
+    (tmp_path / "adir").mkdir()
+    assert main([*command, str(tmp_path / path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("edge", ["99", "1", "-1"])
 def test_mislabel_edge_out_of_range_is_an_input_error(tmp_path, edge):
     proc = run_argv(["verify", write(tmp_path, "g.json", MINIMAL),

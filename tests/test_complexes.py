@@ -48,7 +48,8 @@ def test_circle_prism_needs_three_layers():
 
 def test_remove_interior_tet_leaves_manifold():
     prod = surface_prism(canonical_mesh(0, 1), 3)
-    interior = find_interior_tets(prod.complex)
+    interior = find_interior_tets(
+        prod.complex, prod.layer_vertices(0) + prod.layer_vertices(3))
     assert interior
     cx, tmap = remove_tets(prod.complex, {interior[0]})
     validate_complex(cx)
