@@ -15,8 +15,8 @@ from .assembly import (assemble, extract_reeb, manifold_from_dict,
                        verify_realization, AssemblyError)
 from .blocks import BlockError
 from .canonical import generate_surface
-from .graphs import (GraphError, LabeledGraph, check_realizable,
-                     graph_to_dot, parse_graph, serialize_graph)
+from .graphs import (LabeledGraph, check_realizable, graph_to_dot,
+                     parse_graph, serialize_graph)
 from .surfaces import (MeshError, classify_surface, mesh_from_dict,
                        mesh_to_json, mesh_to_off)
 
@@ -37,7 +37,8 @@ def _load_graph(path: str) -> LabeledGraph:
         return parse_graph(Path(path).read_text())
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except GraphError as exc:
+    except ValueError as exc:
+        # GraphError, and UnicodeDecodeError from a file that is not UTF-8
         raise _InputError(exc) from exc
 
 

@@ -324,7 +324,6 @@ def _contract(node_values, node_pinned, edges) -> ReebGraph:
         incident[x].append(len(edges))
         incident[y].append(len(edges))
         edges.append(newe)
-        incident[len(edges) - 1] = []
         alive[n] = False
 
     live_edges = [e for e in edges if e is not None]

@@ -6,7 +6,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reebforge.blocks import (build_junction, cylinder_block,
                               elementary_junction, plan_junction)
@@ -173,8 +173,12 @@ def test_no_inessential_degree2_nodes_survive():
 
 def contract_reference(node_values, node_pinned, edges) -> ReebGraph:
     """reeb._contract before its final loop gathered degrees, labels and
-    neighbours in one pass (it rescanned every live edge per node), kept
-    verbatim as the reference."""
+    neighbours in one pass (it rescanned every live edge per node) and
+    before it made one contraction pass instead of looping to a fixpoint,
+    kept as the reference.  Unlike that code it does not clear
+    incident[len(edges) - 1] after adding an edge: the dict is keyed by
+    node, so that line wiped the incidence of the node whose id equals the
+    new edge's index."""
     edges = [list(e) for e in edges]
     alive = [True] * len(node_values)
     incident: dict[int, list[int]] = {i: [] for i in range(len(node_values))}
@@ -205,7 +209,6 @@ def contract_reference(node_values, node_pinned, edges) -> ReebGraph:
             incident[x].append(len(edges))
             incident[y].append(len(edges))
             edges.append(newe)
-            incident[len(edges) - 1] = []
             alive[n] = False
             changed = True
 
@@ -234,20 +237,43 @@ def contract_reference(node_values, node_pinned, edges) -> ReebGraph:
     return ReebGraph(nodes, redges)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+# extraction joins a level component to one of the next level, so an edge
+# never returns to its own node; labels in -1..1 make chains, label changes
+# and parallel double edges common
+contraction_inputs = st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.lists(st.booleans(), min_size=n, max_size=n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                        st.integers(-1, 1)).filter(lambda e: e[0] != e[1]),
-             max_size=12))))
+             max_size=12)))
+# node 5 is reached only through edges added after node 5's id came up as
+# a new edge's index
+WIPED_NODE_5 = ([False] * 8, [(0, 6, 0), (0, 1, 0), (5, 6, 0), (5, 7, 0),
+                              (7, 2, 0)])
+# a path whose node 3 shares its id with the first added edge
+WIPED_NODE_3 = ([False] * 5, [(0, 1, 0), (1, 3, 0), (3, 4, 0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(contraction_inputs)
+@example(WIPED_NODE_5)
+@example(WIPED_NODE_3)
 def test_contraction_matches_reference(graph):
-    # extraction joins a level component to one of the next level, so an
-    # edge never returns to its own node; labels in -1..1 make chains,
-    # label changes and parallel double edges common
     pinned, edges = graph
     values = [F(i) for i in range(len(pinned))]
     assert _contract(values, pinned, edges) == \
         contract_reference(values, pinned, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(contraction_inputs)
+@example(WIPED_NODE_5)
+@example(WIPED_NODE_3)
+def test_contraction_leaves_only_essential_nodes(graph):
+    # an unpinned node of degree 2 between two distinct neighbours along
+    # one label is contractible, so none may survive
+    pinned, edges = graph
+    r = _contract([F(i) for i in range(len(pinned))], pinned, edges)
+    assert all(node.essential for node in r.nodes)
 
 
 # ---------------------------------------------------------------------------
