@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blocks import (Block, BlockError, cap_block, build_junction,
-                     cylinder_block, fold_block, glued_values,
-                     plan_junction)
+from .blocks import (Block, BlockError, CheckReport, cap_block,
+                     build_junction, cylinder_block, fold_block,
+                     glued_values, plan_junction)
 from .complexes import (ComplexError, TetComplex, euler_from_faces,
                         merge_complexes, validate_faces)
 # imported for the benchmark's tracer, which wraps them as assembly.<name>
@@ -26,6 +26,7 @@ from .graphs import (GraphError, LabeledGraph, check_realizable,
                      euler_char, format_rational, is_odd_chi,
                      parse_rational)
 from .reeb import ReebGraph, labeled_isomorphic, reeb_graph_of
+from .surfaces import same_triangles
 from .unionfind import UnionFind
 
 
@@ -89,50 +90,29 @@ def _vertex_block(g: LabeledGraph, v: int, eps: Fraction,
     """Build the block for one vertex and assign its boundary components
     to the incident edge indices (matching labels, sorted tie-break)."""
     gv = g.values[v]
-    down, up = [], []
-    for ei, e in enumerate(g.edges):
-        if v not in (e.u, e.v):
-            continue
-        other = e.v if e.u == v else e.u
-        (up if g.values[other] > gv else down).append((e.label, ei))
-    down.sort()
-    up.sort()
-
+    down, up = g.sides(v)
     if down and up:
         plan = plan_junction([l for l, _ in down], [l for l, _ in up])
         block = build_junction(plan, gv - eps, gv, gv + eps, refinement)
-        assignment = {}
-        bottoms = sorted((c.label, i) for i, c in enumerate(block.boundary)
-                         if c.side == "bottom")
-        tops = sorted((c.label, i) for i, c in enumerate(block.boundary)
-                      if c.side == "top")
-        for (label, ei), (clabel, ci) in zip(down, bottoms):
-            if label != clabel:
-                raise AssemblyError("bottom component labels drifted")
-            assignment[ei] = ci
-        for (label, ei), (clabel, ci) in zip(up, tops):
-            if label != clabel:
-                raise AssemblyError("top component labels drifted")
-            assignment[ei] = ci
-        return block, assignment
-
-    side = up if up else down
-    direction = "min" if up else "max"
-    leaf_value = gv + eps if up else gv - eps
-    if len(side) == 1 and euler_char(side[0][0]) % 2 == 0:
-        block = cap_block(side[0][0], gv, leaf_value, refinement)
-        return block, {side[0][1]: 0}
-    f1, f2 = _split_extremum_labels([l for l, _ in side])
-    plan = plan_junction(f1, f2)
-    jn = build_junction(plan, Fraction(0), Fraction(1), Fraction(2),
-                        refinement)
-    block = fold_block(jn, gv, direction, [leaf_value] * len(side))
-    comps = sorted((c.label, i) for i, c in enumerate(block.boundary))
+    else:
+        side = up or down
+        leaf_value = gv + eps if up else gv - eps
+        if len(side) == 1 and euler_char(side[0][0]) % 2 == 0:
+            block = cap_block(side[0][0], gv, leaf_value, refinement)
+        else:
+            f1, f2 = _split_extremum_labels([l for l, _ in side])
+            jn = build_junction(plan_junction(f1, f2), Fraction(0),
+                                Fraction(1), Fraction(2), refinement)
+            block = fold_block(jn, gv, "min" if up else "max",
+                               [leaf_value] * len(side))
     assignment = {}
-    for (label, ei), (clabel, ci) in zip(side, comps):
-        if label != clabel:
-            raise AssemblyError("folded component labels drifted")
-        assignment[ei] = ci
+    for name, edges in (("bottom", down), ("top", up)):
+        comps = sorted((c.label, i) for i, c in enumerate(block.boundary)
+                       if c.side == name)
+        for (label, ei), (clabel, ci) in zip(edges, comps):
+            if label != clabel:
+                raise AssemblyError(f"{name} component labels drifted")
+            assignment[ei] = ci
     return block, assignment
 
 
@@ -140,8 +120,7 @@ def _identify_components(comp_a, comp_b):
     """Vertex pairs gluing two block boundary components.  Both carry the
     same canonical mesh by design, so equal triangle sets make the
     identity a simplicial isomorphism and no overlay is needed."""
-    if sorted(map(sorted, comp_a.mesh.triangles)) != \
-            sorted(map(sorted, comp_b.mesh.triangles)):
+    if not same_triangles(comp_a.mesh.triangles, comp_b.mesh.triangles):
         raise AssemblyError("glued components carry different triangle "
                             "sets (planner bug)")
     return list(zip(comp_a.cmap, comp_b.cmap))
@@ -154,64 +133,36 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
         raise AssemblyError("graph fails the parity conditions:\n" +
                             report.summary())
     eps = _vertex_epsilons(g)
-    blocks = []
-    assignments = []
-    for v in range(g.n):
-        block, assign = _vertex_block(g, v, eps[v], refinement)
-        blocks.append(block)
-        assignments.append(assign)
-
-    cylinders = []
-    for ei, e in enumerate(g.edges):
-        lo, hi = (e.u, e.v) if g.values[e.u] < g.values[e.v] else (e.v, e.u)
-        cylinders.append(cylinder_block(
-            e.label, g.values[lo] + eps[lo], g.values[hi] - eps[hi],
-            refinement, segments=3))
-
-    parts = [b.cx for b in blocks] + [c.cx for c in cylinders]
-    part_values = [b.values for b in blocks] + [c.values for c in cylinders]
+    blocks, assignments = zip(*(_vertex_block(g, v, eps[v], refinement)
+                                for v in range(g.n)))
+    parts = [b.cx for b in blocks]
+    part_values = [b.values for b in blocks]
+    provenance: list[tuple[str, int]] = []
+    for v, b in enumerate(blocks):
+        provenance += [("vertex", v)] * len(b.cx.tets)
     ident = []
     for ei, e in enumerate(g.edges):
         lo, hi = (e.u, e.v) if g.values[e.u] < g.values[e.v] else (e.v, e.u)
-        cyl = cylinders[ei]
-        cyl_part = len(blocks) + ei
-        cyl_bottom = next(c for c in cyl.boundary if c.side == "bottom")
-        cyl_top = next(c for c in cyl.boundary if c.side == "top")
-        comp_lo = blocks[lo].boundary[assignments[lo][ei]]
-        comp_hi = blocks[hi].boundary[assignments[hi][ei]]
-        if comp_lo.value != cyl_bottom.value or \
-                comp_hi.value != cyl_top.value:
-            raise AssemblyError("interface values misaligned (planner bug)")
-        for x, y in _identify_components(comp_lo, cyl_bottom):
-            ident.append((lo, x, cyl_part, y))
-        for x, y in _identify_components(comp_hi, cyl_top):
-            ident.append((hi, x, cyl_part, y))
+        cyl = cylinder_block(e.label, g.values[lo] + eps[lo],
+                             g.values[hi] - eps[hi], refinement, segments=3)
+        for v, end in zip((lo, hi), cyl.boundary):
+            comp = blocks[v].boundary[assignments[v][ei]]
+            if comp.value != end.value:
+                raise AssemblyError("interface values misaligned "
+                                    "(planner bug)")
+            ident += [(v, x, len(parts), y)
+                      for x, y in _identify_components(comp, end)]
+        parts.append(cyl.cx)
+        part_values.append(cyl.values)
+        provenance += [("edge", ei)] * len(cyl.cx.tets)
 
     cx, vmaps, _ = merge_complexes(parts, ident)
     values = glued_values(cx.nv, vmaps, part_values)
-    provenance: list[tuple[str, int]] = []
-    for vi in range(len(blocks)):
-        provenance += [("vertex", vi)] * len(blocks[vi].cx.tets)
-    for ei in range(len(cylinders)):
-        provenance += [("edge", ei)] * len(cylinders[ei].cx.tets)
     return Manifold3(cx, values, provenance,
                      vertex_values=list(g.values))
 
 
-@dataclass
-class ManifoldReport:
-    checks: list[tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def summary(self) -> str:
-        return "\n".join(f"  [{'pass' if ok else 'FAIL'}] {name}: {msg}"
-                         for name, ok, msg in self.checks)
-
-
-def validate_manifold(m: Manifold3) -> ManifoldReport:
+def validate_manifold(m: Manifold3) -> CheckReport:
     """Closedness, link conditions, connectedness, chi = 0, provenance,
     every one read off a single face map."""
     # looked up at call time, where the benchmark's tracer counts the calls
@@ -244,7 +195,7 @@ def validate_manifold(m: Manifold3) -> ManifoldReport:
         all(kind in ("vertex", "edge") for kind, _ in m.provenance)
     checks.append(("provenance", ok,
                    f"{len(m.provenance)} records for {len(m.cx.tets)} tets"))
-    return ManifoldReport(checks)
+    return CheckReport(checks)
 
 
 def extract_reeb(m: Manifold3) -> ReebGraph:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .canonical import (Solid, boundary_connect_sum, canonical_mesh,
+from .canonical import (End, Solid, boundary_connect_sum, canonical_mesh,
                         solid_for_label)
 from .complexes import (ComplexError, TetComplex, boundary_surface,
                         find_interior_tets, merge_complexes, remove_tets,
@@ -44,9 +44,12 @@ class BoundaryComponent:
     value: Fraction
     label: int
     mesh: SurfaceMesh
-    cmap: list[int]                      # mesh vertex -> block vertex (outer)
     layer_ids: list[list[int]]           # outer->inner, parallel to mesh
-    slot: int = -1
+
+    @property
+    def cmap(self) -> list[int]:
+        """Mesh vertex -> block vertex on the outer layer."""
+        return self.layer_ids[0]
 
 
 @dataclass
@@ -64,16 +67,33 @@ class StarContract:
 
 @dataclass
 class Block:
+    """A block's interval [a1, a2] spans its boundary values and singular
+    values; its contract is the Reeb graph it promises: one edge for a cap
+    or a block with no singular value, a star around the singular value
+    otherwise."""
+
     cx: TetComplex
     values: list[Fraction]
-    a1: Fraction
-    a2: Fraction
     singular_values: list[Fraction]
     boundary: list[BoundaryComponent]
-    contract: EdgeContract | StarContract
     refinement: int
     bridge_tets: list[int] = field(default_factory=list)
     kind: str = "block"
+
+    @property
+    def a1(self) -> Fraction:
+        return min(self.singular_values + [c.value for c in self.boundary])
+
+    @property
+    def a2(self) -> Fraction:
+        return max(self.singular_values + [c.value for c in self.boundary])
+
+    @property
+    def contract(self) -> EdgeContract | StarContract:
+        if self.kind == "cap" or not self.singular_values:
+            return EdgeContract(self.a1, self.a2, self.boundary[0].label)
+        return StarContract(self.singular_values[0],
+                            [(c.value, c.label) for c in self.boundary])
 
     def labels(self, side: str) -> list[int]:
         return sorted(c.label for c in self.boundary if c.side == side)
@@ -82,9 +102,8 @@ class Block:
         """Copies of the boundary components and bridge tets carried into
         a merged complex: vmap and tmap + toff send old vertices and
         surviving tets to new ones.  The block itself is left as it is."""
-        boundary = [replace(comp, cmap=[vmap[v] for v in comp.cmap],
-                            layer_ids=[[vmap[v] for v in layer]
-                                       for layer in comp.layer_ids])
+        boundary = [replace(comp, layer_ids=[[vmap[v] for v in layer]
+                                             for layer in comp.layer_ids])
                     for comp in self.boundary]
         return boundary, [toff + tmap[t] for t in self.bridge_tets
                           if t in tmap]
@@ -124,8 +143,7 @@ def _end_component(side: str, value: Fraction, label: int, prod, vmap,
     mesh = prod.mesh
     layer_ids = [[vmap[prod.vid(v, j)] for v in range(mesh.nv)]
                  for j in layers]
-    return BoundaryComponent(side, value, label, mesh.copy(),
-                             list(layer_ids[0]), layer_ids)
+    return BoundaryComponent(side, value, label, mesh.copy(), layer_ids)
 
 
 def cylinder_block(label: int, a1: Fraction, a2: Fraction,
@@ -143,8 +161,8 @@ def cylinder_block(label: int, a1: Fraction, a2: Fraction,
     bottom = _end_component("bottom", a1, label, prod, ids, range(mid + 1))
     top = _end_component("top", a2, label, prod, ids,
                          range(segments, mid - 1, -1))
-    return Block(prod.complex, values, a1, a2, [], [bottom, top],
-                 EdgeContract(a1, a2, label), refinement, kind="cylinder")
+    return Block(prod.complex, values, [], [bottom, top], refinement,
+                 kind="cylinder")
 
 
 def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
@@ -159,81 +177,39 @@ def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
     if extreme_value == boundary_value:
         raise BlockError("cap needs distinct extreme and boundary values")
     solid = solid_for_label(label, refinement)
-    mesh = solid.boundary
+    (end,) = solid.ends
+    mesh = end.mesh
     prod = surface_prism(mesh, CYL_SEGS)
     rising = boundary_value > extreme_value
     # collar layer 0 glues onto the solid boundary
-    ident = [(0, solid.bmap[v], 1, prod.vid(v, 0)) for v in range(mesh.nv)]
+    ident = [(0, end.bmap[v], 1, prod.vid(v, 0)) for v in range(mesh.nv)]
     cx, vmaps, _ = merge_complexes([solid.cx, prod.complex], ident)
     values = glued_values(cx.nv, vmaps, [
         [extreme_value] * solid.cx.nv,
         _prism_values(mesh.nv, extreme_value, boundary_value, CYL_SEGS)])
     comp = _end_component("top" if rising else "bottom", boundary_value,
                           label, prod, vmaps[1], range(CYL_SEGS, -1, -1))
-    lo, hi = ((extreme_value, boundary_value) if rising
-              else (boundary_value, extreme_value))
-    a1, a2 = lo, hi
-    block = Block(cx, values, a1, a2, [extreme_value], [comp],
-                  EdgeContract(lo, hi, label), refinement, kind="cap")
     # the collar's outer layer is the whole boundary of the cap
-    block.bridge_tets = find_interior_tets(cx, comp.cmap)[:4]
-    return block
+    return Block(cx, values, [extreme_value], [comp], refinement,
+                 find_interior_tets(cx, comp.cmap)[:4], kind="cap")
 
 
 # ---------------------------------------------------------------------------
 # junction cells
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _End:
-    side: str
-    slot: int
-    label: int
-    mesh: SurfaceMesh
-    emap: list[int]        # mesh vertex -> piece vertex
-
-
-@dataclass
-class _Piece:
-    cx: TetComplex
-    ends: list[_End]
-
-
-def _glue_solid(cx: TetComplex, ends: list[_End], target: int, solid):
-    """Boundary-connect-sum a solid onto one end surface of a piece; the
-    piece enters the sum as a solid bounded by that end."""
-    end = ends[target]
-    summed, vmap = boundary_connect_sum(
-        Solid(cx, end.mesh, end.emap, end.label), solid)
-    ends = [_End(e.side, e.slot, e.label, e.mesh, [vmap[v] for v in e.emap])
-            for e in ends]
-    ends[target] = _End(end.side, end.slot, summed.label, summed.boundary,
-                        summed.bmap)
-    return summed.cx, ends
-
-
-def _odd_pair_piece(slot_a, slot_b, refinement: int) -> _Piece:
-    """Thickened projective plane whose two faces absorb solid Klein
+def _odd_pair_piece(label_a: int, label_b: int, refinement: int) -> Solid:
+    """Thickened projective plane whose two ends absorb solid Klein
     bottles until they reach the requested odd-chi labels."""
     rp2 = canonical_mesh(-1, refinement)
     prod = surface_prism(rp2, 3)
-    cx = prod.complex
-    ends = [
-        _End(slot_a[0], slot_a[2], -1, rp2.copy(), prod.layer_vertices(0)),
-        _End(slot_b[0], slot_b[2], -1, rp2.copy(), prod.layer_vertices(3)),
-    ]
-    for i, slot in enumerate((slot_a, slot_b)):
-        want = slot[1]
-        while ends[i].label != want:
-            cx, ends = _glue_solid(cx, ends, i,
-                                   solid_for_label(-2, refinement))
-    return _Piece(cx, ends)
-
-
-def _solid_piece(slot, refinement: int) -> _Piece:
-    solid = solid_for_label(slot[1], refinement)
-    return _Piece(solid.cx, [_End(slot[0], slot[2], slot[1],
-                                  solid.boundary, solid.bmap)])
+    piece = Solid(prod.complex, [End(-1, rp2, prod.layer_vertices(0)),
+                                 End(-1, rp2, prod.layer_vertices(3))])
+    for i, want in enumerate((label_a, label_b)):
+        while piece.ends[i].label != want:
+            piece = boundary_connect_sum(
+                piece, solid_for_label(-2, refinement), i)
+    return piece
 
 
 def _bridge_parts(cxs: list[TetComplex], sockets: list[list[int]]):
@@ -275,73 +251,64 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
         raise BlockError("junction needs a1 < a")
     if top_labels and not a < a2:
         raise BlockError("junction needs a < a2")
-    slots = ([("bottom", l, i) for i, l in enumerate(bottom_labels)] +
-             [("top", l, len(bottom_labels) + i)
-              for i, l in enumerate(top_labels)])
-    odd = sorted((s for s in slots if is_odd_chi(s[1])),
-                 key=lambda s: (s[1], s[0], s[2]))
+    slots = ([("bottom", l) for l in bottom_labels] +
+             [("top", l) for l in top_labels])
+    order = sorted(range(len(slots)),
+                   key=lambda i: (slots[i][1], slots[i][0], i))
+    odd = [i for i in order if is_odd_chi(slots[i][1])]
     if len(odd) % 2 != 0:
         raise BlockError("odd-chi component count must be even")
-    even = sorted((s for s in slots if not is_odd_chi(s[1])),
-                  key=lambda s: (s[1], s[0], s[2]))
-    pieces = []
-    for i in range(0, len(odd), 2):
-        pieces.append(_odd_pair_piece(odd[i], odd[i + 1], refinement))
-    for s in even:
-        pieces.append(_solid_piece(s, refinement))
+    # each piece is a solid with the slot of each of its ends
+    pieces = [(_odd_pair_piece(slots[i][1], slots[j][1], refinement), [i, j])
+              for i, j in zip(odd[::2], odd[1::2])]
+    pieces += [(solid_for_label(slots[i][1], refinement), [i])
+               for i in order if not is_odd_chi(slots[i][1])]
 
     npieces = len(pieces)
     # the ends of a piece are its whole boundary
-    ends = [[v for e in piece.ends for v in e.emap] for piece in pieces]
+    ends = [[v for e in solid.ends for v in e.bmap] for solid, _ in pieces]
     sockets = []
-    for i, piece in enumerate(pieces):
+    for i, (solid, _) in enumerate(pieces):
         need = 0 if npieces == 1 else 1 if i in (0, npieces - 1) else 2
-        interior = find_interior_tets(piece.cx, ends[i])
+        interior = find_interior_tets(solid.cx, ends[i])
         if len(interior) < need:
             raise BlockError("piece lacks interior tets for bridging")
         sockets.append(interior[:need])
-    parts, ident, _ = _bridge_parts([p.cx for p in pieces], sockets)
+    parts, ident, _ = _bridge_parts([solid.cx for solid, _ in pieces],
+                                    sockets)
     part_values = [[a] * p.nv for p in parts]   # pieces and bridge shells
 
     # cylinders: one per end, glued along the inner layer
-    cyl_info = []
-    for pi, piece in enumerate(pieces):
-        for e in piece.ends:
+    cylinders = [None] * len(slots)
+    for pi, (solid, piece_slots) in enumerate(pieces):
+        for e, slot in zip(solid.ends, piece_slots):
             prod = surface_prism(e.mesh, CYL_SEGS)
-            if e.side == "bottom":
+            if slots[slot][0] == "bottom":
                 span, layers = (a1, a), range(CYL_SEGS + 1)
             else:
                 span, layers = (a, a2), range(CYL_SEGS, -1, -1)
             for v in range(e.mesh.nv):
-                ident.append((pi, e.emap[v], len(parts),
+                ident.append((pi, e.bmap[v], len(parts),
                               prod.vid(v, layers[-1])))
-            cyl_info.append((len(parts), prod, e, layers))
+            cylinders[slot] = (len(parts), prod, layers)
             parts.append(prod.complex)
             part_values.append(_prism_values(e.mesh.nv, *span, CYL_SEGS))
 
     cx, vmaps, toffs = merge_complexes(parts, ident)
     values = glued_values(cx.nv, vmaps, part_values)
-    boundary = []
-    for part_idx, prod, e, layers in cyl_info:
-        comp = _end_component(e.side, a1 if e.side == "bottom" else a2,
-                              e.label, prod, vmaps[part_idx], layers)
-        comp.slot = e.slot
-        boundary.append(comp)
-    boundary.sort(key=lambda c: c.slot)
-    lo = a1 if bottom_labels else a
-    hi = a2 if top_labels else a
-    contract = StarContract(a, [(c.value, c.label) for c in boundary])
-    block = Block(cx, values, lo, hi, [a], boundary, contract, refinement,
-                  kind="junction")
+    boundary = [_end_component(side, a1 if side == "bottom" else a2, label,
+                               prod, vmaps[part], layers)
+                for (side, label), (part, prod, layers)
+                in zip(slots, cylinders)]
     bridge = []
-    for pi in range(npieces):
+    for pi, (solid, _) in enumerate(pieces):
         # removing an interior tet puts all four of its faces on the
         # boundary, so the socket tets' vertices join the ends
-        holes = [v for t in sockets[pi] for v in pieces[pi].cx.tets[t]]
+        holes = [v for t in sockets[pi] for v in solid.cx.tets[t]]
         bridge += [toffs[pi] + t
                    for t in find_interior_tets(parts[pi], ends[pi] + holes)]
-    block.bridge_tets = bridge[:8]
-    return block
+    return Block(cx, values, [a], boundary, refinement, bridge[:8],
+                 kind="junction")
 
 
 JUNCTION_KINDS = {
@@ -412,12 +379,8 @@ def merge_disjoint_union(b1: Block, b2: Block) -> Block:
                           [b1.values, b2.values, [a] * parts[2].nv])
     boundary1, bridge1 = b1.remap(vmaps[0], tmaps[0], toffs[0])
     boundary2, bridge2 = b2.remap(vmaps[1], tmaps[1], toffs[1])
-    boundary = boundary1 + boundary2
-    contract = StarContract(a, [(c.value, c.label) for c in boundary])
-    out = Block(cx, values, min(b1.a1, b2.a1), max(b1.a2, b2.a2), [a],
-                boundary, contract, b1.refinement, kind="junction")
-    out.bridge_tets = bridge1[1:] + bridge2[1:]
-    return out
+    return Block(cx, values, [a], boundary1 + boundary2, b1.refinement,
+                 bridge1[1:] + bridge2[1:], kind="junction")
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +512,10 @@ def fold_block(j: Block, vertex_value, direction: str,
             for v in layer:
                 values[v] = t_new
         side = "top" if direction == "min" else "bottom"
-        boundary.append(BoundaryComponent(
-            side, leaf, comp.label, comp.mesh, comp.cmap, comp.layer_ids))
-    lo = vertex_value if direction == "min" else min(leaf_values)
-    hi = max(leaf_values) if direction == "min" else vertex_value
-    contract = StarContract(vertex_value,
-                            [(c.value, c.label) for c in boundary])
-    return Block(j.cx, values, lo, hi, [vertex_value], boundary, contract,
-                 j.refinement, kind="fold")
+        boundary.append(BoundaryComponent(side, leaf, comp.label, comp.mesh,
+                                          comp.layer_ids))
+    return Block(j.cx, values, [vertex_value], boundary, j.refinement,
+                 kind="fold")
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +526,14 @@ def block_to_dict(b: Block) -> dict:
     """Mesh, function values, and contract; bridge tets are
     construction-time data and are not serialized."""
     from .graphs import format_rational
-    if isinstance(b.contract, EdgeContract):
-        contract = {"kind": "edge", "lo": format_rational(b.contract.lo),
-                    "hi": format_rational(b.contract.hi),
-                    "label": b.contract.label}
+    c = b.contract
+    if isinstance(c, EdgeContract):
+        contract = {"kind": "edge", "lo": format_rational(c.lo),
+                    "hi": format_rational(c.hi), "label": c.label}
     else:
-        contract = {"kind": "star",
-                    "center": format_rational(b.contract.center),
+        contract = {"kind": "star", "center": format_rational(c.center),
                     "leaves": [[format_rational(v), l]
-                               for v, l in b.contract.leaves]}
+                               for v, l in c.leaves]}
     return {
         "vertices": b.cx.nv,
         "tetrahedra": [list(t) for t in b.cx.tets],
@@ -600,7 +558,6 @@ def block_from_dict(doc) -> Block:
     cx = TetComplex(int(doc["vertices"]),
                     [tuple(t) for t in doc["tetrahedra"]])
     values = [parse_rational(v) for v in doc["values"]]
-    a1, a2 = (parse_rational(v) for v in doc["interval"])
     singular = [parse_rational(v) for v in doc["singular_values"]]
     boundary = []
     for c in doc["boundary"]:
@@ -608,16 +565,8 @@ def block_from_dict(doc) -> Block:
                            [tuple(t) for t in c["mesh"]["triangles"]])
         boundary.append(BoundaryComponent(
             c["side"], parse_rational(c["value"]), int(c["label"]), mesh,
-            list(c["cmap"]), [list(l) for l in c["layers"]]))
-    cd = doc["contract"]
-    if cd["kind"] == "edge":
-        contract = EdgeContract(parse_rational(cd["lo"]),
-                                parse_rational(cd["hi"]), int(cd["label"]))
-    else:
-        contract = StarContract(parse_rational(cd["center"]),
-                                [(parse_rational(v), int(l))
-                                 for v, l in cd["leaves"]])
-    return Block(cx, values, a1, a2, singular, boundary, contract,
+            [list(l) for l in c["layers"]]))
+    return Block(cx, values, singular, boundary,
                  int(doc.get("refinement", 1)), kind=doc.get("kind", "block"))
 
 
@@ -630,7 +579,10 @@ def block_to_json(b: Block) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlockReport:
+class CheckReport:
+    """Named pass/fail checks of a block or an assembled manifold, and the
+    Reeb graph a block check extracted."""
+
     checks: list[tuple[str, bool, str]]
     reeb: ReebGraph | None = None
 
@@ -643,7 +595,7 @@ class BlockReport:
                          for name, ok, msg in self.checks)
 
 
-def verify_block(b: Block) -> BlockReport:
+def verify_block(b: Block) -> CheckReport:
     """Re-derive everything the contract promises: manifold validity,
     boundary classification, function image, and the extracted Reeb shape
     with nodes pinned at the declared singular values."""
@@ -654,7 +606,7 @@ def verify_block(b: Block) -> BlockReport:
         checks.append(("manifold", True, f"{len(b.cx.tets)} tets"))
     except ComplexError as exc:
         checks.append(("manifold", False, str(exc)))
-        return BlockReport(checks)
+        return CheckReport(checks)
 
     lo, hi = min(b.values), max(b.values)
     ok = (lo, hi) == (b.a1, b.a2)
@@ -678,14 +630,15 @@ def verify_block(b: Block) -> BlockReport:
     got_edges = sorted((min(reeb.nodes[e.a].value, reeb.nodes[e.b].value),
                         max(reeb.nodes[e.a].value, reeb.nodes[e.b].value),
                         e.label) for e in reeb.edges)
-    if isinstance(b.contract, EdgeContract):
-        want_nodes = sorted([b.contract.lo, b.contract.hi])
-        want_edges = [(b.contract.lo, b.contract.hi, b.contract.label)]
+    contract = b.contract
+    if isinstance(contract, EdgeContract):
+        want_nodes = sorted([contract.lo, contract.hi])
+        want_edges = [(contract.lo, contract.hi, contract.label)]
     else:
-        c = b.contract.center
-        want_nodes = sorted([c] + [v for v, _ in b.contract.leaves])
+        c = contract.center
+        want_nodes = sorted([c] + [v for v, _ in contract.leaves])
         want_edges = sorted((min(c, v), max(c, v), l)
-                            for v, l in b.contract.leaves)
+                            for v, l in contract.leaves)
     ok = got_nodes == want_nodes and got_edges == want_edges
     checks.append(("reeb", ok,
                    f"nodes {list(map(str, got_nodes))} edges {got_edges}"))
@@ -696,4 +649,4 @@ def verify_block(b: Block) -> BlockReport:
     checks.append(("singular-values", ok,
                    f"{list(map(str, interior))} vs declared "
                    f"{list(map(str, b.singular_values))}"))
-    return BlockReport(checks, reeb)
+    return CheckReport(checks, reeb)

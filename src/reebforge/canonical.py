@@ -21,11 +21,12 @@ from fractions import Fraction
 
 from .anchors import PolygonScheme, SchemeAnchor, scheme_for_label
 from .complexes import (TetComplex, boundary_surface, circle_prism,
-                        merge_complexes, surface_prism)
+                        cone_complex, merge_complexes, surface_prism)
 from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
                        connected_sum_label, connected_sum_mesh_maps,
-                       find_spare_triangles, validate_surface)
+                       find_spare_triangles, same_triangles,
+                       validate_surface)
 from .unionfind import UnionFind
 
 
@@ -243,13 +244,22 @@ def generate_surface(label: int, refinement: int = 1) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class End:
+    """One boundary surface of a solid: a canonical mesh and where its
+    vertices sit in the solid's complex."""
+
+    label: int
+    mesh: SurfaceMesh
+    bmap: list[int]          # mesh vertex -> complex vertex
+
+
+@dataclass
 class Solid:
-    """Compact 3-manifold whose boundary is a canonical mesh."""
+    """Compact 3-manifold whose boundary is the disjoint union of its
+    ends."""
 
     cx: TetComplex
-    boundary: SurfaceMesh
-    bmap: list[int]          # boundary mesh vertex -> complex vertex
-    label: int
+    ends: list[End]
 
 
 def _disk_mesh(P: int) -> SurfaceMesh:
@@ -286,15 +296,10 @@ def ball_solid(refinement: int = 1) -> Solid:
     """3-ball: two sphere prism layers capped by an interior cone, so a
     fully interior tet is always available for bridging."""
     sphere = canonical_mesh(0, refinement)
-    prod = surface_prism(sphere, 2)
-    cx = prod.complex
-    apex = cx.nv
-    tets = list(cx.tets)
-    for a, b, c in sphere.triangles:
-        tets.append((apex, 2 * sphere.nv + a, 2 * sphere.nv + b,
-                     2 * sphere.nv + c))
-    full = TetComplex(cx.nv + 1, tets)
-    return Solid(full, sphere, list(range(sphere.nv)), 0)
+    cx = surface_prism(sphere, 2).complex
+    cone = cone_complex(sphere, base_offset=2 * sphere.nv, nv=cx.nv)
+    full = TetComplex(cone.nv, cx.tets + cone.tets)
+    return Solid(full, [End(0, sphere, list(range(sphere.nv)))])
 
 
 def _product_solid(refinement: int, twist: bool) -> Solid:
@@ -309,17 +314,11 @@ def _product_solid(refinement: int, twist: bool) -> Solid:
     for j in range(P):
         for i in range(P):
             bmap[j * P + i] = prod.vid(i, j)
-    _assert_boundary_matches(prod.complex, boundary, bmap)
-    return Solid(prod.complex, boundary, bmap, label)
-
-
-def _assert_boundary_matches(cx: TetComplex, mesh: SurfaceMesh,
-                             bmap: list[int]):
-    got, used = boundary_surface(cx)
-    have = sorted(tuple(sorted(used[v] for v in t)) for t in got.triangles)
-    want = sorted(tuple(sorted(bmap[v] for v in t)) for t in mesh.triangles)
-    if have != want:
+    got, used = boundary_surface(prod.complex)
+    if not same_triangles([[used[v] for v in t] for t in got.triangles],
+                          [[bmap[v] for v in t] for t in boundary.triangles]):
         raise MeshError("solid boundary does not match its canonical mesh")
+    return Solid(prod.complex, [End(label, boundary, bmap)])
 
 
 def torus_solid(refinement: int = 1) -> Solid:
@@ -330,24 +329,26 @@ def klein_solid(refinement: int = 1) -> Solid:
     return _product_solid(refinement, twist=True)
 
 
-def boundary_connect_sum(a: Solid, b: Solid) -> tuple[Solid, list[int]]:
-    """Glue two solids along one spare boundary triangle each; the
-    boundaries undergo the matching surface connected sum.  Also returns
-    the vertex map of a's complex into the sum."""
-    sa, sb = a.boundary.spares[0], b.boundary.spares[0]
-    ta, tb = a.boundary.triangles[sa], b.boundary.triangles[sb]
-    surf, map_a, map_b = connected_sum_mesh_maps(a.boundary, sa,
-                                                 b.boundary, sb)
-    ident = [(0, a.bmap[x], 1, b.bmap[y])
+def boundary_connect_sum(a: Solid, b: Solid, i: int) -> Solid:
+    """Glue the one-ended solid b onto end i of a along one spare boundary
+    triangle each; that end undergoes the matching surface connected sum
+    and the other ends of a carry over."""
+    end, (other,) = a.ends[i], b.ends
+    sa, sb = end.mesh.spares[0], other.mesh.spares[0]
+    ta, tb = end.mesh.triangles[sa], other.mesh.triangles[sb]
+    surf, map_a, map_b = connected_sum_mesh_maps(end.mesh, sa,
+                                                 other.mesh, sb)
+    ident = [(0, end.bmap[x], 1, other.bmap[y])
              for x, y in zip(sorted(ta), sorted(tb))]
-    cx, vmaps, _ = merge_complexes([a.cx, b.cx], ident)
+    cx, (va, vb), _ = merge_complexes([a.cx, b.cx], ident)
     bmap = [0] * surf.nv
-    for v in range(a.boundary.nv):
-        bmap[map_a[v]] = vmaps[0][a.bmap[v]]
-    for v in range(b.boundary.nv):
-        bmap[map_b[v]] = vmaps[1][b.bmap[v]]
-    return (Solid(cx, surf, bmap, connected_sum_label(a.label, b.label)),
-            vmaps[0])
+    for v in range(end.mesh.nv):
+        bmap[map_a[v]] = va[end.bmap[v]]
+    for v in range(other.mesh.nv):
+        bmap[map_b[v]] = vb[other.bmap[v]]
+    ends = [End(e.label, e.mesh, [va[x] for x in e.bmap]) for e in a.ends]
+    ends[i] = End(connected_sum_label(end.label, other.label), surf, bmap)
+    return Solid(cx, ends)
 
 
 _SOLID_CACHE: dict[tuple[int, int], Solid] = {}
@@ -371,11 +372,10 @@ def solid_for_label(label: int, refinement: int = 1) -> Solid:
         first, *rest = _summands(label)
         acc = makers[first](refinement)
         for summand in rest:
-            acc, _ = boundary_connect_sum(acc, makers[summand](refinement))
-    if label not in (0, 1, -2):
-        want = canonical_mesh(label, refinement)
-        if sorted(map(sorted, acc.boundary.triangles)) != sorted(
-                map(sorted, want.triangles)):
-            raise MeshError("composite solid boundary drifted from canonical")
+            acc = boundary_connect_sum(acc, makers[summand](refinement), 0)
+    if label not in (0, 1, -2) and not same_triangles(
+            acc.ends[0].mesh.triangles,
+            canonical_mesh(label, refinement).triangles):
+        raise MeshError("composite solid boundary drifted from canonical")
     _SOLID_CACHE[key] = acc
     return acc

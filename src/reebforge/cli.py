@@ -189,6 +189,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _label(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {sys.maxsize} in absolute value")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="reebforge",
@@ -236,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("surface", help="surface utilities")
     ssub = sp.add_subparsers(dest="surface_command", required=True)
     spg = ssub.add_parser("gen", help="generate a canonical surface mesh")
-    spg.add_argument("label", type=int)
+    spg.add_argument("label", type=_label)
     spg.add_argument("refinement_arg", metavar="refinement",
                      type=_positive_int, nargs="?", default=None,
                      help="same as --refinement")

@@ -255,15 +255,14 @@ def circle_prism(mesh: SurfaceMesh, nseg: int,
 
 
 def cone_complex(mesh: SurfaceMesh, base_offset: int = 0,
-                 apex: int | None = None, nv: int | None = None) -> TetComplex:
-    """Cone over a closed surface mesh; apex is appended when not given."""
-    total = mesh.nv if nv is None else nv
-    if apex is None:
-        apex = total
-        total += 1
+                 nv: int | None = None) -> TetComplex:
+    """Cone over a closed surface mesh whose vertices sit at base_offset
+    onward among nv vertices (mesh.nv when not given); the apex is
+    appended."""
+    apex = mesh.nv if nv is None else nv
     tets = [(apex, base_offset + a, base_offset + b, base_offset + c)
             for a, b, c in mesh.triangles]
-    return TetComplex(total, tets)
+    return TetComplex(apex + 1, tets)
 
 
 # ---------------------------------------------------------------------------

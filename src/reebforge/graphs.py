@@ -7,6 +7,7 @@ surface of genus r, r < 0 the closed non-orientable surface of genus -r.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -84,8 +85,18 @@ class LabeledGraph:
         except ValueError:
             raise GraphError(f"unknown vertex id: {v!r}") from None
 
-    def incident(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if v in (e.u, e.v)]
+    def sides(self, v: int) -> tuple[list[tuple[int, int]],
+                                     list[tuple[int, int]]]:
+        """Sorted (label, edge index) pairs of the edges whose far
+        endpoint lies below v, and of those whose far endpoint lies
+        above it."""
+        down, up = [], []
+        for ei, e in enumerate(self.edges):
+            if v in (e.u, e.v):
+                other = e.v if e.u == v else e.u
+                side = up if self.values[other] > self.values[v] else down
+                side.append((e.label, ei))
+        return sorted(down), sorted(up)
 
     def _check(self):
         if len(self.values) != self.n:
@@ -131,17 +142,8 @@ class VertexProfile:
 
 def vertex_profile(g: LabeledGraph, v) -> VertexProfile:
     vi = g.vertex_index(v)
-    down, up = [], []
-    for e in g.edges:
-        if vi not in (e.u, e.v):
-            continue
-        other = e.v if e.u == vi else e.u
-        if g.values[other] > g.values[vi]:
-            up.append(e.label)
-        else:
-            down.append(e.label)
-    return VertexProfile(vi, sorted(down), sorted(up),
-                         is_extremum=(not down or not up))
+    down, up = ([label for label, _ in side] for side in g.sides(vi))
+    return VertexProfile(vi, down, up, is_extremum=(not down or not up))
 
 
 @dataclass
@@ -173,12 +175,14 @@ class RealizabilityReport:
 
 
 def check_realizable(g: LabeledGraph) -> RealizabilityReport:
-    """Check the parity conditions under which a realization is constructed.
+    """Check the parity conditions, which every realization satisfies.
 
     At a local extremum the number of incident odd-chi labels must be even;
     elsewhere the difference between the odd-chi counts on the descending
-    and ascending sides must be even.  Rejection is a normal outcome and
-    makes no claim that no realization exists.
+    and ascending sides must be even.  The conditions are necessary: a
+    small neighbourhood N of a vertex's level component is a compact
+    3-manifold bounded by the incident surfaces, and chi(dN) = 2 chi(N) is
+    even.  So a rejected graph has no realization.
     """
     diags = []
     for vi in range(g.n):
@@ -231,6 +235,8 @@ def graph_from_dict(doc) -> LabeledGraph:
             raise GraphError(f"edge references unknown vertex: {ed!r}")
         if not isinstance(r, int) or isinstance(r, bool):
             raise GraphError(f"edge label must be an integer: {ed!r}")
+        if abs(r) > sys.maxsize:
+            raise GraphError(f"edge label out of range: {ed!r}")
         edges.append(Edge(index[u], index[v], r))
     return LabeledGraph(names, values, edges)
 

@@ -267,19 +267,24 @@ def connected_sum_mesh(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     return mesh
 
 
-def find_spare_triangles(mesh: SurfaceMesh, count: int = 4,
-                         avoid_vertices=()) -> list[int]:
-    """Pick pairwise vertex-disjoint triangles usable as spare disks."""
-    avoid = set(avoid_vertices)
+def find_spare_triangles(mesh: SurfaceMesh) -> list[int]:
+    """Pick up to four pairwise vertex-disjoint triangles usable as spare
+    disks."""
+    used: set[int] = set()
     picked = []
     for ti, tri in enumerate(mesh.triangles):
-        if any(v in avoid for v in tri):
-            continue
-        picked.append(ti)
-        avoid.update(tri)
-        if len(picked) == count:
-            break
+        if used.isdisjoint(tri):
+            picked.append(ti)
+            used.update(tri)
+            if len(picked) == 4:
+                break
     return picked
+
+
+def same_triangles(tris_a, tris_b) -> bool:
+    """True when two triangle lists hold the same vertex triples, in any
+    order and orientation."""
+    return sorted(map(sorted, tris_a)) == sorted(map(sorted, tris_b))
 
 
 # ---------------------------------------------------------------------------

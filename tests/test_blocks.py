@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reebforge import blocks
-from reebforge.blocks import (Block, BlockError, block_to_json,
-                              build_junction, cap_block, cylinder_block,
-                              elementary_junction, fold_block, glued_values,
+from reebforge.blocks import (Block, BlockError, block_from_dict,
+                              block_to_dict, block_to_json, build_junction,
+                              cap_block, cylinder_block, elementary_junction,
+                              fold_block, glued_values,
                               junction_cell, merge_disjoint_union,
                               plan_junction, verify_block)
 from reebforge.complexes import TetComplex, boundary_faces, merge_complexes
@@ -250,9 +251,8 @@ def test_fold_distinct_leaf_values():
 
 def test_verify_detects_corrupted_block():
     b = cylinder_block(0, F(0), F(1))
-    bad = Block(b.cx.copy(), list(b.values), b.a1, b.a2,
-                list(b.singular_values), b.boundary, b.contract,
-                b.refinement)
+    bad = Block(b.cx.copy(), list(b.values), list(b.singular_values),
+                b.boundary, b.refinement)
     del bad.cx.tets[len(bad.cx.tets) // 2]
     rep = verify_block(bad)
     assert not rep.ok
@@ -281,23 +281,26 @@ def test_chi_parity_conserved_across_sides(builder):
     assert _chi_parity(b.labels("bottom")) == _chi_parity(b.labels("top"))
 
 
-def test_block_json_round_trip():
-    from reebforge.blocks import block_from_dict, block_to_dict
-    b = elementary_junction("sphere_to_klein", F(0), F(1), F(2))
-    b2 = block_from_dict(block_to_dict(b))
+@pytest.mark.parametrize("builder", [
+    lambda: elementary_junction("sphere_to_klein", F(0), F(1), F(2)),
+    lambda: fold_block(elementary_junction("sphere_split", F(0), F(1), F(2)),
+                       F(0), "min", [F(1), F(2), F(3)]),
+    lambda: cap_block(-2, F(3), F(1)),
+    lambda: cylinder_block(1, F(0), F(2)),
+], ids=["junction", "fold", "cap", "cylinder"])
+def test_block_json_round_trip(builder):
+    """A block read back from its document verifies, and the interval,
+    contract and cmap it derives serialize exactly as the document states
+    them."""
+    b = builder()
+    d = block_to_dict(b)
+    b2 = block_from_dict(d)
+    assert block_to_dict(b2) == d
     assert b2.cx.tets == b.cx.tets
     assert b2.values == b.values
     assert b2.singular_values == b.singular_values
     rep = verify_block(b2)
     assert rep.ok, rep.summary()
-
-
-def test_block_json_round_trip_fold():
-    from reebforge.blocks import block_from_dict, block_to_dict
-    j = elementary_junction("sphere_split", F(0), F(1), F(2))
-    f = fold_block(j, F(0), "min", [F(1), F(2), F(3)])
-    f2 = block_from_dict(block_to_dict(f))
-    assert verify_block(f2).ok
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,9 @@ def test_solids_are_manifolds_with_matching_boundary(label):
     bmesh, used = boundary_surface(s.cx)
     assert classify_labels(bmesh) == [label]
     have = sorted(tuple(sorted(used[v] for v in t)) for t in bmesh.triangles)
-    want = sorted(tuple(sorted(s.bmap[v] for v in t))
-                  for t in s.boundary.triangles)
+    (end,) = s.ends
+    want = sorted(tuple(sorted(end.bmap[v] for v in t))
+                  for t in end.mesh.triangles)
     assert have == want
 
 
@@ -70,13 +71,13 @@ def test_solids_reject_odd_chi():
 @pytest.mark.parametrize("maker", [torus_solid, klein_solid])
 def test_product_solids_have_interior_tets(maker):
     s = maker(1)
-    assert len(find_interior_tets(s.cx, s.bmap)) >= 2
+    assert len(find_interior_tets(s.cx, s.ends[0].bmap)) >= 2
 
 
 def test_boundary_sum_of_solids_tracks_canonical():
     s = solid_for_label(-4, 1)
     want = canonical_mesh(-4, 1)
-    assert sorted(map(sorted, s.boundary.triangles)) == \
+    assert sorted(map(sorted, s.ends[0].mesh.triangles)) == \
         sorted(map(sorted, want.triangles))
 
 

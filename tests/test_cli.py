@@ -309,3 +309,27 @@ def test_unexpected_exception_is_one_internal_error_line(
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: planner bug second line\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999",
+                                   "-99999999999999999999"])
+def test_surface_gen_huge_label_is_an_input_error(tmp_path, label):
+    proc = run_argv(["surface", "gen", label,
+                     "--out", str(tmp_path / "s.json")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "must be at most" in proc.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "build", "verify"])
+@pytest.mark.parametrize("label", [99999999999999999999,
+                                   -99999999999999999999])
+def test_graph_with_huge_label_is_an_input_error(tmp_path, capsys, command,
+                                                 label):
+    doc = dict(MINIMAL, edges=[{"u": "a", "v": "b", "r": label}])
+    assert main([command, write(tmp_path, "g.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: edge label out of range")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
