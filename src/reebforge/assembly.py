@@ -179,17 +179,16 @@ def validate_manifold(m: Manifold3) -> CheckReport:
     except ComplexError as exc:
         checks.append(("links", False, str(exc)))
         chi = euler_from_faces(m.cx, fm)
-    # connectivity over tets through shared faces
+    # connectivity over tets through shared faces; no tets is no manifold
     n = len(m.cx.tets)
-    if n:
-        uf = UnionFind(n)
-        for ts in fm.values():
-            for t in ts:
-                uf.union(t, ts[0])
-        roots = [uf.find(t) for t in range(n)]
-        reached = roots.count(roots[0])
-        checks.append(("connected", reached == n,
-                       f"{reached}/{n} tetrahedra"))
+    uf = UnionFind(n)
+    for ts in fm.values():
+        for t in ts:
+            uf.union(t, ts[0])
+    roots = [uf.find(t) for t in range(n)]
+    reached = roots.count(roots[0]) if n else 0
+    checks.append(("connected", 0 < reached == n,
+                   f"{reached}/{n} tetrahedra"))
     checks.append(("euler", chi == 0, f"chi = {chi}"))
     ok = len(m.provenance) == len(m.cx.tets) and \
         all(kind in ("vertex", "edge") for kind, _ in m.provenance)
@@ -254,24 +253,31 @@ def manifold_to_dict(m: Manifold3) -> dict:
 
 def manifold_from_dict(doc) -> Manifold3:
     """Parse a manifold document; shape and index-range errors raise
-    ValueError."""
+    ValueError.  Counts and ids are JSON integers: neither a boolean nor
+    a float is read as one."""
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     try:
-        nv = int(doc["vertices"])
+        nv = doc["vertices"]
         tets = [tuple(t) for t in doc["tetrahedra"]]
         values = [parse_rational(v) for v in doc["values"]]
-        prov = [(str(k), int(i)) for k, i in doc.get("provenance", [])]
+        prov = [(str(k), i) for k, i in doc.get("provenance", [])]
         vv = [parse_rational(v) for v in doc.get("vertex_values", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad manifold document: {exc}") from exc
+    if type(nv) is not int:
+        raise ValueError(f"vertex count {nv!r} is not an integer")
     if len(values) != nv:
         raise ValueError(f"{len(values)} values for {nv} vertices")
     for t in tets:
-        if len(t) != 4 or not all(isinstance(v, int) and 0 <= v < nv
+        if len(t) != 4 or not all(type(v) is int and 0 <= v < nv
                                   for v in t):
             raise ValueError(f"tetrahedron {list(t)} is not 4 vertex ids "
                              f"in 0..{nv - 1}")
+    for k, i in prov:
+        if type(i) is not int:
+            raise ValueError(f"provenance record {[k, i]} has no integer "
+                             "index")
     return Manifold3(TetComplex(nv, tets), values, prov, vv)
 
 

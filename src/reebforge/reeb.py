@@ -6,7 +6,9 @@ cell's vertices sit on layer values, so a cell meeting an open slab spans
 it.  Slab components come from union-find over cells joined across shared
 faces, a level's components are classes of the slab components on either
 side and its flat cells, and each slab component touches exactly one
-level component at each end.
+level component at each end.  Each distinct slab slice is classified
+once per extraction: the slabs of a product region slice to the same
+surface.
 
 A level component is treated as certainly singular when it contains a
 cell on which the function is constant (the PL stand-in for a fat
@@ -247,7 +249,9 @@ def _slice_cells(sw: _Sweep, members, level: int):
     return pts, SurfaceMesh(len(pts), tris), None
 
 
-def _slab_label(sw: _Sweep, members, level: int) -> int:
+def _slab_label(sw: _Sweep, members, level: int, labels: dict) -> int:
+    """Label of the slice of members; labels holds those of the surface
+    slices already classified, keyed by what classify_surface reads."""
     pts, mesh, segs = _slice_cells(sw, members, level)
     if segs is not None:
         # 1-manifold slice: count circles, report count - 1
@@ -255,11 +259,15 @@ def _slab_label(sw: _Sweep, members, level: int) -> int:
         for a, b in segs:
             uf.union(a, b)
         return len(uf.groups(range(len(pts)))) - 1
-    comps = classify_surface(mesh)
-    if len(comps) != 1:
-        raise ReebError(
-            f"slab slice split into {len(comps)} pieces; sweep is corrupt")
-    return comps[0].label
+    key = (mesh.nv, tuple(mesh.triangles))
+    label = labels.get(key)
+    if label is None:
+        comps = classify_surface(mesh)
+        if len(comps) != 1:
+            raise ReebError(
+                f"slab slice split into {len(comps)} pieces; sweep is corrupt")
+        label = labels[key] = comps[0].label
+    return label
 
 
 def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
@@ -273,6 +281,7 @@ def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
     pin_set = set(pin_values)
     node_values, node_pinned, edges = [], [], []
     below_node, below_label = [], []
+    labels = {}             # surface slice -> label, for this call only
     for i, below, above, classes, carried in _levels(sw):
         nb, na = len(below), len(above)
         node_of = [0] * (nb + na + len(sw.flat_cells[i]))
@@ -287,7 +296,8 @@ def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
         edges += zip(below_node, node_of[:nb], below_label)
         below_node = node_of[nb:nb + na]
         # a regular level component leaves the slice unchanged
-        below_label = [below_label[k] if k >= 0 else _slab_label(sw, comp, i)
+        below_label = [below_label[k] if k >= 0 else
+                       _slab_label(sw, comp, i, labels)
                        for comp, k in zip(above, carried)]
     return _contract(node_values, node_pinned, edges)
 

@@ -306,7 +306,7 @@ def mesh_to_dict(mesh: SurfaceMesh) -> dict:
 
 def mesh_from_dict(doc) -> SurfaceMesh:
     """Parse a mesh document; shape and index-range errors raise
-    MeshError."""
+    MeshError.  Vertex ids are JSON integers, never booleans."""
     try:
         nv = len(doc["vertices"])
         tris = [tuple(t) for t in doc["triangles"]]
@@ -316,7 +316,7 @@ def mesh_from_dict(doc) -> SurfaceMesh:
     if not tris:
         raise MeshError("mesh has no triangles")
     for t in tris:
-        if len(t) != 3 or not all(isinstance(v, int) and 0 <= v < nv
+        if len(t) != 3 or not all(type(v) is int and 0 <= v < nv
                                   for v in t):
             raise MeshError(f"triangle {list(t)} is not 3 vertex ids "
                             f"in 0..{nv - 1}")

@@ -186,14 +186,56 @@ ONE_TET = {"vertices": 4, "tetrahedra": [[0, 1, 2, 3]],
     (["surface", "classify"], {"vertices": [0, 1, 2],
                                "triangles": [[0, 1, 5]]}),
     (["surface", "classify"], {"vertices": [], "triangles": []}),
+    # the boundary of a tetrahedron, if true were read as vertex 1
+    (["surface", "classify"], {"vertices": [0, 1, 2, 3],
+                               "triangles": [[0, True, 2], [0, 1, 3],
+                                             [0, 2, 3], [1, 2, 3]]}),
 ], ids=["truncated-values", "top-level-array", "three-vertex-tet",
         "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
-        "no-triangles"])
+        "no-triangles", "boolean-triangle-vertex"])
 def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     proc = run_cli(tmp_path, argv, doc)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+def _tet_vertex_true(doc):
+    # a vertex 1 of some tet written as true
+    t = next(t for t in doc["tetrahedra"] if 1 in t)
+    t[t.index(1)] = True
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(vertices=doc["vertices"] + 0.7),
+    lambda doc: doc.update(vertices=float(doc["vertices"])),
+    lambda doc: doc.update(vertices=str(doc["vertices"])),
+    _tet_vertex_true,
+    lambda doc: doc["provenance"][0].__setitem__(1, 0.0),
+    lambda doc: doc["provenance"][0].__setitem__(1, False),
+], ids=["fractional-count", "float-count", "string-count",
+        "boolean-tet-vertex", "float-provenance-index",
+        "boolean-provenance-index"])
+def test_manifold_counts_and_ids_are_json_integers(tmp_path, corrupt):
+    # each document reads back as the built manifold if the value were
+    # taken for the integer it stands near
+    mpath = tmp_path / "m.json"
+    main(["build", write(tmp_path, "g.json", MINIMAL), "--out", str(mpath)])
+    doc = json.loads(mpath.read_text())
+    corrupt(doc)
+    proc = run_cli(tmp_path, ["extract"], doc)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_extract_empty_complex_is_not_a_manifold(tmp_path):
+    proc = run_cli(tmp_path, ["extract"],
+                   {"vertices": 0, "tetrahedra": [], "values": []})
+    assert proc.returncode == 3, proc.stderr
+    assert "[FAIL] connected: 0/0 tetrahedra" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_extract_constant_function_is_a_domain_rejection(tmp_path):

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reebforge import reeb
 from reebforge.blocks import (build_junction, cylinder_block,
                               elementary_junction, plan_junction)
 from reebforge.canonical import canonical_mesh
@@ -17,7 +18,7 @@ from reebforge.reeb import (ReebEdge, ReebError, ReebGraph, ReebNode,
                             _contract, _levels, _prepare, _slab_label,
                             _slice_cells, labeled_isomorphic, level_set_of,
                             reeb_graph_of)
-from reebforge.surfaces import classify_labels
+from reebforge.surfaces import classify_labels, classify_surface
 from reebforge.unionfind import UnionFind
 
 
@@ -516,7 +517,7 @@ def sweep_reference(cells, values, pin_values=()) -> ReebGraph:
         for comp in components_reference(sw, i, i + 1):
             rep = comp[0]
             edges.append((level_comp_of[i][rep], level_comp_of[i + 1][rep],
-                          _slab_label(sw, comp, i)))
+                          _slab_label(sw, comp, i, {})))
     return _contract(node_values, node_pinned, edges)
 
 
@@ -615,3 +616,28 @@ def test_sweep_matches_reference_on_corrupt_input(i, identify, seed):
             del cells[rng.randrange(len(cells))]
     assert (_outcome(reeb_graph_of, cells, values, pins) ==
             _outcome(sweep_reference, cells, values, pins))
+
+
+@pytest.mark.parametrize("r", [0, 1, -1, -2])
+def test_product_slices_are_classified_once_per_extraction(r, monkeypatch):
+    # values rising layer by layer carry no level: every slab is sliced,
+    # and the four slices of the product are one surface
+    mesh = canonical_mesh(r, 1)
+    tets = surface_prism(mesh, 4).complex.tets
+    values = [F(j) for j in range(5) for _ in range(mesh.nv)]
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return classify_surface(m)
+
+    monkeypatch.setattr(reeb, "classify_surface", spy)
+    got = reeb_graph_of(tets, values)
+    assert len(calls) == 1
+    # the memo lives for one call: a second call classifies afresh
+    assert reeb_graph_of(tets, values) == got
+    assert len(calls) == 2
+    # the reference classifies every slab
+    assert sweep_reference(tets, values) == got
+    assert len(calls) == 6
+    assert [(e.a, e.b, e.label) for e in got.edges] == [(0, 1, r)]
