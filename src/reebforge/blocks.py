@@ -1,6 +1,6 @@
 """Local pieces of the realization: product cylinders, extremum caps,
-junction blocks with one singular value, merge operations, the junction
-planner, and the parabola fold for extremum vertices.
+junction blocks with one singular value, the junction planner, and the
+parabola fold for extremum vertices.
 
 A junction block is a constant-value connector solid at the singular level
 with a product cylinder hanging off each boundary surface.  The connector
@@ -9,12 +9,11 @@ one thickened projective plane per pair of odd-chi ones, chained together
 by interior connected sums ("bridges": remove an interior tetrahedron on
 each side and join the exposed sphere sockets with a spherical shell).
 
-Merging two blocks at the same singular value is another bridge between
-their connectors (disjoint-union merge).
+The cells of a junction plan are joined at the singular value by more
+bridges between their connectors, all in one merge.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -32,7 +31,7 @@ CYL_SEGS = 2          # segments per block cylinder; layers 0..CYL_SEGS
 
 
 class BlockError(ValueError):
-    """Raised for inadmissible block constructions or merges."""
+    """Raised for inadmissible block constructions."""
 
 
 _TETRA_SPHERE = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -77,6 +76,7 @@ class Block:
     singular_values: list[Fraction]
     boundary: list[BoundaryComponent]
     refinement: int
+    # a junction cell's spare interior tets, sockets for joining cells
     bridge_tets: list[int] = field(default_factory=list)
     kind: str = "block"
 
@@ -97,16 +97,6 @@ class Block:
 
     def labels(self, side: str) -> list[int]:
         return sorted(c.label for c in self.boundary if c.side == side)
-
-    def remap(self, vmap, tmap: dict[int, int], toff: int):
-        """Copies of the boundary components and bridge tets carried into
-        a merged complex: vmap and tmap + toff send old vertices and
-        surviving tets to new ones.  The block itself is left as it is."""
-        boundary = [replace(comp, layer_ids=[[vmap[v] for v in layer]
-                                             for layer in comp.layer_ids])
-                    for comp in self.boundary]
-        return boundary, [toff + tmap[t] for t in self.bridge_tets
-                          if t in tmap]
 
 
 def glued_values(nv: int, vmaps, part_values) -> list[Fraction]:
@@ -189,9 +179,7 @@ def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
         _prism_values(mesh.nv, extreme_value, boundary_value, CYL_SEGS)])
     comp = _end_component("top" if rising else "bottom", boundary_value,
                           label, prod, vmaps[1], range(CYL_SEGS, -1, -1))
-    # the collar's outer layer is the whole boundary of the cap
-    return Block(cx, values, [extreme_value], [comp], refinement,
-                 find_interior_tets(cx, comp.cmap)[:4], kind="cap")
+    return Block(cx, values, [extreme_value], [comp], refinement, kind="cap")
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +204,9 @@ def _bridge_parts(cxs: list[TetComplex], sockets: list[list[int]]):
     """Chain the complexes with interior connected sums: remove the tets
     sockets[i] from cxs[i] and join the last socket of each complex to the
     first of the next with a spherical shell.  Returns the parts (the
-    complexes, then the shells), the identifications, and each complex's
-    remove_tets tet map."""
-    parts, tmaps, ident = [], [], []
-    for cx, drop in zip(cxs, sockets):
-        part, tmap = remove_tets(cx, set(drop))
-        parts.append(part)
-        tmaps.append(tmap)
+    complexes, then the shells) and the identifications."""
+    parts = [remove_tets(cx, set(drop)) for cx, drop in zip(cxs, sockets)]
+    ident = []
     n = len(cxs)
     for i in range(n - 1):
         left = sorted(cxs[i].tets[sockets[i][-1]])
@@ -231,7 +215,7 @@ def _bridge_parts(cxs: list[TetComplex], sockets: list[list[int]]):
         for k in range(4):
             ident.append((i, left[k], n + i, k))
             ident.append((i + 1, right[k], n + i, 8 + k))
-    return parts, ident, tmaps
+    return parts, ident
 
 
 def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
@@ -274,8 +258,7 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
         if len(interior) < need:
             raise BlockError("piece lacks interior tets for bridging")
         sockets.append(interior[:need])
-    parts, ident, _ = _bridge_parts([solid.cx for solid, _ in pieces],
-                                    sockets)
+    parts, ident = _bridge_parts([solid.cx for solid, _ in pieces], sockets)
     part_values = [[a] * p.nv for p in parts]   # pieces and bridge shells
 
     # cylinders: one per end, glued along the inner layer
@@ -333,64 +316,14 @@ def elementary_junction(kind: str, a1, a, a2, refinement: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# merges
-# ---------------------------------------------------------------------------
-
-def _as_mergeable(b: Block, a: Fraction) -> Block:
-    """Cylinders have no singular value; give them a marked pass-through
-    level before merging."""
-    if b.singular_values:
-        if b.singular_values != [a]:
-            raise BlockError("blocks disagree on the singular value")
-        return b
-    if b.kind != "cylinder":
-        raise BlockError("cannot merge a block without a singular value")
-    if not b.a1 < a < b.a2:
-        raise BlockError("marked level must be interior to the cylinder")
-    label = b.boundary[0].label
-    return junction_cell([label], [label], b.a1, a, b.a2, b.refinement)
-
-
-def _merge_singular_value(b1: Block, b2: Block) -> Fraction:
-    sv = set(b1.singular_values) | set(b2.singular_values)
-    if len(sv) == 1:
-        return next(iter(sv))
-    if not sv:
-        if (b1.a1, b1.a2) != (b2.a1, b2.a2):
-            raise BlockError("cylinders must share their interval to merge")
-        return b1.a1 + (b1.a2 - b1.a1) / 2
-    raise BlockError("blocks disagree on the singular value")
-
-
-def merge_disjoint_union(b1: Block, b2: Block) -> Block:
-    """Join two blocks at their shared singular level; boundary components
-    pass through untouched on both sides."""
-    a = _merge_singular_value(b1, b2)
-    b1 = _as_mergeable(b1, a)
-    b2 = _as_mergeable(b2, a)
-    if b1.refinement != b2.refinement:
-        raise BlockError("refinement mismatch")
-    if not b1.bridge_tets or not b2.bridge_tets:
-        raise BlockError("no spare bridge material left")
-    parts, ident, tmaps = _bridge_parts(
-        [b1.cx, b2.cx], [b1.bridge_tets[:1], b2.bridge_tets[:1]])
-    cx, vmaps, toffs = merge_complexes(parts, ident)
-    values = glued_values(cx.nv, vmaps,
-                          [b1.values, b2.values, [a] * parts[2].nv])
-    boundary1, bridge1 = b1.remap(vmaps[0], tmaps[0], toffs[0])
-    boundary2, bridge2 = b2.remap(vmaps[1], tmaps[1], toffs[1])
-    return Block(cx, values, [a], boundary1 + boundary2, b1.refinement,
-                 bridge1[1:] + bridge2[1:], kind="junction")
-
-
-# ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Plan:
-    """Junction cells, each a (bottom labels, top labels) pair, joined in
-    order by disjoint-union merges, with the target label multisets."""
+    """Junction cells, each a (bottom labels, top labels) pair, joined at
+    the singular value by build_junction, with the target label
+    multisets."""
 
     cells: list[tuple[list[int], list[int]]]
     bottom: list[int]
@@ -462,15 +395,54 @@ def plan_junction(bottom, top) -> Plan:
 
 
 def build_junction(plan: Plan, a1, a, a2, refinement: int = 1) -> Block:
-    """Build each cell of a plan as a junction cell and fold them together
-    with disjoint-union merges."""
+    """Build each cell of a plan as a junction cell and join the cells at
+    the singular value in one merge.  Each next cell bridges its first
+    spare tet to the oldest spare socket of the cells before it, which
+    also gives up the socket after that one.  Vertices and tets are
+    numbered as if the cells were joined one at a time, in order."""
     a1, a, a2 = Fraction(a1), Fraction(a), Fraction(a2)
     got = evaluate_plan(plan)
     want = (sorted(plan.bottom), sorted(plan.top))
     if not plan.cells or got != want:
         raise BlockError(f"plan cells add up to {got}, plan promised {want}")
-    return functools.reduce(merge_disjoint_union, (
-        junction_cell(b, t, a1, a, a2, refinement) for b, t in plan.cells))
+    cells = [junction_cell(b, t, a1, a, a2, refinement)
+             for b, t in plan.cells]
+    if len(cells) == 1:
+        return cells[0]
+    # parts: cell 0, then each next cell k and its shell at parts 2k - 1
+    # and 2k; home sends each corner a shell absorbed, as (part, vertex),
+    # to the shell vertex it became
+    spare = [(0, t) for t in cells[0].bridge_tets]
+    used: list[set[int]] = [set() for _ in cells]
+    home: dict[tuple[int, int], tuple[int, int]] = {}
+    ident = []
+    for k, cell in enumerate(cells[1:], 1):
+        if not spare or not cell.bridge_tets:
+            raise BlockError("no spare bridge material left")
+        (i, t), u = spare[0], cell.bridge_tets[0]
+        spare = spare[2:] + [(k, v) for v in cell.bridge_tets[2:]]
+        used[i].add(t)
+        used[k].add(u)
+        left = sorted(((max(0, 2 * i - 1), v) for v in cells[i].cx.tets[t]),
+                      key=lambda c: home.get(c, c))
+        right = [(2 * k - 1, v) for v in sorted(cell.cx.tets[u])]
+        # the earlier side glues to the shell's layer 0, cell k to layer 2
+        for corner, sv in zip(left + right, (0, 1, 2, 3, 8, 9, 10, 11)):
+            ident.append((*corner, 2 * k, sv))
+            home[corner] = (2 * k, sv)
+    shell = surface_prism(_TETRA_SPHERE, 2).complex
+    parts = [remove_tets(cells[0].cx, used[0])]
+    part_values = [cells[0].values]
+    for cell, drop in zip(cells[1:], used[1:]):
+        parts += [remove_tets(cell.cx, drop), shell]
+        part_values += [cell.values, [a] * shell.nv]
+    cx, vmaps, _ = merge_complexes(parts, ident)
+    values = glued_values(cx.nv, vmaps, part_values)
+    boundary = [replace(comp, layer_ids=[[vm[v] for v in layer]
+                                         for layer in comp.layer_ids])
+                for cell, vm in zip(cells, vmaps[:1] + vmaps[1::2])
+                for comp in cell.boundary]
+    return Block(cx, values, [a], boundary, refinement, kind="junction")
 
 
 # ---------------------------------------------------------------------------

@@ -269,16 +269,10 @@ def cone_complex(mesh: SurfaceMesh, base_offset: int = 0,
 # surgery and unions
 # ---------------------------------------------------------------------------
 
-def remove_tets(cx: TetComplex, drop: set[int]):
-    """Delete tets by index; returns the new complex and old->new tet map."""
-    tets = []
-    tmap: dict[int, int] = {}
-    for ti, t in enumerate(cx.tets):
-        if ti in drop:
-            continue
-        tmap[ti] = len(tets)
-        tets.append(t)
-    return TetComplex(cx.nv, tets), tmap
+def remove_tets(cx: TetComplex, drop: set[int]) -> TetComplex:
+    """Delete tets by index, keeping the others in order."""
+    return TetComplex(cx.nv, [t for ti, t in enumerate(cx.tets)
+                              if ti not in drop])
 
 
 def merge_complexes(parts: list[TetComplex],

@@ -306,13 +306,15 @@ def mesh_to_dict(mesh: SurfaceMesh) -> dict:
 
 def mesh_from_dict(doc) -> SurfaceMesh:
     """Parse a mesh document; shape and index-range errors raise
-    MeshError.  Vertex ids are JSON integers, never booleans."""
+    MeshError.  Vertices are a JSON list, vertex ids JSON integers."""
     try:
         nv = len(doc["vertices"])
         tris = [tuple(t) for t in doc["triangles"]]
         spares = list(doc.get("spares", []))
     except (KeyError, TypeError) as exc:
         raise MeshError(f"bad mesh document: {exc}") from exc
+    if type(doc["vertices"]) is not list:
+        raise MeshError("mesh vertices are not a JSON list")
     if not tris:
         raise MeshError("mesh has no triangles")
     for t in tris:

@@ -232,7 +232,7 @@ def test_every_check_matches_its_reference(i, seed, holes, glue, stray,
     rng = Random(seed)
     m = _assembled(i)
     drop = set(rng.sample(range(len(m.cx.tets)), holes))
-    cx, _ = remove_tets(m.cx, drop)
+    cx = remove_tets(m.cx, drop)
     provenance = [p for ti, p in enumerate(m.provenance) if ti not in drop]
     if stray:
         cx = TetComplex(cx.nv + 4, cx.tets + [tuple(range(cx.nv,

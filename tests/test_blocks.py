@@ -1,3 +1,5 @@
+import functools
+from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -5,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reebforge import blocks
-from reebforge.blocks import (Block, BlockError, block_from_dict,
+from reebforge.blocks import (Block, BlockError, Plan, block_from_dict,
                               block_to_dict, block_to_json, build_junction,
                               cap_block, cylinder_block, elementary_junction,
-                              fold_block, glued_values,
-                              junction_cell, merge_disjoint_union,
-                              plan_junction, verify_block)
-from reebforge.complexes import TetComplex, boundary_faces, merge_complexes
+                              evaluate_plan, fold_block, glued_values,
+                              junction_cell, plan_junction, verify_block)
+from reebforge.complexes import (TetComplex, boundary_faces, merge_complexes,
+                                 remove_tets, surface_prism)
 from reebforge.graphs import euler_char, is_odd_chi
 from reebforge.reeb import level_set_of
 from reebforge.surfaces import classify_labels
@@ -139,7 +141,7 @@ def test_generic_cell_pass_through():
 
 
 # ---------------------------------------------------------------------------
-# merges
+# joining the cells of a plan
 # ---------------------------------------------------------------------------
 
 def test_glued_values_reject_a_clash():
@@ -150,48 +152,76 @@ def test_glued_values_reject_a_clash():
 
 
 def test_disjoint_merge_of_projective_passes():
-    b1 = elementary_junction("projective_pass", F(0), F(1), F(2))
-    b2 = elementary_junction("projective_pass", F(0), F(1), F(2))
-    m = merge_disjoint_union(b1, b2)
+    """Two projective-pass cells joined at the singular value."""
+    plan = plan_junction([-1, -1], [-1, -1])
+    assert len(plan.cells) == 2
+    m = build_junction(plan, F(0), F(1), F(2))
     assert m.labels("bottom") == [-1, -1]
     assert m.labels("top") == [-1, -1]
     assert_verified(m)
 
 
-def test_disjoint_merge_of_cylinders():
-    b1 = cylinder_block(0, F(0), F(2))
-    b2 = cylinder_block(0, F(0), F(2))
-    m = merge_disjoint_union(b1, b2)
-    rep = assert_verified(m)
-    assert m.labels("bottom") == [0, 0] and m.labels("top") == [0, 0]
-    center = [i for i, n in enumerate(rep.reeb.nodes) if n.value == F(1)]
-    assert rep.reeb.degree(center[0]) == 4
-
-
 def test_disjoint_merge_mixed():
-    b1 = elementary_junction("projective_pass", F(0), F(1), F(2))
-    b2 = elementary_junction("sphere_to_torus", F(0), F(1), F(2))
-    m = merge_disjoint_union(b1, b2)
+    """A projective-pass cell joined to a sphere-to-torus cell."""
+    m = build_junction(plan_junction([-1, 0], [-1, 1]), F(0), F(1), F(2))
     assert m.labels("bottom") == [-1, 0]
     assert m.labels("top") == [-1, 1]
     assert_verified(m)
 
 
-def test_disjoint_merge_leaves_its_arguments_alone():
-    b1 = elementary_junction("projective_pass", F(0), F(1), F(2))
-    b2 = elementary_junction("sphere_to_torus", F(0), F(1), F(2))
-    before = block_to_json(b1), block_to_json(b2)
-    m = merge_disjoint_union(b1, b2)
-    assert (block_to_json(b1), block_to_json(b2)) == before
-    assert not {id(c) for c in m.boundary} & {
-        id(c) for c in b1.boundary + b2.boundary}
+def fold_reference(plan: Plan, a1, a, a2) -> Block:
+    """The reference for build_junction: fold the cells one at a time,
+    each merge bridging the first spare tet of the block so far to the
+    first of the next cell and keeping the spare tets after the first two
+    of each."""
+    def merge(b1: Block, b2: Block) -> Block:
+        if not b1.bridge_tets or not b2.bridge_tets:
+            raise BlockError("no spare bridge material left")
+        s1, s2 = b1.bridge_tets[0], b2.bridge_tets[0]
+        shell = surface_prism(blocks._TETRA_SPHERE, 2).complex
+        parts = [remove_tets(b1.cx, {s1}), remove_tets(b2.cx, {s2}), shell]
+        left, right = sorted(b1.cx.tets[s1]), sorted(b2.cx.tets[s2])
+        ident = []
+        for k in range(4):
+            ident.append((0, left[k], 2, k))
+            ident.append((1, right[k], 2, 8 + k))
+        cx, vmaps, toffs = merge_complexes(parts, ident)
+        values = glued_values(cx.nv, vmaps,
+                              [b1.values, b2.values, [a] * shell.nv])
+        boundary = [replace(c, layer_ids=[[vm[v] for v in layer]
+                                          for layer in c.layer_ids])
+                    for b, vm in ((b1, vmaps[0]), (b2, vmaps[1]))
+                    for c in b.boundary]
+        # each kept spare tet moves down by one past its block's socket
+        bridge = [toff + t - (t > s)
+                  for b, s, toff in ((b1, s1, toffs[0]), (b2, s2, toffs[1]))
+                  for t in b.bridge_tets[2:]]
+        return Block(cx, values, [a], boundary, b1.refinement, bridge,
+                     kind="junction")
+    return functools.reduce(merge, (junction_cell(b, t, a1, a, a2)
+                                    for b, t in plan.cells))
 
 
-def test_merge_requires_shared_singular_value():
-    b1 = elementary_junction("sphere_split", F(0), F(1), F(2))
-    b2 = elementary_junction("sphere_split", F(0), F(1, 2), F(2))
-    with pytest.raises(BlockError, match="singular"):
-        merge_disjoint_union(b1, b2)
+def _odd_made_even(cell):
+    bottom, top = cell
+    if sum(map(is_odd_chi, bottom + top)) % 2:
+        top = top + [-1]
+    return bottom, top
+
+
+_CELL = st.tuples(st.lists(st.integers(-3, 3), max_size=2),
+                  st.lists(st.integers(-3, 3), max_size=2)).filter(
+    lambda c: c[0] or c[1]).map(_odd_made_even)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_CELL, min_size=1, max_size=13))
+@example([([0], [0])] * 13)
+@example([([-3], [2, -1]), ([], [1]), ([-2, 0], [])] * 4 + [([1], [])])
+def test_one_merge_numbers_like_the_fold(cells):
+    plan = Plan(cells, *evaluate_plan(Plan(cells, [], [])))
+    got = block_to_json(build_junction(plan, 0, 1, 2))
+    assert got == block_to_json(fold_reference(plan, F(0), F(1), F(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +302,8 @@ def _chi_parity(labels):
     lambda: elementary_junction("sphere_to_projective_pair",
                                 F(0), F(1), F(2)),
     lambda: junction_cell([-1, -3], [2, -2], F(0), F(1), F(2)),
-    lambda: merge_disjoint_union(
-        elementary_junction("projective_pass", F(0), F(1), F(2)),
-        elementary_junction("sphere_to_torus", F(0), F(1), F(2))),
+    lambda: build_junction(plan_junction([-1, 0], [-1, 1]),
+                           F(0), F(1), F(2)),
 ])
 def test_chi_parity_conserved_across_sides(builder):
     b = builder()
@@ -338,12 +367,3 @@ def test_junction_interior_tets_match_the_face_map(bottom, top):
         bottom = bottom + [-1]
     with checked_interior_tets():
         build_junction(plan_junction(bottom, top), 0, 1, 2)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from([l for l in range(-6, 7) if euler_char(l) % 2 == 0]),
-       st.booleans())
-def test_cap_bridge_tets_match_the_face_map(label, rising):
-    with checked_interior_tets():
-        b = cap_block(label, 0, 1) if rising else cap_block(label, 1, 0)
-    assert b.bridge_tets == face_map_interior(b.cx)[:4]

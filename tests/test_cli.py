@@ -176,6 +176,7 @@ def run_cli(tmp_path, argv, doc):
 
 ONE_TET = {"vertices": 4, "tetrahedra": [[0, 1, 2, 3]],
            "values": ["0/1", "1/1", "2/1", "3/1"]}
+TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
 
 @pytest.mark.parametrize("argv,doc", [
@@ -190,9 +191,16 @@ ONE_TET = {"vertices": 4, "tetrahedra": [[0, 1, 2, 3]],
     (["surface", "classify"], {"vertices": [0, 1, 2, 3],
                                "triangles": [[0, True, 2], [0, 1, 3],
                                              [0, 2, 3], [1, 2, 3]]}),
+    # the same boundary with the vertex count read off a string or an
+    # object, if len() of any value were taken
+    (["surface", "classify"], {"vertices": "abcd",
+                               "triangles": TETRA_BOUNDARY}),
+    (["surface", "classify"], {"vertices": {"a": 1, "b": 2, "c": 3, "d": 4},
+                               "triangles": TETRA_BOUNDARY}),
 ], ids=["truncated-values", "top-level-array", "three-vertex-tet",
         "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
-        "no-triangles", "boolean-triangle-vertex"])
+        "no-triangles", "boolean-triangle-vertex", "string-vertices",
+        "object-vertices"])
 def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     proc = run_cli(tmp_path, argv, doc)
     assert proc.returncode == 2, proc.stderr

@@ -51,11 +51,10 @@ def test_remove_interior_tet_leaves_manifold():
     interior = find_interior_tets(
         prod.complex, prod.layer_vertices(0) + prod.layer_vertices(3))
     assert interior
-    cx, tmap = remove_tets(prod.complex, {interior[0]})
+    cx = remove_tets(prod.complex, {interior[0]})
     validate_complex(cx)
     bmesh, _ = boundary_surface(cx)
     assert classify_labels(bmesh) == [0, 0, 0]
-    assert interior[0] not in tmap
 
 
 def test_merge_identifies_vertices():
@@ -357,7 +356,7 @@ def test_link_check_matches_reference(i, seed, holes, glue):
     rng = Random(seed)
     cx = _base(i)
     drop = set(rng.sample(range(len(cx.tets)), min(holes, len(cx.tets) - 1)))
-    cx, _ = remove_tets(cx, drop)
+    cx = remove_tets(cx, drop)
     if glue:
         u = rng.choice(rng.choice(cx.tets))
         if glue == "near":

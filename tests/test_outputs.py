@@ -1,5 +1,5 @@
 """Pinned outputs: manifold and Reeb graph JSON of three corpus graphs,
-and the JSON of junction, cap, merged and folded blocks, must stay
+and the JSON of junction, cap and folded blocks, must stay
 byte-identical.  A refactor that changes any of these digests
 changes the construction or the extraction; update a digest only together
 with a note on why the output moved."""
@@ -9,9 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from reebforge.assembly import assemble, extract_reeb, manifold_to_json
-from reebforge.blocks import (block_to_json, build_junction, cap_block,
-                              cylinder_block, elementary_junction, fold_block,
-                              merge_disjoint_union, plan_junction)
+from reebforge.blocks import (Plan, block_to_json, build_junction, cap_block,
+                              elementary_junction, fold_block, plan_junction)
 from reebforge.corpus import realizable_corpus
 
 
@@ -73,6 +72,16 @@ JUNCTIONS = {
         "9670deb69755279a315ceab9447a4bf65bca47fc663e984392e30afb97dac065",
     ((-1, 2), (-1,)):
         "d9792e191bb4620a767a2f4b94cbc0a08dc8d565bc034ffebe3561d5a25b033c",
+    # plans of 5, 9, 13 and 5 cells: cell 0 has spare sockets for four
+    # later cells, and the cells after those bridge to later cells
+    ((0,) * 5, (0,) * 5):
+        "8adc0da04e48006b1ee041795e1efc3cb5778fd5478d818934c18a395d22c830",
+    ((0,) * 9, (0,) * 9):
+        "f1e5c725b7163a6953df49d89122ff0806c2b4e10992ca83435820b688989c42",
+    ((0,) * 13, (0,) * 13):
+        "28484a5c935b6e86455b0eafdc838dcee91dbedd8b111893f629c600b2c02283",
+    ((-1, -1, -3, 2), (1, -2, -1, 0, 0)):
+        "93b1436e1f5a4dacf8d56e7576832e76cb5bc71e8de9309a8936359c14434ddc",
 }
 
 
@@ -97,9 +106,10 @@ def test_cap_outputs_are_pinned(label):
     assert sha(block_to_json(cap_block(label, 0, 1))) == CAPS[label]
 
 
-def test_cylinder_merge_output_is_pinned():
-    m = merge_disjoint_union(cylinder_block(0, F(0), F(2)),
-                             cylinder_block(0, F(0), F(2)))
+def test_pass_through_pair_output_is_pinned():
+    """Two cells that each pass one sphere through the singular level."""
+    m = build_junction(Plan([([0], [0]), ([0], [0])], [0, 0], [0, 0]),
+                       0, 1, 2)
     assert sha(block_to_json(m)) == \
         "40561d13bef86065dc6698c42c5212a467c1bdd16c397961e0bd2b25c621762d"
 
