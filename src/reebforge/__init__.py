@@ -6,8 +6,7 @@ from .graphs import (Edge, GraphError, LabeledGraph, RealizabilityReport,
                      graph_to_dot, is_odd_chi, parse_graph, serialize_graph,
                      vertex_profile)
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
-                       connected_sum_label, connected_sum_mesh,
-                       mesh_to_json, mesh_to_off)
+                       connected_sum_label, mesh_to_json, mesh_to_off)
 from .anchors import AnchorError, PolygonScheme, common_refinement, \
     scheme_for_label
 from .canonical import canonical_mesh, generate_surface, solid_for_label

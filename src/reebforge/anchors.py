@@ -84,12 +84,6 @@ class PolygonScheme:
                 f"{euler_char(self.label)}")
         return chi
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "word": "".join(s + ("" if e == 1 else "'") for s, e in self.word),
-        }
-
 
 def _square_perimeter_point(p: Fraction) -> Point:
     """Point at perimeter parameter p in [0,4) of the unit square, CCW."""
@@ -167,14 +161,6 @@ class SchemeAnchor:
     points: list[Point]
     poly_triangles: list[tuple[int, int, int]]
     to_mesh: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.to_dict(),
-            "points": [[str(x), str(y)] for x, y in self.points],
-            "poly_triangles": [list(t) for t in self.poly_triangles],
-            "to_mesh": list(self.to_mesh),
-        }
 
 
 def check_anchor(mesh: SurfaceMesh):

@@ -304,14 +304,11 @@ JUNCTION_KINDS = {
 }
 
 
-def elementary_junction(kind: str, a1, a, a2, refinement: int = 1,
-                        flip: bool = False) -> Block:
-    """The named junction shapes; flip exchanges bottom and top."""
+def elementary_junction(kind: str, a1, a, a2, refinement: int = 1) -> Block:
+    """The named junction shapes."""
     if kind not in JUNCTION_KINDS:
         raise BlockError(f"unknown junction kind {kind!r}")
     bottom, top = JUNCTION_KINDS[kind]
-    if flip:
-        bottom, top = top, bottom
     return junction_cell(list(bottom), list(top), a1, a, a2, refinement)
 
 
@@ -328,16 +325,6 @@ class Plan:
     cells: list[tuple[list[int], list[int]]]
     bottom: list[int]
     top: list[int]
-
-    def to_json(self) -> str:
-        return json.dumps({"bottom": self.bottom, "top": self.top,
-                           "cells": self.cells}, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "Plan":
-        doc = json.loads(text)
-        return Plan([(list(b), list(t)) for b, t in doc["cells"]],
-                    list(doc["bottom"]), list(doc["top"]))
 
 
 class PlanError(ValueError):
@@ -523,23 +510,6 @@ def block_to_dict(b: Block) -> dict:
         "refinement": b.refinement,
         "kind": b.kind,
     }
-
-
-def block_from_dict(doc) -> Block:
-    from .graphs import parse_rational
-    cx = TetComplex(int(doc["vertices"]),
-                    [tuple(t) for t in doc["tetrahedra"]])
-    values = [parse_rational(v) for v in doc["values"]]
-    singular = [parse_rational(v) for v in doc["singular_values"]]
-    boundary = []
-    for c in doc["boundary"]:
-        mesh = SurfaceMesh(int(c["mesh"]["vertices"]),
-                           [tuple(t) for t in c["mesh"]["triangles"]])
-        boundary.append(BoundaryComponent(
-            c["side"], parse_rational(c["value"]), int(c["label"]), mesh,
-            [list(l) for l in c["layers"]]))
-    return Block(cx, values, singular, boundary,
-                 int(doc.get("refinement", 1)), kind=doc.get("kind", "block"))
 
 
 def block_to_json(b: Block) -> str:

@@ -52,9 +52,9 @@ def find_interior_tets(cx: TetComplex, boundary) -> list[int]:
     return [ti for ti, t in enumerate(cx.tets) if bv.isdisjoint(t)]
 
 
-def validate_complex(cx: TetComplex, closed: bool = False):
+def validate_complex(cx: TetComplex):
     """Manifold check: face pairing plus sphere/disk vertex links."""
-    validate_faces(cx, face_map(cx), closed)
+    validate_faces(cx, face_map(cx))
 
 
 # a sorted tet (a, b, c, d) has vertex slots 0-3 and edge slots 0-5, edge
@@ -89,7 +89,7 @@ def _slot_classes(fm: FaceMap, st: list[Tet], w: int, slots) -> UnionFind:
     return uf
 
 
-def validate_faces(cx: TetComplex, fm: FaceMap, closed: bool = False) -> int:
+def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
     """validate_complex on the face map of cx, already built; returns the
     Euler characteristic of cx.
 
@@ -131,8 +131,6 @@ def validate_faces(cx: TetComplex, fm: FaceMap, closed: bool = False) -> int:
         chi[b] -= 1
         chi[c] -= 1
         if len(ts) == 1:
-            if closed:
-                raise ComplexError(f"boundary triangle {f} in closed complex")
             boundary[a] = boundary[b] = boundary[c] = 1
     # one class per edge, or the link of one end pinches at the other; the
     # union-finds are built one after the other to bound peak memory

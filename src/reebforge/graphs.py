@@ -7,8 +7,9 @@ surface of genus r, r < 0 the closed non-orientable surface of genus -r.
 from __future__ import annotations
 
 import json
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .unionfind import UnionFind
@@ -32,13 +33,16 @@ def is_odd_chi(r: int) -> bool:
     return r < 0 and abs(r) % 2 == 1
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
-    """Accept 'p/q' strings, bare integer strings, or ints."""
-    if isinstance(value, bool):
-        raise GraphError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """Accept ints, and strings of an optional sign and digits, optionally
+    followed by '/' and digits.  Decimals and exponents are refused, so
+    the cost of a value is bounded by its length."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -74,16 +78,6 @@ class LabeledGraph:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def vertex_index(self, v) -> int:
-        if isinstance(v, int):
-            if not 0 <= v < self.n:
-                raise GraphError(f"unknown vertex id: {v}")
-            return v
-        try:
-            return self.names.index(str(v))
-        except ValueError:
-            raise GraphError(f"unknown vertex id: {v!r}") from None
 
     def sides(self, v: int) -> tuple[list[tuple[int, int]],
                                      list[tuple[int, int]]]:
@@ -124,12 +118,11 @@ class LabeledGraph:
 @dataclass
 class VertexProfile:
     """Incident edge labels of a vertex split by whether the far endpoint
-    sits above or below it."""
+    sits above or below it, and the parity condition they must meet."""
 
-    vertex: int
+    vertex: str                # the vertex's name
     down: list[int]            # labels of edges descending from the vertex
     up: list[int]              # labels of edges ascending from the vertex
-    is_extremum: bool
 
     @property
     def odd_down(self) -> int:
@@ -139,30 +132,40 @@ class VertexProfile:
     def odd_up(self) -> int:
         return sum(1 for r in self.up if is_odd_chi(r))
 
+    @property
+    def is_extremum(self) -> bool:
+        return not self.down or not self.up
 
-def vertex_profile(g: LabeledGraph, v) -> VertexProfile:
-    vi = g.vertex_index(v)
-    down, up = ([label for label, _ in side] for side in g.sides(vi))
-    return VertexProfile(vi, down, up, is_extremum=(not down or not up))
+    @property
+    def ok(self) -> bool:
+        if self.is_extremum:
+            return (self.odd_down + self.odd_up) % 2 == 0
+        return (self.odd_down - self.odd_up) % 2 == 0
+
+    @property
+    def condition(self) -> str:
+        if self.is_extremum:
+            return (f"extremum, odd-chi incident count "
+                    f"{self.odd_down + self.odd_up} must be even")
+        return (f"interior, odd-chi down {self.odd_down} minus up "
+                f"{self.odd_up} must be even")
 
 
-@dataclass
-class VertexDiagnostic:
-    vertex: str
-    is_extremum: bool
-    odd_down: int
-    odd_up: int
-    ok: bool
-    condition: str
+def vertex_profile(g: LabeledGraph, v: int) -> VertexProfile:
+    down, up = ([label for label, _ in side] for side in g.sides(v))
+    return VertexProfile(g.names[v], down, up)
 
 
 @dataclass
 class RealizabilityReport:
-    ok: bool
-    diagnostics: list[VertexDiagnostic] = field(default_factory=list)
+    diagnostics: list[VertexProfile]
 
     @property
-    def failing(self) -> list[VertexDiagnostic]:
+    def ok(self) -> bool:
+        return all(d.ok for d in self.diagnostics)
+
+    @property
+    def failing(self) -> list[VertexProfile]:
         return [d for d in self.diagnostics if not d.ok]
 
     def summary(self) -> str:
@@ -184,20 +187,7 @@ def check_realizable(g: LabeledGraph) -> RealizabilityReport:
     3-manifold bounded by the incident surfaces, and chi(dN) = 2 chi(N) is
     even.  So a rejected graph has no realization.
     """
-    diags = []
-    for vi in range(g.n):
-        p = vertex_profile(g, vi)
-        if p.is_extremum:
-            total = p.odd_down + p.odd_up
-            ok = total % 2 == 0
-            cond = f"extremum, odd-chi incident count {total} must be even"
-        else:
-            ok = (p.odd_down - p.odd_up) % 2 == 0
-            cond = (f"interior, odd-chi down {p.odd_down} minus up "
-                    f"{p.odd_up} must be even")
-        diags.append(VertexDiagnostic(g.names[vi], p.is_extremum,
-                                      p.odd_down, p.odd_up, ok, cond))
-    return RealizabilityReport(all(d.ok for d in diags), diags)
+    return RealizabilityReport([vertex_profile(g, v) for v in range(g.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +202,8 @@ def graph_from_dict(doc) -> LabeledGraph:
         edocs = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError("missing 'vertices' or 'edges'") from exc
+    if type(vdocs) is not list or type(edocs) is not list:
+        raise GraphError("graph 'vertices' and 'edges' must be JSON lists")
     names, values = [], []
     index = {}
     for vd in vdocs:

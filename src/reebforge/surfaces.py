@@ -52,7 +52,6 @@ def _edge_map(triangles):
 class Survey:
     """What one pass over the edge map finds out about a valid mesh."""
 
-    edges: dict[tuple[int, int], list[int]]
     # triangles joined across shared edges
     parts: UnionFind
     # corner 3 * ti + k -> 2 * tj + same for the triangle tj across the
@@ -68,8 +67,8 @@ def survey(mesh: SurfaceMesh) -> Survey:
 
     Raises MeshError on a degenerate, out-of-range or duplicate triangle,
     an edge in other than two triangles, and a vertex whose link is not
-    one cycle.  The edge map, triangle components and corner adjacency of
-    the returned Survey serve the slice classifier.
+    one cycle.  The triangle components, corner adjacency and vertex
+    homes of the returned Survey serve the slice classifier.
     """
     triangles = mesh.triangles
     nv = mesh.nv
@@ -124,14 +123,13 @@ def survey(mesh: SurfaceMesh) -> Survey:
         # the first in order of appearance
         v = next(v for v in corner_vertex if v in pinched)
         raise MeshError(f"vertex {v} link is disconnected")
-    return Survey(edges, parts, across, home)
+    return Survey(parts, across, home)
 
 
 def validate_surface(mesh: SurfaceMesh):
     """Check closed-surface invariants, every edge in exactly 2 triangles
-    and every vertex link a single cycle; returns the edge map of
-    `_edge_map`."""
-    return survey(mesh).edges
+    and every vertex link a single cycle."""
+    survey(mesh)
 
 
 @dataclass
@@ -260,13 +258,6 @@ def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     return SurfaceMesh(len(used), triangles, None, spares), map1, map2
 
 
-def connected_sum_mesh(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
-                       d2: int) -> SurfaceMesh:
-    """Connected sum along spare disk triangles d1 of m1 and d2 of m2."""
-    mesh, _, _ = connected_sum_mesh_maps(m1, d1, m2, d2)
-    return mesh
-
-
 def find_spare_triangles(mesh: SurfaceMesh) -> list[int]:
     """Pick up to four pairwise vertex-disjoint triangles usable as spare
     disks."""
@@ -298,9 +289,6 @@ def mesh_to_dict(mesh: SurfaceMesh) -> dict:
     }
     if mesh.spares:
         doc["spares"] = list(mesh.spares)
-    anchor = getattr(mesh.anchor, "to_dict", None)
-    if anchor is not None:
-        doc["anchor"] = anchor()
     return doc
 
 

@@ -197,10 +197,18 @@ TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
                                "triangles": TETRA_BOUNDARY}),
     (["surface", "classify"], {"vertices": {"a": 1, "b": 2, "c": 3, "d": 4},
                                "triangles": TETRA_BOUNDARY}),
+    (["check"], {"vertices": 5, "edges": []}),
+    (["check"], dict(MINIMAL, edges=5)),
+    # an exponent would make the parser build 10**9999999
+    (["check"], dict(MINIMAL, vertices=[{"id": "a", "value": "0/1"},
+                                        {"id": "b", "value": "1e-9999999"}])),
+    (["extract"], dict(ONE_TET, values=["0/1", "1/1", "2/1",
+                                        "1e-9999999"])),
 ], ids=["truncated-values", "top-level-array", "three-vertex-tet",
         "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
         "no-triangles", "boolean-triangle-vertex", "string-vertices",
-        "object-vertices"])
+        "object-vertices", "integer-graph-vertices", "integer-graph-edges",
+        "exponent-height", "exponent-value"])
 def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     proc = run_cli(tmp_path, argv, doc)
     assert proc.returncode == 2, proc.stderr

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from reebforge.blocks import cap_block, elementary_junction
 from reebforge.canonical import canonical_mesh
-from reebforge.complexes import (ComplexError, TetComplex, boundary_surface,
-                                 circle_prism, cone_complex,
+from reebforge.complexes import (ComplexError, TetComplex, boundary_faces,
+                                 boundary_surface, circle_prism, cone_complex,
                                  euler_characteristic, face_map,
                                  find_interior_tets, merge_complexes,
                                  remove_tets, surface_prism,
@@ -74,7 +74,8 @@ def test_closed_complex_has_zero_euler_characteristic():
     c2 = cone_complex(sphere)
     ident = [(0, v, 1, v) for v in range(sphere.nv)]
     cx, _, _ = merge_complexes([c1, c2], ident)
-    validate_complex(cx, closed=True)
+    validate_complex(cx)
+    assert not boundary_faces(cx)
     assert euler_characteristic(cx) == 0
 
 

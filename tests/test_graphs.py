@@ -1,13 +1,15 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reebforge.corpus import realizable_corpus, violating_corpus
 from reebforge.graphs import (Edge, GraphError, LabeledGraph,
                               check_realizable, euler_char, graph_to_dot,
-                              is_odd_chi, parse_graph, serialize_graph,
-                              vertex_profile)
+                              is_odd_chi, parse_graph, parse_rational,
+                              serialize_graph, vertex_profile)
 
 
 def make(names, values, edges):
@@ -63,6 +65,11 @@ def test_parse_star_shape():
                               {"id": "d", "value": "3"}],
                  "edges": [{"u": "a", "v": "b", "r": 0},
                            {"u": "c", "v": "d", "r": 0}]}), "connected"),
+    (json.dumps({"vertices": 5, "edges": []}), "JSON lists"),
+    (json.dumps({"vertices": "ab", "edges": []}), "JSON lists"),
+    (json.dumps({"vertices": [{"id": "a", "value": "0"},
+                              {"id": "b", "value": "1"}],
+                 "edges": 5}), "JSON lists"),
 ])
 def test_parse_errors(doc, msg):
     with pytest.raises(GraphError, match=msg):
@@ -119,6 +126,31 @@ def test_checker_interior_difference():
     middle = next(d for d in rep.diagnostics if d.vertex == "b")
     assert middle.ok and not middle.is_extremum
     assert middle.odd_down == 1 and middle.odd_up == 1
+
+
+def test_check_summaries_are_pinned():
+    """The per-vertex report, byte for byte, over a mixed corpus."""
+    graphs = realizable_corpus(20260810, 8) + violating_corpus(20260811, 16)
+    text = "\n\n".join(check_realizable(g).summary() for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0f830b2972e55e8e02116206a43c126af944ed06d16e7dea3ae25d382c18aaaf"
+
+
+@pytest.mark.parametrize("value,want", [
+    (3, Fraction(3)), ("3", Fraction(3)), ("-1/2", Fraction(-1, 2)),
+    ("+4/6", Fraction(2, 3)), ("0/1", Fraction(0)),
+])
+def test_parse_rational_forms(value, want):
+    assert parse_rational(value) == want
+
+
+@pytest.mark.parametrize("value", [
+    "0.5", "1e3", "1e-9999999", "1/0", " 1", "1/", "/2", "1/-2", "1_000",
+    "", True, 1.5, None,
+])
+def test_parse_rational_refuses_other_forms(value):
+    with pytest.raises(GraphError, match="not a rational"):
+        parse_rational(value)
 
 
 def test_checker_reports_every_failing_vertex():

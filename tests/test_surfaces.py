@@ -1,3 +1,5 @@
+import hashlib
+import json
 from random import Random
 
 import pytest
@@ -7,7 +9,7 @@ from reebforge.canonical import canonical_mesh
 from reebforge.graphs import euler_char
 from reebforge.surfaces import (MeshError, SurfaceComponent, SurfaceMesh,
                                 classify_labels, classify_surface,
-                                connected_sum_label, connected_sum_mesh,
+                                connected_sum_label, connected_sum_mesh_maps,
                                 mesh_from_dict, mesh_to_dict, mesh_to_off,
                                 validate_surface)
 from reebforge.unionfind import UnionFind
@@ -77,20 +79,25 @@ def test_connected_sum_label_table(r1, r2, expect):
     assert euler_char(expect) == euler_char(r1) + euler_char(r2) - 2
 
 
+def _sum(m1, m2):
+    """Connected sum along the first spare triangle of each mesh."""
+    return connected_sum_mesh_maps(m1, m1.spares[0], m2, m2.spares[0])[0]
+
+
 @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 1), (-1, -1), (1, 2),
                                    (-1, 1), (-2, 1), (-1, -2)])
 def test_connected_sum_mesh_matches_label(r1, r2):
     # oracle: build meshes, sum them, classify the result independently
     m1 = canonical_mesh(r1)
     m2 = canonical_mesh(r2)
-    out = connected_sum_mesh(m1, m1.spares[0], m2, m2.spares[0])
+    out = _sum(m1, m2)
     assert classify_labels(out) == [connected_sum_label(r1, r2)]
 
 
 def test_connected_sum_chi_drop():
     m1 = canonical_mesh(1)
     m2 = canonical_mesh(-2)
-    out = connected_sum_mesh(m1, m1.spares[0], m2, m2.spares[0])
+    out = _sum(m1, m2)
     c1 = classify_surface(m1)[0].chi
     c2 = classify_surface(m2)[0].chi
     assert classify_surface(out)[0].chi == c1 + c2 - 2
@@ -99,7 +106,7 @@ def test_connected_sum_chi_drop():
 def test_sum_keeps_spares():
     m1 = canonical_mesh(1)
     m2 = canonical_mesh(1)
-    out = connected_sum_mesh(m1, m1.spares[0], m2, m2.spares[0])
+    out = _sum(m1, m2)
     assert len(out.spares) >= 2
     validate_surface(out)
 
@@ -108,6 +115,17 @@ def test_mesh_json_round_trip():
     m = canonical_mesh(-2)
     m2 = mesh_from_dict(mesh_to_dict(m))
     assert m2.nv == m.nv and m2.triangles == m.triangles
+
+
+def test_mesh_documents_hold_no_anchor():
+    """`surface gen` documents, pinned; each reads back as its mesh."""
+    meshes = [canonical_mesh(r, k) for r in range(-4, 5) for k in (1, 2)]
+    docs = [mesh_to_dict(m) for m in meshes]
+    for m, doc in zip(meshes, docs):
+        assert set(doc) == {"vertices", "triangles", "spares"}
+        assert mesh_from_dict(doc).triangles == m.triangles
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
+        "92f6101f1914787e8f4e94918ee9d58fc3126eee5767b5171004e49794572fd5"
 
 
 def test_off_export_counts():
