@@ -22,7 +22,7 @@ from .complexes import (ComplexError, TetComplex, euler_from_faces,
 from .anchors import common_refinement  # noqa: F401
 from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
                         validate_complex)
-from .graphs import (GraphError, LabeledGraph, check_realizable,
+from .graphs import (GraphError, LabeledGraph, brief, check_realizable,
                      euler_char, format_rational, is_odd_chi,
                      parse_rational)
 from .reeb import ReebGraph, labeled_isomorphic, reeb_graph_of
@@ -182,9 +182,10 @@ def validate_manifold(m: Manifold3) -> CheckReport:
     # connectivity over tets through shared faces; no tets is no manifold
     n = len(m.cx.tets)
     uf = UnionFind(n)
+    union = uf.union
     for ts in fm.values():
-        for t in ts:
-            uf.union(t, ts[0])
+        for t in ts[1:]:
+            union(t, ts[0])
     roots = [uf.find(t) for t in range(n)]
     reached = roots.count(roots[0]) if n else 0
     checks.append(("connected", 0 < reached == n,
@@ -266,18 +267,18 @@ def manifold_from_dict(doc) -> Manifold3:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad manifold document: {exc}") from exc
     if type(nv) is not int:
-        raise ValueError(f"vertex count {nv!r} is not an integer")
+        raise ValueError(f"vertex count {brief(nv)} is not an integer")
     if len(values) != nv:
         raise ValueError(f"{len(values)} values for {nv} vertices")
     for t in tets:
         if len(t) != 4 or not all(type(v) is int and 0 <= v < nv
                                   for v in t):
-            raise ValueError(f"tetrahedron {list(t)} is not 4 vertex ids "
-                             f"in 0..{nv - 1}")
+            raise ValueError(f"tetrahedron {brief(list(t))} is not 4 "
+                             f"vertex ids in 0..{nv - 1}")
     for k, i in prov:
         if type(i) is not int:
-            raise ValueError(f"provenance record {[k, i]} has no integer "
-                             "index")
+            raise ValueError(f"provenance record {brief([k, i])} has no "
+                             "integer index")
     return Manifold3(TetComplex(nv, tets), values, prov, vv)
 
 

@@ -94,11 +94,13 @@ def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
     Euler characteristic of cx.
 
     The link of v has a vertex per edge, an edge per face and a triangle
-    per tet at v.  It is a sphere (a disk on the boundary) when it pinches
-    nowhere, is connected and has chi 2 (1).  The link of v pinches at w
-    when the tets around edge vw fall apart into more than one class of
-    (tet, edge slot) nodes joined across shared faces; it is connected
-    when the tets at v form one class of (tet, vertex slot) nodes.
+    per tet at v, and must be a sphere (a disk on the boundary).  It pinches
+    at w when the tets around edge vw form several (tet, edge slot) classes
+    across shared faces; the star of v is its (tet, vertex slot) classes.
+    Split at its pinches, a link is a surface S, connected iff the star
+    is, with chi(link) = chi(S) - sum(classes around w - 1).  A connected
+    S has chi <= 2 (<= 1 with boundary), equal only for a sphere (disk).
+    So counted chi 2 (1) and a connected star accept: no pinch anywhere.
     """
     nv = cx.nv
     st: list[Tet] = []
@@ -123,6 +125,8 @@ def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
     if 0 in chi:
         raise ComplexError("isolated vertex")
     boundary = bytearray(nv)
+    edges = set()           # the distinct edges, uw as u * nv + w
+    add = edges.add
     for f, ts in fm.items():
         if len(ts) > 2:
             raise ComplexError(f"triangle {f} in {len(ts)} tetrahedra")
@@ -130,10 +134,31 @@ def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
         chi[a] -= 1
         chi[b] -= 1
         chi[c] -= 1
+        add(a * nv + b)
+        add(a * nv + c)
+        add(b * nv + c)
         if len(ts) == 1:
             boundary[a] = boundary[b] = boundary[c] = 1
-    # one class per edge, or the link of one end pinches at the other; the
-    # union-finds are built one after the other to bound peak memory
+    for e in edges:
+        chi[e // nv] += 1
+        chi[e % nv] += 1
+    ne = len(edges)
+    del edges
+    home = bytearray(nv)
+    split = -1              # the first vertex whose star falls apart
+    for r in _slot_classes(fm, st, 4, _FACE_VERTS).roots():
+        t, k = divmod(r, 4)
+        v = st[t][k]
+        if home[v] and split < 0:
+            split = v
+        home[v] = 1
+    # a link edge ab of v is a boundary edge exactly when the face vab lies
+    # in one tet, so a link has boundary iff its vertex is a boundary vertex
+    bad = [v for v in range(nv) if chi[v] != (1 if boundary[v] else 2)]
+    if split < 0 and not bad:
+        return nv - ne + len(fm) - len(st)
+    # one class per edge, or the link of one end pinches at the other;
+    # with no pinch the distinct edges are the classes, and chi is exact
     edges = set()
     for r in _slot_classes(fm, st, 6, _FACE_EDGES).roots():
         t, e = divmod(r, 6)
@@ -142,26 +167,13 @@ def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
         if u * nv + w in edges:
             raise ComplexError(f"vertex {u} link pinches at {w}")
         edges.add(u * nv + w)
-        chi[u] += 1
-        chi[w] += 1
-    ne = len(edges)
-    del edges
-    home = bytearray(nv)
-    for r in _slot_classes(fm, st, 4, _FACE_VERTS).roots():
-        t, k = divmod(r, 4)
-        v = st[t][k]
-        if home[v]:
-            raise ComplexError(f"vertex {v} link is disconnected")
-        home[v] = 1
-    # a link edge ab of v is a boundary edge exactly when the face vab lies
-    # in one tet, so a link has boundary iff its vertex is a boundary vertex
-    for v in range(nv):
-        if chi[v] != (1 if boundary[v] else 2):
-            raise ComplexError(
-                f"boundary vertex {v} link is not a disk (chi={chi[v]})"
-                if boundary[v] else
-                f"interior vertex {v} link is not a sphere (chi={chi[v]})")
-    return nv - ne + len(fm) - len(st)
+    if split >= 0:
+        raise ComplexError(f"vertex {split} link is disconnected")
+    v = bad[0]
+    raise ComplexError(
+        f"boundary vertex {v} link is not a disk (chi={chi[v]})"
+        if boundary[v] else
+        f"interior vertex {v} link is not a sphere (chi={chi[v]})")
 
 
 def euler_characteristic(cx: TetComplex) -> int:
@@ -289,18 +301,18 @@ def merge_complexes(parts: list[TetComplex],
     uf = UnionFind(total)
     for pa, va, pb, vb in identifications:
         uf.union(offsets[pa] + va, offsets[pb] + vb)
-    # vertices are numbered by sorted root, so the union direction fixes
+    # vertices are numbered by ascending root, so the union direction fixes
     # the output numbering
-    roots = sorted({uf.find(i) for i in range(total)})
-    rid = {r: i for i, r in enumerate(roots)}
-    vmaps = []
-    for pi, p in enumerate(parts):
-        vmaps.append([rid[uf.find(offsets[pi] + v)] for v in range(p.nv)])
+    roots = uf.roots()
+    rid = [0] * total
+    for i, r in enumerate(roots):
+        rid[r] = i
+    find = uf.find
+    vmaps = [[rid[find(v)] for v in range(o, o + p.nv)]
+             for o, p in zip(offsets, parts)]
     tets: list[Tet] = []
     tet_offsets = []
-    for pi, p in enumerate(parts):
+    for p, vm in zip(parts, vmaps):
         tet_offsets.append(len(tets))
-        vm = vmaps[pi]
-        for t in p.tets:
-            tets.append(tuple(vm[v] for v in t))
+        tets += [(vm[a], vm[b], vm[c], vm[d]) for a, b, c, d in p.tets]
     return TetComplex(len(roots), tets), vmaps, tet_offsets

@@ -36,6 +36,14 @@ def is_odd_chi(r: int) -> bool:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def brief(value) -> str:
+    """repr(value) for a one-line message: past 64 characters, the first
+    32 and the length."""
+    text = repr(value)
+    return text if len(text) <= 64 else \
+        f"{text[:32]}... ({len(text)} characters)"
+
+
 def parse_rational(value) -> Fraction:
     """Accept ints, and strings of an optional sign and digits, optionally
     followed by '/' and digits.  Decimals and exponents are refused, so
@@ -46,8 +54,8 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"not a rational: {value!r}") from exc
-    raise GraphError(f"not a rational: {value!r}")
+            raise GraphError(f"not a rational: {brief(value)}") from exc
+    raise GraphError(f"not a rational: {brief(value)}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -211,9 +219,11 @@ def graph_from_dict(doc) -> LabeledGraph:
             name = str(vd["id"])
             val = parse_rational(vd["value"])
         except (KeyError, TypeError) as exc:
-            raise GraphError(f"bad vertex record: {vd!r}") from exc
+            raise GraphError(f"bad vertex record: {brief(vd)}") from exc
+        except GraphError as exc:
+            raise GraphError(f"vertex {brief(name)}: {exc}") from exc
         if name in index:
-            raise GraphError(f"duplicate vertex id {name!r}")
+            raise GraphError(f"duplicate vertex id {brief(name)}")
         index[name] = len(names)
         names.append(name)
         values.append(val)
@@ -222,13 +232,13 @@ def graph_from_dict(doc) -> LabeledGraph:
         try:
             u, v, r = str(ed["u"]), str(ed["v"]), ed["r"]
         except (KeyError, TypeError) as exc:
-            raise GraphError(f"bad edge record: {ed!r}") from exc
+            raise GraphError(f"bad edge record: {brief(ed)}") from exc
         if u not in index or v not in index:
-            raise GraphError(f"edge references unknown vertex: {ed!r}")
+            raise GraphError(f"edge references unknown vertex: {brief(ed)}")
         if not isinstance(r, int) or isinstance(r, bool):
-            raise GraphError(f"edge label must be an integer: {ed!r}")
+            raise GraphError(f"edge label must be an integer: {brief(ed)}")
         if abs(r) > sys.maxsize:
-            raise GraphError(f"edge label out of range: {ed!r}")
+            raise GraphError(f"edge label out of range: {brief(ed)}")
         edges.append(Edge(index[u], index[v], r))
     return LabeledGraph(names, values, edges)
 

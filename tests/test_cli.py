@@ -391,3 +391,21 @@ def test_graph_with_huge_label_is_an_input_error(tmp_path, capsys, command,
     assert captured.err.startswith("input error: edge label out of range")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["check"], {"vertices": [{"id": "a", "value": "0/1"},
+                              {"id": "b", "value": "1" * 5000}],
+                 "edges": [{"u": "a", "v": "b", "r": 0}]}),
+    (["extract"], dict(ONE_TET, values=["0/1", "1/1", "2/1", "3" * 5000])),
+], ids=["graph-height", "manifold-value"])
+def test_a_long_rejected_value_makes_a_short_line(tmp_path, argv, doc):
+    # the 5,000 digits are past the interpreter's integer conversion limit
+    proc = run_cli(tmp_path, argv, doc)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error:")
+    assert proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200
+    assert "(5002 characters)" in proc.stderr
+    if argv == ["check"]:
+        assert proc.stderr.startswith("input error: vertex 'b': ")

@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from reebforge.blocks import cap_block, elementary_junction
 from reebforge.canonical import canonical_mesh
-from reebforge.complexes import (ComplexError, TetComplex, boundary_faces,
+from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
+                                 ComplexError, FaceMap, Tet, TetComplex,
+                                 _slot_classes, boundary_faces,
                                  boundary_surface, circle_prism, cone_complex,
                                  euler_characteristic, face_map,
                                  find_interior_tets, merge_complexes,
                                  remove_tets, surface_prism,
-                                 validate_complex)
+                                 validate_complex, validate_faces)
 from reebforge.surfaces import SurfaceMesh, classify_labels
+from reebforge.unionfind import UnionFind
 
 TETRA = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
@@ -347,15 +350,10 @@ def _identify(cx: TetComplex, u: int, w: int) -> TetComplex:
     return TetComplex(cx.nv - 1, [tuple(f(x) for x in t) for t in cx.tets])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, len(BASES) - 1), st.integers(0, 2 ** 32),
-       st.integers(0, 4), st.sampled_from([None, "near", "far"]))
-def test_link_check_matches_reference(i, seed, holes, glue):
-    # removing tets makes boundary vertices, chain links and pinches;
-    # identifying two vertices makes disconnected or pinched links, or
-    # degenerate and duplicate tets: the verdicts must agree
-    rng = Random(seed)
-    cx = _base(i)
+def _damaged(cx, rng, holes, glue, stray, permute):
+    """cx with holes tets dropped, two vertices identified (glue), a stray
+    tet (apart from cx, on one vertex of it, or on one face of it) and each
+    tet's vertices and the tets themselves in a shuffled order."""
     drop = set(rng.sample(range(len(cx.tets)), min(holes, len(cx.tets) - 1)))
     cx = remove_tets(cx, drop)
     if glue:
@@ -369,4 +367,210 @@ def test_link_check_matches_reference(i, seed, holes, glue):
             w = rng.randrange(cx.nv)
         if w != u:
             cx = _identify(cx, u, w)
+    if stray:
+        n = {"apart": 4, "vertex": 3, "face": 1}[stray]
+        old = rng.sample(rng.choice(cx.tets), 4 - n)
+        cx = TetComplex(cx.nv + n, cx.tets +
+                        [tuple(old) + tuple(range(cx.nv, cx.nv + n))])
+    if permute:
+        cx = TetComplex(cx.nv, [tuple(rng.sample(t, 4)) for t in cx.tets])
+        rng.shuffle(cx.tets)
+    return cx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(BASES) - 1), st.integers(0, 2 ** 32),
+       st.integers(0, 4), st.sampled_from([None, "near", "far"]))
+def test_link_check_matches_reference(i, seed, holes, glue):
+    # removing tets makes boundary vertices, chain links and pinches;
+    # identifying two vertices makes disconnected or pinched links, or
+    # degenerate and duplicate tets: the verdicts must agree
+    cx = _damaged(_base(i), Random(seed), holes, glue, None, False)
     assert _accepts(validate_complex, cx) == _accepts(oracle_validate, cx)
+
+
+# ---------------------------------------------------------------------------
+# reference link check: every link through the (tet, edge slot) classes as
+# well as the (tet, vertex slot) classes, the check that counting replaced,
+# kept verbatim
+# ---------------------------------------------------------------------------
+
+def exact_reference(cx: TetComplex, fm: FaceMap) -> int:
+    """validate_complex on the face map of cx, already built; returns the
+    Euler characteristic of cx.
+
+    The link of v has a vertex per edge, an edge per face and a triangle
+    per tet at v.  It is a sphere (a disk on the boundary) when it pinches
+    nowhere, is connected and has chi 2 (1).  The link of v pinches at w
+    when the tets around edge vw fall apart into more than one class of
+    (tet, edge slot) nodes joined across shared faces; it is connected
+    when the tets at v form one class of (tet, vertex slot) nodes.
+    """
+    nv = cx.nv
+    st: list[Tet] = []
+    seen = set()
+    chi = [0] * nv          # per vertex: link chi, as tets - faces + edges
+    for t in cx.tets:
+        s = tuple(sorted(t))
+        a, b, c, d = s
+        if a == b or b == c or c == d:
+            raise ComplexError(f"degenerate tetrahedron {t}")
+        if a < 0 or d >= nv:
+            raise ComplexError(f"tetrahedron vertex out of range {t}")
+        if s in seen:
+            raise ComplexError(f"duplicate tetrahedron {s}")
+        seen.add(s)
+        st.append(s)
+        chi[a] += 1
+        chi[b] += 1
+        chi[c] += 1
+        chi[d] += 1
+    del seen
+    if 0 in chi:
+        raise ComplexError("isolated vertex")
+    boundary = bytearray(nv)
+    for f, ts in fm.items():
+        if len(ts) > 2:
+            raise ComplexError(f"triangle {f} in {len(ts)} tetrahedra")
+        a, b, c = f
+        chi[a] -= 1
+        chi[b] -= 1
+        chi[c] -= 1
+        if len(ts) == 1:
+            boundary[a] = boundary[b] = boundary[c] = 1
+    # one class per edge, or the link of one end pinches at the other; the
+    # union-finds are built one after the other to bound peak memory
+    edges = set()
+    for r in _slot_classes(fm, st, 6, _FACE_EDGES).roots():
+        t, e = divmod(r, 6)
+        i, j = _EDGE[e]
+        u, w = st[t][i], st[t][j]
+        if u * nv + w in edges:
+            raise ComplexError(f"vertex {u} link pinches at {w}")
+        edges.add(u * nv + w)
+        chi[u] += 1
+        chi[w] += 1
+    ne = len(edges)
+    del edges
+    home = bytearray(nv)
+    for r in _slot_classes(fm, st, 4, _FACE_VERTS).roots():
+        t, k = divmod(r, 4)
+        v = st[t][k]
+        if home[v]:
+            raise ComplexError(f"vertex {v} link is disconnected")
+        home[v] = 1
+    # a link edge ab of v is a boundary edge exactly when the face vab lies
+    # in one tet, so a link has boundary iff its vertex is a boundary vertex
+    for v in range(nv):
+        if chi[v] != (1 if boundary[v] else 2):
+            raise ComplexError(
+                f"boundary vertex {v} link is not a disk (chi={chi[v]})"
+                if boundary[v] else
+                f"interior vertex {v} link is not a sphere (chi={chi[v]})")
+    return nv - ne + len(fm) - len(st)
+
+
+def _verdict(check, cx):
+    """The Euler characteristic check returns, or the message it raises."""
+    try:
+        return check(cx, face_map(cx))
+    except ComplexError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("i", range(len(BASES)),
+                         ids=[name for name, _, _ in BASES])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 4),
+       st.sampled_from([None, "near", "far"]),
+       st.sampled_from([None, "apart", "vertex", "face"]), st.booleans())
+def test_counted_link_check_matches_exact_reference(i, seed, holes, glue,
+                                                    stray, permute):
+    # the same Euler characteristic on acceptance, the same message on
+    # rejection, pinches named first; each base gets its own examples, the
+    # chained wedge among them, whose apex link has a distinct-edge chi of
+    # 2, so that only its split star sends it to be named
+    cx = _damaged(_base(i), Random(seed), holes, glue, stray, permute)
+    assert _verdict(validate_faces, cx) == _verdict(exact_reference, cx)
+
+
+@pytest.mark.parametrize("name", ["cylinder_klein", "cylinder_torus"])
+def test_a_hole_in_a_boundary_edge_fan_is_a_pinch(name):
+    # a tet in the middle of the fan around a boundary edge uw leaves two
+    # fans: the link of u pinches at w, while every star stays one class
+    # and the link split at w is still a disk; only counting the distinct
+    # edges at u, not the fans, rejects it.  The first tets are in layer 0,
+    # where every prism's second tet is such a tet.
+    cx = _base([n for n, _, _ in BASES].index(name))
+    pinches = 0
+    for ti in range(12):
+        holed = remove_tets(cx, {ti})
+        got = _verdict(validate_faces, holed)
+        assert got == _verdict(exact_reference, holed)
+        pinches += "pinches" in str(got)
+    assert pinches
+
+
+# ---------------------------------------------------------------------------
+# reference merge: roots numbered through a sorted set and a dict, tets
+# rebuilt vertex by vertex, kept verbatim
+# ---------------------------------------------------------------------------
+
+def merge_reference(parts: list[TetComplex],
+                    identifications: list[tuple[int, int, int, int]]):
+    """Disjoint union with vertex identifications.
+
+    identifications holds (part_a, vertex_a, part_b, vertex_b) pairs.
+    Returns the merged complex, per-part vertex maps, and per-part tet index
+    offsets.
+    """
+    offsets = []
+    total = 0
+    for p in parts:
+        offsets.append(total)
+        total += p.nv
+    uf = UnionFind(total)
+    for pa, va, pb, vb in identifications:
+        uf.union(offsets[pa] + va, offsets[pb] + vb)
+    # vertices are numbered by sorted root, so the union direction fixes
+    # the output numbering
+    roots = sorted({uf.find(i) for i in range(total)})
+    rid = {r: i for i, r in enumerate(roots)}
+    vmaps = []
+    for pi, p in enumerate(parts):
+        vmaps.append([rid[uf.find(offsets[pi] + v)] for v in range(p.nv)])
+    tets: list[Tet] = []
+    tet_offsets = []
+    for pi, p in enumerate(parts):
+        tet_offsets.append(len(tets))
+        vm = vmaps[pi]
+        for t in p.tets:
+            tets.append(tuple(vm[v] for v in t))
+    return TetComplex(len(roots), tets), vmaps, tet_offsets
+
+
+@st.composite
+def _merge_cases(draw):
+    """Parts of random tets over a few vertices each, and identifications
+    between random vertices of random parts (a part with itself too)."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        nv = draw(st.integers(1, 9))
+        tets = draw(st.lists(st.tuples(*[st.integers(0, nv - 1)] * 4),
+                             max_size=8))
+        parts.append(TetComplex(nv, tets))
+    vertex = st.integers(0, len(parts) - 1).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, parts[p].nv - 1)))
+    idents = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    return parts, [(pa, va, pb, vb) for (pa, va), (pb, vb) in idents]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merge_cases())
+def test_merge_matches_reference(case):
+    parts, ident = case
+    cx, vmaps, offsets = merge_complexes(parts, ident)
+    ref, ref_vmaps, ref_offsets = merge_reference(parts, ident)
+    assert (cx.nv, cx.tets) == (ref.nv, ref.tets)
+    assert vmaps == ref_vmaps
+    assert offsets == ref_offsets
