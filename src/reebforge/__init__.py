@@ -7,9 +7,7 @@ from .graphs import (Edge, GraphError, LabeledGraph, RealizabilityReport,
                      vertex_profile)
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
                        connected_sum_label, mesh_to_json, mesh_to_off)
-from .anchors import AnchorError, PolygonScheme, common_refinement, \
-    scheme_for_label
-from .canonical import canonical_mesh, generate_surface, solid_for_label
+from .canonical import canonical_mesh, solid_for_label
 from .complexes import ComplexError, TetComplex, validate_complex
 from .blocks import (Block, BlockError, Plan, PlanError, build_junction,
                      cap_block, cylinder_block, elementary_junction,

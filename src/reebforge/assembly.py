@@ -19,7 +19,6 @@ from .complexes import (ComplexError, TetComplex, euler_from_faces,
                         merge_complexes, validate_faces)
 # imported for the benchmark's tracer, which wraps them as assembly.<name>
 # (benchmarks/spans.py SITES)
-from .anchors import common_refinement  # noqa: F401
 from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
                         validate_complex)
 from .graphs import (GraphError, LabeledGraph, brief, check_realizable,
@@ -116,10 +115,11 @@ def _vertex_block(g: LabeledGraph, v: int, eps: Fraction,
     return block, assignment
 
 
-def _identify_components(comp_a, comp_b):
+def common_refinement(comp_a, comp_b):
     """Vertex pairs gluing two block boundary components.  Both carry the
-    same canonical mesh by design, so equal triangle sets make the
-    identity a simplicial isomorphism and no overlay is needed."""
+    same canonical mesh, so each is already a refinement of the other: the
+    identity is their common refinement and a simplicial isomorphism, once
+    their triangle sets are checked equal."""
     if not same_triangles(comp_a.mesh.triangles, comp_b.mesh.triangles):
         raise AssemblyError("glued components carry different triangle "
                             "sets (planner bug)")
@@ -151,7 +151,7 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
                 raise AssemblyError("interface values misaligned "
                                     "(planner bug)")
             ident += [(v, x, len(parts), y)
-                      for x, y in _identify_components(comp, end)]
+                      for x, y in common_refinement(comp, end)]
         parts.append(cyl.cx)
         part_values.append(cyl.values)
         provenance += [("edge", ei)] * len(cyl.cx.tets)

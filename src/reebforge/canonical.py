@@ -5,7 +5,7 @@ One mesh family per label at each refinement level keeps every interface
 in an assembly literally identical, so gluing never has to match two
 unrelated triangulations:
 
-  label 0        subdivided tetrahedron boundary (chevron-fold anchor)
+  label 0        midpoint-subdivided tetrahedron boundary
   label 1 / -2   P x P grid quotients of the square (P = 3 * 2**k)
   label -1       antipodal P x P grid quotient
   otherwise      fixed-recipe connected sums of the above
@@ -17,9 +17,7 @@ reflection); higher even-chi labels = boundary-connected sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .anchors import PolygonScheme, SchemeAnchor, scheme_for_label
 from .complexes import (TetComplex, boundary_surface, circle_prism,
                         cone_complex, merge_complexes, surface_prism)
 from .graphs import euler_char
@@ -40,8 +38,7 @@ def grid_size(refinement: int) -> int:
 # grid quotients of the unit square
 # ---------------------------------------------------------------------------
 
-def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
-                   corner_fix: bool = False) -> SurfaceMesh:
+def _grid_quotient(P: int, pairs, corner_fix: bool = False) -> SurfaceMesh:
     """Quotient of the (P+1)^2 lattice of the unit square by boundary
     identifications; cells split toward the smaller quotient id of their
     bottom edge (the same rule the layered products use).
@@ -66,7 +63,6 @@ def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
             quo[x] = q
 
     triangles = []
-    poly_triangles = []
     for j in range(P):
         for i in range(P):
             bl, br = lid(i, j), lid(i + 1, j)
@@ -89,15 +85,9 @@ def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
                 cells = [(bl, br, tr), (bl, tr, tl)]
             else:
                 cells = [(bl, br, tl), (br, tr, tl)]
-            for cell in cells:
-                poly_triangles.append(cell)
-                triangles.append(tuple(quo[v] for v in cell))
+            triangles += [tuple(quo[v] for v in cell) for cell in cells]
 
-    # point lid(i, j) = j * W + i
-    points = [(Fraction(i, P), Fraction(j, P))
-              for j in range(W) for i in range(W)]
-    anchor = SchemeAnchor(scheme, points, poly_triangles, quo)
-    mesh = SurfaceMesh(len(classes), triangles, anchor)
+    mesh = SurfaceMesh(len(classes), triangles)
     validate_surface(mesh)
     mesh.spares = find_spare_triangles(mesh)
     return mesh
@@ -106,19 +96,19 @@ def _grid_quotient(P: int, pairs, scheme: PolygonScheme,
 def _torus_grid(P: int) -> SurfaceMesh:
     pairs = [(i, 0, i, P) for i in range(P + 1)]
     pairs += [(0, j, P, j) for j in range(P + 1)]
-    return _grid_quotient(P, pairs, scheme_for_label(1))
+    return _grid_quotient(P, pairs)
 
 
 def _klein_grid(P: int) -> SurfaceMesh:
     pairs = [(i, 0, P - i, P) for i in range(P + 1)]
     pairs += [(0, j, P, j) for j in range(P + 1)]
-    return _grid_quotient(P, pairs, scheme_for_label(-2))
+    return _grid_quotient(P, pairs)
 
 
 def _projective_grid(P: int) -> SurfaceMesh:
     pairs = [(i, 0, P - i, P) for i in range(P + 1)]
     pairs += [(0, j, P, P - j) for j in range(P + 1)]
-    return _grid_quotient(P, pairs, scheme_for_label(-1), corner_fix=True)
+    return _grid_quotient(P, pairs, corner_fix=True)
 
 
 # ---------------------------------------------------------------------------
@@ -126,62 +116,29 @@ def _projective_grid(P: int) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 
 def _base_sphere() -> SurfaceMesh:
-    scheme = scheme_for_label(0)
-    half = Fraction(1, 2)
-    points = [(Fraction(0), Fraction(0)), (half, Fraction(0)),
-              (Fraction(1), Fraction(0)), (half, half),
-              (Fraction(0), Fraction(1)), (Fraction(0), half)]
-    to_mesh = [0, 1, 0, 2, 0, 3]
-    poly_triangles = [(1, 3, 5), (0, 1, 5), (2, 3, 1), (4, 5, 3)]
-    triangles = [tuple(to_mesh[v] for v in t) for t in poly_triangles]
-    anchor = SchemeAnchor(scheme, points, poly_triangles, to_mesh)
-    return SurfaceMesh(4, triangles, anchor)
+    return SurfaceMesh(4, [(1, 2, 3), (0, 1, 3), (0, 2, 1), (0, 3, 2)])
 
 
-def subdivide_anchored(mesh: SurfaceMesh) -> SurfaceMesh:
-    """Midpoint 4-to-1 subdivision carried out on the planar anchor and
-    projected through the quotient map."""
-    a = mesh.anchor
-    if not isinstance(a, SchemeAnchor):
-        raise MeshError("subdivision requires a scheme anchor")
-    # mesh edge midpoints
-    edge_mid: dict[tuple[int, int], int] = {}
-    nv = mesh.nv
-    for tri in mesh.triangles:
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (u, v) if u < v else (v, u)
-            if key not in edge_mid:
-                edge_mid[key] = nv + len(edge_mid)
+def subdivide(mesh: SurfaceMesh) -> SurfaceMesh:
+    """Midpoint 4-to-1 subdivision.  Edge midpoints are numbered after the
+    vertices, in order of first appearance over each triangle's sides
+    (p, q), (q, r), (r, p)."""
+    mid: dict[tuple[int, int], int] = {}
 
-    points = list(a.points)
-    to_mesh = list(a.to_mesh)
-    pindex = {p: i for i, p in enumerate(points)}
+    def midpoint(u, v):
+        return mid.setdefault((min(u, v), max(u, v)), mesh.nv + len(mid))
 
-    def planar_mid(p, q):
-        m = ((points[p][0] + points[q][0]) / 2,
-             (points[p][1] + points[q][1]) / 2)
-        if m not in pindex:
-            pindex[m] = len(points)
-            points.append(m)
-            mu, mv = to_mesh[p], to_mesh[q]
-            key = (mu, mv) if mu < mv else (mv, mu)
-            to_mesh.append(edge_mid[key])
-        return pindex[m]
-
-    poly_triangles = []
-    for p, q, r in a.poly_triangles:
-        pq, qr, rp = planar_mid(p, q), planar_mid(q, r), planar_mid(r, p)
-        poly_triangles += [(p, pq, rp), (q, qr, pq), (r, rp, qr),
-                           (pq, qr, rp)]
-    triangles = [tuple(to_mesh[v] for v in t) for t in poly_triangles]
-    anchor = SchemeAnchor(a.scheme, points, poly_triangles, to_mesh)
-    return SurfaceMesh(nv + len(edge_mid), triangles, anchor)
+    triangles = []
+    for p, q, r in mesh.triangles:
+        pq, qr, rp = midpoint(p, q), midpoint(q, r), midpoint(r, p)
+        triangles += [(p, pq, rp), (q, qr, pq), (r, rp, qr), (pq, qr, rp)]
+    return SurfaceMesh(mesh.nv + len(mid), triangles)
 
 
 def _sphere_mesh(refinement: int) -> SurfaceMesh:
     mesh = _base_sphere()
     for _ in range(refinement + 1):
-        mesh = subdivide_anchored(mesh)
+        mesh = subdivide(mesh)
     validate_surface(mesh)
     mesh.spares = find_spare_triangles(mesh)
     return mesh
@@ -231,12 +188,6 @@ def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
                         f"{[c.label for c in comps]}")
     _MESH_CACHE[key] = mesh
     return mesh.copy()
-
-
-def generate_surface(label: int, refinement: int = 1) -> SurfaceMesh:
-    """Canonical closed connected mesh with the given label; the elementary
-    labels are anchored to their scheme, connected sums carry no anchor."""
-    return canonical_mesh(label, refinement)
 
 
 # ---------------------------------------------------------------------------

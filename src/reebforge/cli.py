@@ -14,7 +14,7 @@ from .assembly import (assemble, extract_reeb, manifold_from_dict,
                        manifold_to_json, validate_manifold,
                        verify_realization, AssemblyError)
 from .blocks import BlockError
-from .canonical import generate_surface
+from .canonical import canonical_mesh
 from .graphs import (LabeledGraph, check_realizable, graph_to_dot,
                      parse_graph, serialize_graph)
 from .surfaces import (MeshError, classify_surface, mesh_from_dict,
@@ -43,10 +43,11 @@ def _load_graph(path: str) -> LabeledGraph:
 
 
 def _load_document(path: str, parse):
-    """parse applied to the JSON document at path."""
+    """parse applied to the JSON document at path.  RecursionError is
+    JSON nested past the decoder's depth."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise _InputError(exc) from exc
 
 
@@ -134,7 +135,7 @@ def cmd_surface(args) -> int:
             raise _InputError(f"refinement {args.refinement_arg} disagrees "
                               f"with --refinement {args.refinement}")
         try:
-            mesh = generate_surface(args.label, given.pop() if given else 1)
+            mesh = canonical_mesh(args.label, given.pop() if given else 1)
         except (MeshError, ValueError) as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return EXIT_INPUT

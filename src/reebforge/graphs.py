@@ -246,7 +246,8 @@ def graph_from_dict(doc) -> LabeledGraph:
 def parse_graph(text: str) -> LabeledGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth
         raise GraphError(f"malformed JSON: {exc}") from exc
     return graph_from_dict(doc)
 

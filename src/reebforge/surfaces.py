@@ -2,8 +2,8 @@
 characteristic and orientability, and connected sums at the label and mesh
 level.
 
-Meshes are purely combinatorial; coordinates, when present, live in the
-anchor metadata and are cosmetic for everything except overlay refinement.
+Meshes are purely combinatorial: a vertex count and a triangle list, with
+no coordinates.
 """
 from __future__ import annotations
 
@@ -22,12 +22,10 @@ class MeshError(ValueError):
 class SurfaceMesh:
     nv: int
     triangles: list[tuple[int, int, int]]
-    anchor: object | None = None
     spares: list[int] = field(default_factory=list)   # indices of spare disk triangles
 
     def copy(self) -> "SurfaceMesh":
-        return SurfaceMesh(self.nv, list(self.triangles), self.anchor,
-                           list(self.spares))
+        return SurfaceMesh(self.nv, list(self.triangles), list(self.spares))
 
 
 def _edge_map(triangles):
@@ -255,7 +253,7 @@ def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     base2 = len(m1.triangles) - 1
     spares = ([s - (s > d1) for s in m1.spares if s != d1] +
               [base2 + s - (s > d2) for s in m2.spares if s != d2])
-    return SurfaceMesh(len(used), triangles, None, spares), map1, map2
+    return SurfaceMesh(len(used), triangles, spares), map1, map2
 
 
 def find_spare_triangles(mesh: SurfaceMesh) -> list[int]:
@@ -310,7 +308,7 @@ def mesh_from_dict(doc) -> SurfaceMesh:
                                   for v in t):
             raise MeshError(f"triangle {list(t)} is not 3 vertex ids "
                             f"in 0..{nv - 1}")
-    return SurfaceMesh(nv, tris, None, spares)
+    return SurfaceMesh(nv, tris, spares)
 
 
 def mesh_to_json(mesh: SurfaceMesh) -> str:

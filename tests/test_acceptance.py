@@ -12,7 +12,7 @@ from reebforge.assembly import (Manifold3, assemble, validate_manifold,
 from reebforge.blocks import (build_junction, cap_block,
                               elementary_junction, fold_block,
                               plan_junction, verify_block)
-from reebforge.canonical import canonical_mesh, generate_surface
+from reebforge.canonical import canonical_mesh
 from reebforge.cli import main
 from reebforge.complexes import euler_characteristic, surface_prism
 from reebforge.corpus import realizable_corpus, violating_corpus
@@ -30,7 +30,7 @@ def test_criterion_1_surface_round_trip():
     t0 = time.time()
     for r in range(-6, 7):
         for k in (1, 2):
-            comps = classify_surface(generate_surface(r, k))
+            comps = classify_surface(canonical_mesh(r, k))
             assert len(comps) == 1 and comps[0].label == r, (r, k)
     elapsed = time.time() - t0
     report("1 surface round trip",

@@ -6,8 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebforge.assembly import (AssemblyError, Manifold3,
-                                _identify_components, assemble, extract_reeb,
+from reebforge.assembly import (AssemblyError, Manifold3, assemble,
+                                common_refinement, extract_reeb,
                                 manifold_from_dict, manifold_to_dict,
                                 validate_manifold, verify_realization)
 from reebforge.blocks import cylinder_block
@@ -106,7 +106,7 @@ def test_gluing_rejects_components_of_different_meshes():
     sphere = cylinder_block(0, F(0), F(1)).boundary[1]
     torus = cylinder_block(1, F(1), F(2)).boundary[0]
     with pytest.raises(AssemblyError, match="different triangle sets"):
-        _identify_components(sphere, torus)
+        common_refinement(sphere, torus)
 
 
 def test_deleted_tet_detected():

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
-from reebforge.canonical import (canonical_mesh, generate_surface,
-                                 klein_solid, solid_for_label, torus_solid)
+from reebforge.canonical import (canonical_mesh, klein_solid,
+                                 solid_for_label, torus_solid)
 from reebforge.complexes import (boundary_surface, find_interior_tets,
                                  validate_complex)
 from reebforge.graphs import euler_char
@@ -12,16 +14,28 @@ from reebforge.surfaces import (MeshError, classify_labels, classify_surface,
 @pytest.mark.parametrize("r", list(range(-6, 7)))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_generate_classify_round_trip(r, k):
-    mesh = generate_surface(r, k)
+    mesh = canonical_mesh(r, k)
     comps = classify_surface(mesh)
     assert len(comps) == 1
     assert comps[0].label == r
     assert comps[0].chi == euler_char(r)
 
 
+def test_canonical_meshes_are_pinned():
+    """Vertex counts, triangle lists and spares of every canonical mesh
+    for |r| <= 8 at refinements 1-3, byte for byte."""
+    h = hashlib.sha256()
+    for k in (1, 2, 3):
+        for r in range(-8, 9):
+            m = canonical_mesh(r, k)
+            h.update(repr((r, k, m.nv, m.triangles, m.spares)).encode())
+    assert h.hexdigest() == ("1cd8e6ea66e094cb25d96a87f96b678a"
+                             "f3c8241538ded0409cb0da1e86e98d96")
+
+
 @pytest.mark.parametrize("r", list(range(-6, 7)))
 def test_generated_spare_disks(r):
-    mesh = generate_surface(r, 1)
+    mesh = canonical_mesh(r, 1)
     assert len(mesh.spares) >= 2
     seen = set()
     for s in mesh.spares:
@@ -32,18 +46,18 @@ def test_generated_spare_disks(r):
 
 def test_orientation_propagation_conflicts():
     for r in range(-6, 7):
-        comp = classify_surface(generate_surface(r, 1))[0]
+        comp = classify_surface(canonical_mesh(r, 1))[0]
         assert comp.orientable == (r >= 0)
 
 
 def test_klein_mesh_example():
-    mesh = generate_surface(-2, 1)
+    mesh = canonical_mesh(-2, 1)
     comp = classify_surface(mesh)[0]
     assert comp.chi == 0 and not comp.orientable
 
 
 def test_projective_plane_example():
-    mesh = generate_surface(-1, 1)
+    mesh = canonical_mesh(-1, 1)
     comp = classify_surface(mesh)[0]
     assert comp.chi == 1 and not comp.orientable
 

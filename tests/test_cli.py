@@ -338,6 +338,19 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["check"], ["build"], ["verify"],
+                                     ["extract"], ["surface", "classify"]])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert "maximum recursion depth exceeded" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("edge", ["99", "1", "-1"])
 def test_mislabel_edge_out_of_range_is_an_input_error(tmp_path, edge):
     proc = run_argv(["verify", write(tmp_path, "g.json", MINIMAL),

@@ -32,19 +32,16 @@ def bipyramid(p=6):
 
 
 def grid_torus_heights(p=6):
-    """Vertical torus as a 2-complex: big circle profile plus a small one."""
+    """Vertical torus as a 2-complex: big circle profile plus a small one.
+    Torus-grid vertex j * P + i sits at (i / P, j / P) in the unit square."""
     mesh = canonical_mesh(1, 1)
-    anchor = mesh.anchor
-    heights = [None] * mesh.nv
     P = 6
-    for i, (x, y) in enumerate(anchor.points):
-        big = min(y, 1 - y)
-        small = min(x, 1 - x)
-        h = 4 * big + small
-        v = anchor.to_mesh[i]
-        if heights[v] is None:
-            heights[v] = h
-    return mesh.triangles, [F(h) for h in heights]
+    assert mesh.nv == P * P
+    heights = []
+    for v in range(mesh.nv):
+        x, y = F(v % P, P), F(v // P, P)
+        heights.append(4 * min(y, 1 - y) + min(x, 1 - x))
+    return mesh.triangles, heights
 
 
 def test_sphere_height_is_two_node_path():
