@@ -130,10 +130,8 @@ def _end_component(side: str, value: Fraction, label: int, prod, vmap,
                    layers) -> BoundaryComponent:
     """Boundary component on the given layers of a surface prism, outer
     layer first; vmap sends prism vertices to block vertices."""
-    mesh = prod.mesh
-    layer_ids = [[vmap[prod.vid(v, j)] for v in range(mesh.nv)]
-                 for j in layers]
-    return BoundaryComponent(side, value, label, mesh.copy(), layer_ids)
+    layer_ids = [[vmap[x] for x in prod.layer_vertices(j)] for j in layers]
+    return BoundaryComponent(side, value, label, prod.mesh, layer_ids)
 
 
 def cylinder_block(label: int, a1: Fraction, a2: Fraction,

@@ -5,26 +5,30 @@ One mesh family per label at each refinement level keeps every interface
 in an assembly literally identical, so gluing never has to match two
 unrelated triangulations:
 
-  label 0        midpoint-subdivided tetrahedron boundary
-  label 1 / -2   P x P grid quotients of the square (P = 3 * 2**k)
-  label -1       antipodal P x P grid quotient
-  otherwise      fixed-recipe connected sums of the above
+  label 0          midpoint-subdivided tetrahedron boundary
+  label 1, -2, -1  P x P grid on the square (P = 3 * 2**k), bottom side
+                   glued to the top and left side to the right; -2
+                   reverses the top, -1 the top and the right
+  otherwise        connected sums of the above, left to right
 
 Solids: ball = sphere prism capped by a cone; solid torus / solid Klein
-bottle = disk x circle products (the Klein seam composes with the disk
-reflection); higher even-chi labels = boundary-connected sums.
+bottle = one disk prism whose last layer is identified with its first
+(through the disk reflection for the Klein bottle); higher even-chi labels
+= boundary-connected sums of the cached elementary solids.
+
+Meshes and solids are cached per (label, refinement) and shared: callers
+must not mutate them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (TetComplex, boundary_surface, circle_prism,
-                        cone_complex, merge_complexes, surface_prism)
+from .complexes import (TetComplex, boundary_surface, cone_complex,
+                        merge_complexes, surface_prism)
 from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
                        connected_sum_label, connected_sum_mesh_maps,
-                       find_spare_triangles, same_triangles,
-                       validate_surface)
+                       find_spare_triangles, same_triangles)
 from .unionfind import UnionFind
 
 
@@ -38,23 +42,21 @@ def grid_size(refinement: int) -> int:
 # grid quotients of the unit square
 # ---------------------------------------------------------------------------
 
-def _grid_quotient(P: int, pairs, corner_fix: bool = False) -> SurfaceMesh:
-    """Quotient of the (P+1)^2 lattice of the unit square by boundary
-    identifications; cells split toward the smaller quotient id of their
-    bottom edge (the same rule the layered products use).
+def _grid_quotient(P: int, label: int) -> SurfaceMesh:
+    """The P x P grid on the unit square with its bottom side glued to the
+    top and its left side to the right: label 1 keeps both sides, -2
+    reverses the top, -1 reverses the top and the right.
 
-    corner_fix forces the diagonal of the four corner cells through their
-    unique interior lattice corner; the antipodal quotient needs this so a
-    corner triangle and its image do not coincide.
+    Cells split toward the smaller quotient id of their bottom edge (the
+    same rule the layered products use).  For label -1 the four corner
+    cells split through their interior lattice corner instead, so a corner
+    triangle and its image do not coincide.
     """
     W = P + 1
-
-    def lid(i, j):
-        return j * W + i
-
     uf = UnionFind(W * W)
-    for i1, j1, i2, j2 in pairs:
-        uf.union(lid(i1, j1), lid(i2, j2))
+    for k in range(W):
+        uf.union(k, P * W + (P - k if label < 0 else k))
+        uf.union(k * W, (P - k if label == -1 else k) * W + P)
     # quotient ids in order of each class's smallest lattice id
     classes = uf.groups(range(W * W))
     quo = [0] * (W * W)
@@ -65,50 +67,20 @@ def _grid_quotient(P: int, pairs, corner_fix: bool = False) -> SurfaceMesh:
     triangles = []
     for j in range(P):
         for i in range(P):
-            bl, br = lid(i, j), lid(i + 1, j)
-            tl, tr = lid(i, j + 1), lid(i + 1, j + 1)
-            corner = None
-            if corner_fix:
-                if (i, j) == (0, 0):
-                    corner = "tr"
-                elif (i, j) == (P - 1, 0):
-                    corner = "tl"
-                elif (i, j) == (0, P - 1):
-                    corner = "br"
-                elif (i, j) == (P - 1, P - 1):
-                    corner = "bl"
-            if corner in ("tr", "bl"):
-                cells = [(bl, br, tr), (bl, tr, tl)]
-            elif corner in ("tl", "br"):
-                cells = [(bl, br, tl), (br, tr, tl)]
-            elif quo[bl] <= quo[br]:
-                cells = [(bl, br, tr), (bl, tr, tl)]
+            bl = j * W + i
+            br, tl, tr = bl + 1, bl + W, bl + W + 1
+            # the diagonal bl-tr, or else br-tl
+            if label == -1 and i in (0, P - 1) and j in (0, P - 1):
+                rising = i == j
             else:
-                cells = [(bl, br, tl), (br, tr, tl)]
+                rising = quo[bl] <= quo[br]
+            cells = ([(bl, br, tr), (bl, tr, tl)] if rising else
+                     [(bl, br, tl), (br, tr, tl)])
             triangles += [tuple(quo[v] for v in cell) for cell in cells]
 
     mesh = SurfaceMesh(len(classes), triangles)
-    validate_surface(mesh)
     mesh.spares = find_spare_triangles(mesh)
     return mesh
-
-
-def _torus_grid(P: int) -> SurfaceMesh:
-    pairs = [(i, 0, i, P) for i in range(P + 1)]
-    pairs += [(0, j, P, j) for j in range(P + 1)]
-    return _grid_quotient(P, pairs)
-
-
-def _klein_grid(P: int) -> SurfaceMesh:
-    pairs = [(i, 0, P - i, P) for i in range(P + 1)]
-    pairs += [(0, j, P, j) for j in range(P + 1)]
-    return _grid_quotient(P, pairs)
-
-
-def _projective_grid(P: int) -> SurfaceMesh:
-    pairs = [(i, 0, P - i, P) for i in range(P + 1)]
-    pairs += [(0, j, P, P - j) for j in range(P + 1)]
-    return _grid_quotient(P, pairs, corner_fix=True)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +111,6 @@ def _sphere_mesh(refinement: int) -> SurfaceMesh:
     mesh = _base_sphere()
     for _ in range(refinement + 1):
         mesh = subdivide(mesh)
-    validate_surface(mesh)
     mesh.spares = find_spare_triangles(mesh)
     return mesh
 
@@ -162,19 +133,18 @@ def _summands(label: int) -> list[int]:
 
 
 def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
-    """The one triangulation of each surface used at block interfaces."""
+    """The one triangulation of each surface used at block interfaces.
+
+    Cached and shared: the result must not be mutated.
+    """
     key = (label, refinement)
     if key in _MESH_CACHE:
-        return _MESH_CACHE[key].copy()
+        return _MESH_CACHE[key]
     P = grid_size(refinement)
     if label == 0:
         mesh = _sphere_mesh(refinement)
-    elif label == 1:
-        mesh = _torus_grid(P)
-    elif label == -1:
-        mesh = _projective_grid(P)
-    elif label == -2:
-        mesh = _klein_grid(P)
+    elif label in (1, -1, -2):
+        mesh = _grid_quotient(P, label)
     else:
         first, *rest = _summands(label)
         mesh = canonical_mesh(first, refinement)
@@ -187,7 +157,7 @@ def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
         raise MeshError(f"canonical mesh for {label} classifies as "
                         f"{[c.label for c in comps]}")
     _MESH_CACHE[key] = mesh
-    return mesh.copy()
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -235,49 +205,44 @@ def _disk_mesh(P: int) -> SurfaceMesh:
 
 
 def _disk_reflection(P: int) -> list[int]:
-    sigma = [0] * (2 * P + 1)
-    for i in range(P):
-        sigma[i] = (P - i) % P
-        sigma[P + i] = P + (P - i) % P
-    sigma[2 * P] = 2 * P
-    return sigma
+    """i -> P-i mod P on the rim and on the interior ring."""
+    rim = [(P - i) % P for i in range(P)]
+    return rim + [P + i for i in rim] + [2 * P]
 
 
 def ball_solid(refinement: int = 1) -> Solid:
     """3-ball: two sphere prism layers capped by an interior cone, so a
     fully interior tet is always available for bridging."""
     sphere = canonical_mesh(0, refinement)
-    cx = surface_prism(sphere, 2).complex
-    cone = cone_complex(sphere, base_offset=2 * sphere.nv, nv=cx.nv)
-    full = TetComplex(cone.nv, cx.tets + cone.tets)
-    return Solid(full, [End(0, sphere, list(range(sphere.nv)))])
+    prod = surface_prism(sphere, 2)
+    cx, _, _ = merge_complexes(
+        [prod.complex, cone_complex(sphere)],
+        [(1, v, 0, prod.vid(v, 2)) for v in range(sphere.nv)])
+    return Solid(cx, [End(0, sphere, prod.layer_vertices(0))])
 
 
-def _product_solid(refinement: int, twist: bool) -> Solid:
+def _product_solid(label: int, refinement: int) -> Solid:
+    """Solid torus (label 1) or solid Klein bottle (label -2): a P-layer
+    disk prism whose last layer is identified with its first, through the
+    disk reflection for the Klein bottle."""
     P = grid_size(refinement)
     disk = _disk_mesh(P)
-    sigma = _disk_reflection(P) if twist else None
-    prod = circle_prism(disk, P, sigma)
-    label = -2 if twist else 1
+    sigma = _disk_reflection(P) if label == -2 else range(disk.nv)
+    prod = surface_prism(disk, P)
+    # each class holds one layer-0 vertex, its root, so layers 0..P-1 keep
+    # their prism ids
+    cx, _, _ = merge_complexes(
+        [prod.complex],
+        [(0, prod.vid(v, P), 0, prod.vid(sigma[v], 0))
+         for v in range(disk.nv)])
     boundary = canonical_mesh(label, refinement)
     # boundary vertex (rim i, layer j) has quotient id j*P + i in the grid
-    bmap = [0] * boundary.nv
-    for j in range(P):
-        for i in range(P):
-            bmap[j * P + i] = prod.vid(i, j)
-    got, used = boundary_surface(prod.complex)
+    bmap = [prod.vid(q % P, q // P) for q in range(boundary.nv)]
+    got, used = boundary_surface(cx)
     if not same_triangles([[used[v] for v in t] for t in got.triangles],
                           [[bmap[v] for v in t] for t in boundary.triangles]):
         raise MeshError("solid boundary does not match its canonical mesh")
-    return Solid(prod.complex, [End(label, boundary, bmap)])
-
-
-def torus_solid(refinement: int = 1) -> Solid:
-    return _product_solid(refinement, twist=False)
-
-
-def klein_solid(refinement: int = 1) -> Solid:
-    return _product_solid(refinement, twist=True)
+    return Solid(cx, [End(label, boundary, bmap)])
 
 
 def boundary_connect_sum(a: Solid, b: Solid, i: int) -> Solid:
@@ -308,7 +273,7 @@ _SOLID_CACHE: dict[tuple[int, int], Solid] = {}
 def solid_for_label(label: int, refinement: int = 1) -> Solid:
     """A solid bounding the canonical mesh of an even-chi label.
 
-    Cached; treat the result as immutable (all gluing operations copy).
+    Cached and shared: the result must not be mutated.
     """
     key = (label, refinement)
     if key in _SOLID_CACHE:
@@ -318,12 +283,14 @@ def solid_for_label(label: int, refinement: int = 1) -> Solid:
             f"no compact 3-manifold bounds the odd-chi surface r={label}")
     if label == 0:
         acc = ball_solid(refinement)
+    elif label in (1, -2):
+        acc = _product_solid(label, refinement)
     else:
-        makers = {1: torus_solid, -2: klein_solid}
         first, *rest = _summands(label)
-        acc = makers[first](refinement)
+        acc = solid_for_label(first, refinement)
         for summand in rest:
-            acc = boundary_connect_sum(acc, makers[summand](refinement), 0)
+            acc = boundary_connect_sum(
+                acc, solid_for_label(summand, refinement), 0)
     if label not in (0, 1, -2) and not same_triangles(
             acc.ends[0].mesh.triangles,
             canonical_mesh(label, refinement).triangles):

@@ -242,37 +242,11 @@ def surface_prism(mesh: SurfaceMesh, nseg: int) -> PrismProduct:
     return PrismProduct(TetComplex(nv * (nseg + 1), tets), mesh)
 
 
-def circle_prism(mesh: SurfaceMesh, nseg: int,
-                 twist: list[int] | None = None) -> PrismProduct:
-    """mesh x S^1 with nseg layers; the wrap from the last layer back to
-    layer 0 composes with the simplicial automorphism twist when given."""
-    if nseg < 3:
-        raise ComplexError("circle product needs at least three segments")
-    nv = mesh.nv
-    sigma = twist if twist is not None else list(range(nv))
-    tets: list[Tet] = []
-    for j in range(nseg):
-        wrap = j == nseg - 1
-        jj = 0 if wrap else j + 1
-        for tri in mesh.triangles:
-            bottom = tuple(j * nv + v for v in tri)
-            if wrap:
-                top = tuple(jj * nv + sigma[v] for v in tri)
-            else:
-                top = tuple(jj * nv + v for v in tri)
-            tets.extend(_staircase(bottom, top, tri))
-    return PrismProduct(TetComplex(nv * nseg, tets), mesh)
-
-
-def cone_complex(mesh: SurfaceMesh, base_offset: int = 0,
-                 nv: int | None = None) -> TetComplex:
-    """Cone over a closed surface mesh whose vertices sit at base_offset
-    onward among nv vertices (mesh.nv when not given); the apex is
-    appended."""
-    apex = mesh.nv if nv is None else nv
-    tets = [(apex, base_offset + a, base_offset + b, base_offset + c)
-            for a, b, c in mesh.triangles]
-    return TetComplex(apex + 1, tets)
+def cone_complex(mesh: SurfaceMesh) -> TetComplex:
+    """Cone over a closed surface mesh; the apex is vertex mesh.nv."""
+    apex = mesh.nv
+    return TetComplex(apex + 1,
+                      [(apex, a, b, c) for a, b, c in mesh.triangles])
 
 
 # ---------------------------------------------------------------------------

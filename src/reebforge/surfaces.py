@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .graphs import brief
 from .unionfind import UnionFind
 
 
@@ -23,9 +24,6 @@ class SurfaceMesh:
     nv: int
     triangles: list[tuple[int, int, int]]
     spares: list[int] = field(default_factory=list)   # indices of spare disk triangles
-
-    def copy(self) -> "SurfaceMesh":
-        return SurfaceMesh(self.nv, list(self.triangles), list(self.spares))
 
 
 def _edge_map(triangles):
@@ -225,14 +223,10 @@ def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
     """Connected sum plus the vertex maps of both summands into the result.
 
     Removes the spare disk triangles d1 and d2 and identifies their
-    boundary 3-cycles (sorted-order correspondence).  The rims have equal
-    length by construction; a length mismatch is an error.
+    boundary 3-cycles (sorted-order correspondence).
     """
     t1 = m1.triangles[d1]
     t2 = m2.triangles[d2]
-    if len(t1) != len(t2):
-        raise MeshError("boundary cycle length mismatch and no refinement "
-                        "directive")
     off = m1.nv
     remap2 = list(range(off, off + m2.nv))
     for a, b in zip(sorted(t1), sorted(t2)):
@@ -292,11 +286,12 @@ def mesh_to_dict(mesh: SurfaceMesh) -> dict:
 
 def mesh_from_dict(doc) -> SurfaceMesh:
     """Parse a mesh document; shape and index-range errors raise
-    MeshError.  Vertices are a JSON list, vertex ids JSON integers."""
+    MeshError.  Vertices and spares are JSON lists, vertex ids and spare
+    triangle indices JSON integers."""
     try:
         nv = len(doc["vertices"])
         tris = [tuple(t) for t in doc["triangles"]]
-        spares = list(doc.get("spares", []))
+        spares = doc.get("spares", [])
     except (KeyError, TypeError) as exc:
         raise MeshError(f"bad mesh document: {exc}") from exc
     if type(doc["vertices"]) is not list:
@@ -308,6 +303,12 @@ def mesh_from_dict(doc) -> SurfaceMesh:
                                   for v in t):
             raise MeshError(f"triangle {list(t)} is not 3 vertex ids "
                             f"in 0..{nv - 1}")
+    if type(spares) is not list:
+        raise MeshError("mesh spares are not a JSON list")
+    for s in spares:
+        if type(s) is not int or not 0 <= s < len(tris):
+            raise MeshError(f"spare {brief(s)} is not a triangle index "
+                            f"in 0..{len(tris) - 1}")
     return SurfaceMesh(nv, tris, spares)
 
 

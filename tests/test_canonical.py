@@ -2,8 +2,7 @@ import hashlib
 
 import pytest
 
-from reebforge.canonical import (canonical_mesh, klein_solid,
-                                 solid_for_label, torus_solid)
+from reebforge.canonical import canonical_mesh, solid_for_label
 from reebforge.complexes import (boundary_surface, find_interior_tets,
                                  validate_complex)
 from reebforge.graphs import euler_char
@@ -31,6 +30,21 @@ def test_canonical_meshes_are_pinned():
             h.update(repr((r, k, m.nv, m.triangles, m.spares)).encode())
     assert h.hexdigest() == ("1cd8e6ea66e094cb25d96a87f96b678a"
                              "f3c8241538ded0409cb0da1e86e98d96")
+
+
+def test_solids_are_pinned():
+    """Complexes and ends of every even-chi solid for |r| <= 8 at
+    refinements 1-2, byte for byte."""
+    h = hashlib.sha256()
+    for k in (1, 2):
+        for r in range(-8, 9):
+            if euler_char(r) % 2 == 0:
+                s = solid_for_label(r, k)
+                h.update(repr((r, k, s.cx.nv, s.cx.tets,
+                               [(e.label, e.mesh.triangles, e.bmap)
+                                for e in s.ends])).encode())
+    assert h.hexdigest() == ("b14cca09a4024bcf066dac449c656f92"
+                             "97561b0a8a274dbac0771edcd3c5e590")
 
 
 @pytest.mark.parametrize("r", list(range(-6, 7)))
@@ -82,9 +96,10 @@ def test_solids_reject_odd_chi():
         solid_for_label(-3, 1)
 
 
-@pytest.mark.parametrize("maker", [torus_solid, klein_solid])
-def test_product_solids_have_interior_tets(maker):
-    s = maker(1)
+@pytest.mark.parametrize("label", [1, -2],
+                         ids=["torus_solid", "klein_solid"])
+def test_product_solids_have_interior_tets(label):
+    s = solid_for_label(label, 1)
     assert len(find_interior_tets(s.cx, s.ends[0].bmap)) >= 2
 
 

@@ -216,6 +216,19 @@ def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     assert proc.stderr.startswith("input error:")
 
 
+@pytest.mark.parametrize("spares", ["xyz", [99], [True]],
+                         ids=["string", "out-of-range", "boolean"])
+def test_mesh_spares_are_triangle_indices(tmp_path, capsys, spares):
+    # a string would be read as its characters, and true as triangle 1
+    doc = {"vertices": [0, 1, 2, 3], "triangles": TETRA_BOUNDARY,
+           "spares": spares}
+    assert main(["surface", "classify", write(tmp_path, "m.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def _tet_vertex_true(doc):
     # a vertex 1 of some tet written as true
     t = next(t for t in doc["tetrahedra"] if 1 in t)

@@ -10,7 +10,7 @@ from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
                                  ComplexError, FaceMap, Tet, TetComplex,
                                  _slot_classes, boundary_faces,
-                                 boundary_surface, circle_prism, cone_complex,
+                                 boundary_surface, cone_complex,
                                  euler_characteristic, face_map,
                                  find_interior_tets, merge_complexes,
                                  remove_tets, surface_prism,
@@ -42,11 +42,6 @@ def test_cone_over_shared_walls_consistent():
     validate_complex(prod.complex)
     bmesh, _ = boundary_surface(prod.complex)
     assert classify_labels(bmesh) == [0, 0]
-
-
-def test_circle_prism_needs_three_layers():
-    with pytest.raises(ComplexError):
-        circle_prism(TETRA, 2)
 
 
 def test_remove_interior_tet_leaves_manifold():
