@@ -291,9 +291,11 @@ def solid_for_label(label: int, refinement: int = 1) -> Solid:
         for summand in rest:
             acc = boundary_connect_sum(
                 acc, solid_for_label(summand, refinement), 0)
-    if label not in (0, 1, -2) and not same_triangles(
-            acc.ends[0].mesh.triangles,
-            canonical_mesh(label, refinement).triangles):
-        raise MeshError("composite solid boundary drifted from canonical")
+    if label not in (0, 1, -2):
+        mesh = canonical_mesh(label, refinement)
+        if not same_triangles(acc.ends[0].mesh.triangles, mesh.triangles):
+            raise MeshError("composite solid boundary drifted from canonical")
+        # the end carries the shared mesh, not the equal one the sums built
+        acc.ends[0] = End(label, mesh, acc.ends[0].bmap)
     _SOLID_CACHE[key] = acc
     return acc

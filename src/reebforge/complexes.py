@@ -5,7 +5,8 @@ vertex-identifying unions.
 Vertex ids in a product are layer-major: (v, layer j) -> j*nv + v.  Prism
 quads are always split toward the smaller surface vertex id of the lower
 layer, so separately built products over the same surface mesh triangulate
-shared walls identically.
+shared walls identically.  That split depends on the triangle alone, so each
+triangle's prism is split once and repeated layer by layer.
 """
 from __future__ import annotations
 
@@ -203,19 +204,6 @@ def boundary_surface(cx: TetComplex):
 # products and cones
 # ---------------------------------------------------------------------------
 
-def _staircase(bottom: tuple[int, int, int], top: tuple[int, int, int],
-               order: tuple[int, int, int]):
-    """Split the prism between two triangle copies into three tets.
-
-    bottom/top are global ids of matched corners, order the surface ids
-    used for the deterministic diagonal choice.
-    """
-    idx = sorted(range(3), key=lambda i: order[i])
-    a0, b0, c0 = (bottom[i] for i in idx)
-    a1, b1, c1 = (top[i] for i in idx)
-    return [(a0, b0, c0, c1), (a0, b0, b1, c1), (a0, a1, b1, c1)]
-
-
 @dataclass
 class PrismProduct:
     complex: TetComplex
@@ -233,12 +221,15 @@ def surface_prism(mesh: SurfaceMesh, nseg: int) -> PrismProduct:
     if nseg < 1:
         raise ComplexError("product needs at least one segment")
     nv = mesh.nv
-    tets: list[Tet] = []
-    for j in range(nseg):
-        for tri in mesh.triangles:
-            bottom = tuple(j * nv + v for v in tri)
-            top = tuple((j + 1) * nv + v for v in tri)
-            tets.extend(_staircase(bottom, top, tri))
+    # each triangle's prism over the first segment, split once; the other
+    # segments repeat it one layer up at a time
+    first: list[Tet] = []
+    for tri in mesh.triangles:
+        a, b, c = sorted(tri)
+        first += [(a, b, c, c + nv), (a, b, b + nv, c + nv),
+                  (a, a + nv, b + nv, c + nv)]
+    tets = [(a + o, b + o, c + o, d + o) for o in range(0, nseg * nv, nv)
+            for a, b, c, d in first]
     return PrismProduct(TetComplex(nv * (nseg + 1), tets), mesh)
 
 

@@ -5,10 +5,10 @@ The sweep works on integer ranks of the distinct vertex values.  Every
 cell's vertices sit on layer values, so a cell meeting an open slab spans
 it.  Slab components come from union-find over cells joined across shared
 faces, a level's components are classes of the slab components on either
-side and its flat cells, and each slab component touches exactly one
-level component at each end.  Each distinct slab slice is classified
-once per extraction: the slabs of a product region slice to the same
-surface.
+side and its flat regions (flat cells joined across shared faces), and
+each slab component touches exactly one level component at each end.
+Each distinct slab slice is classified once per extraction: the slabs of
+a product region slice to the same surface.
 
 A level component is treated as certainly singular when it contains a
 cell on which the function is constant (the PL stand-in for a fat
@@ -81,8 +81,10 @@ class _Sweep:
     """Shared precomputation for one complex, on integer ranks of the
     layer values.  Slab s lies between levels s and s + 1; cells, and the
     pairs of cells a shared face joins, are filed in every slab they span.
-    Level i keeps what its two slabs miss: flat cells (lo == hi == i),
-    joins across flat faces, and cells spanning both slabs."""
+    Level i keeps what its two slabs miss: its flat regions (flat cells,
+    lo == hi == i, joined across the faces two of them share, merged
+    while faces are filed), the joins across flat faces that touch a
+    non-flat cell, and cells spanning both slabs."""
 
     cells: list[tuple]
     layers: list[Fraction]
@@ -90,7 +92,8 @@ class _Sweep:
     cmin: list[int]
     slab_cells: list[list[int]]
     slab_joins: list[list[tuple[int, int]]]
-    flat_cells: list[list[int]]
+    flat_regions: list[list[list[int]]]   # per level, by first cell
+    region_of: list[int]           # flat cell -> its region at its level
     flat_joins: list[list[tuple[int, int]]]
     cross: list[list[int]]         # spanning both, no vertex at rank i
     cross_at: list[list[int]]      # spanning both, a vertex at rank i
@@ -108,35 +111,55 @@ def _prepare(cells, values) -> _Sweep:
     for p, v in enumerate(order):
         pos[v] = p
     prank = [vrank[v] for v in order]
+    at = pos.__getitem__
     slab_cells, slab_joins = ([[] for _ in range(L - 1)] for _ in range(2))
     flat_cells, flat_joins, cross, cross_at = (
         [[] for _ in range(L)] for _ in range(4))
     cmin, first_cell = [], {}
+    file_face = first_cell.setdefault
+    # flat cells joined across a face fall into one region; region_of
+    # marks the flat cells here and numbers their regions after the pass
+    regions = UnionFind(len(cells))
+    union = regions.union
+    region_of = [-1] * len(cells)
     for ci, cell in enumerate(cells):
-        s = sorted([pos[v] for v in cell])
+        s = sorted(map(at, cell))
         if len(s) == 4:
             a, b, c, d = s
-            ra, rb, rc, hi = prank[a], prank[b], prank[c], prank[d]
+            ra, hi = prank[a], prank[d]
             ab = (a * n + b) * n
-            faces = ((ab + c, ra, rc), (ab + d, ra, hi),
-                     ((a * n + c) * n + d, ra, hi),
-                     ((b * n + c) * n + d, rb, hi))
-            mids = (rb, rc)
+            keys = (ab + c, ab + d, (a * n + c) * n + d, (b * n + c) * n + d)
         else:
             a, b, c = s
-            ra, rb, hi = prank[a], prank[b], prank[c]
-            faces = ((a * n + b, ra, rb), (a * n + c, ra, hi),
-                     (b * n + c, rb, hi))
-            mids = (rb,)
+            ra, hi = prank[a], prank[c]
+            keys = (a * n + b, a * n + c, b * n + c)
         cmin.append(ra)
         if ra == hi:
+            # every face is flat and no slab is spanned
+            region_of[ci] = 0
             flat_cells[ra].append(ci)
+            for key in keys:
+                first = file_face(key, ci)
+                if first != ci:
+                    if region_of[first] >= 0:
+                        union(ci, first)
+                    else:
+                        flat_joins[ra].append((ci, first))
+            continue
+        if len(s) == 4:
+            rb, rc = prank[b], prank[c]
+            faces = zip(keys, (ra, ra, ra, rb), (rc, hi, hi, hi))
+            mids = (rb, rc)
+        else:
+            rb = prank[b]
+            faces = zip(keys, (ra, ra, rb), (rb, hi, hi))
+            mids = (rb,)
         for k in range(ra, hi):
             slab_cells[k].append(ci)
         for k in range(ra + 1, hi):
             (cross_at if k in mids else cross)[k].append(ci)
         for key, lo, up in faces:
-            first = first_cell.setdefault(key, ci)
+            first = file_face(key, ci)
             if first != ci:
                 # every later cell on a face joins the first one
                 join = (ci, first)
@@ -144,21 +167,28 @@ def _prepare(cells, values) -> _Sweep:
                     flat_joins[lo].append(join)
                 for k in range(lo, up):
                     slab_joins[k].append(join)
+    flat_regions = [regions.groups(fc) for fc in flat_cells]
+    for level in flat_regions:
+        for j, region in enumerate(level):
+            for c in region:
+                region_of[c] = j
     return _Sweep(list(cells), layers, vrank, cmin, slab_cells, slab_joins,
-                  flat_cells, flat_joins, cross, cross_at)
+                  flat_regions, region_of, flat_joins, cross, cross_at)
 
 
 def _levels(sw: _Sweep):
     """Yield (i, below, above, classes, carried) for each level i upward.
     below and above are the components of slabs i - 1 and i (cells joined
     across faces spanning the slab).  classes are level i's components,
-    the quotient of below, above and the flat cells at i through cells
-    spanning both slabs and faces in level i: lists of items, k standing
-    for below[k], len(below) + k for above[k], the rest for flat cells.
+    the quotient of below, above and the flat regions at i through cells
+    spanning both slabs and flat faces with a non-flat cell: lists of
+    items, k standing for below[k], len(below) + k for above[k], and
+    len(below) + len(above) + k for the flat region sw.flat_regions[i][k].
     carried[k] is the component of slab i - 1 with the cells and slice of
     above[k] (its level component has no vertex at rank i), or -1.  All
     come in order of smallest cell."""
     n, L = len(sw.cells), len(sw.layers)
+    cmin, region_of = sw.cmin, sw.region_of
     uf = UnionFind(n)
     parent = uf.parent
     below, below_of, above_of = [], [0] * n, [0] * n
@@ -177,23 +207,25 @@ def _levels(sw: _Sweep):
                 for c in comp:
                     above_of[c] = k
         nb, na = len(below), len(above)
-        flats = sw.flat_cells[i]
-        items = UnionFind(nb + na + len(flats))
+        regions = sw.flat_regions[i]
+        items = UnionFind(nb + na + len(regions))
+        union = items.union
         at_rank = [len(comp) for comp in below]
         for c in sw.cross[i]:           # all else has a vertex at rank i
             at_rank[below_of[c]] -= 1
-            items.union(below_of[c], nb + above_of[c])
+            union(below_of[c], nb + above_of[c])
         for c in sw.cross_at[i]:
-            items.union(below_of[c], nb + above_of[c])
-        flat_item = {c: nb + na + j for j, c in enumerate(flats)}
-        for join in sw.flat_joins[i]:
-            items.union(*(flat_item[c] if c in flat_item else
-                          below_of[c] if sw.cmin[c] < i else
-                          nb + above_of[c] for c in join))
-        firsts = [comp[0] for comp in below + above] + flats
+            union(below_of[c], nb + above_of[c])
+        for a, b in sw.flat_joins[i]:
+            # each join here touches a non-flat cell
+            union(nb + na + region_of[a] if region_of[a] >= 0 else
+                  below_of[a] if cmin[a] < i else nb + above_of[a],
+                  nb + na + region_of[b] if region_of[b] >= 0 else
+                  below_of[b] if cmin[b] < i else nb + above_of[b])
+        firsts = [comp[0] for comp in below + above + regions]
         classes = items.groups(sorted(range(len(firsts)),
                                       key=firsts.__getitem__))
-        carried = [below_of[c] if sw.cmin[c] < i and not at_rank[below_of[c]]
+        carried = [below_of[c] if cmin[c] < i and not at_rank[below_of[c]]
                    else -1 for c in (comp[0] for comp in above)]
         yield i, below, above, classes, carried
         below = above
@@ -203,47 +235,50 @@ def _levels(sw: _Sweep):
 def _slice_cells(sw: _Sweep, members, level: int):
     """Marching slice of the given cells between ranks level and level+1.
 
-    Returns a closed SurfaceMesh for tetrahedral cells or a segment graph
-    (as a 1-complex triangle-free mesh) for triangle cells.
+    Returns (pts, mesh, segs): pts numbers the cut edges (u, v), u < v, in
+    order of first use; mesh is a closed SurfaceMesh for tetrahedral cells
+    and segs the segment list for triangle cells (the other is None).
     """
+    cells, vrank = sw.cells, sw.vrank
     pts: dict[tuple[int, int], int] = {}
-
-    def pid(u, v):
-        return pts.setdefault((u, v) if u < v else (v, u), len(pts))
-
+    put = pts.setdefault
     tris = []
     segs = []
     for ci in members:
-        cell = sw.cells[ci]
-        below = [v for v in cell if sw.vrank[v] <= level]
-        above = [v for v in cell if sw.vrank[v] > level]
+        cell = cells[ci]
+        below, above = [], []
+        for v in cell:
+            if vrank[v] <= level:
+                below.append(v)
+            else:
+                above.append(v)
         if not below or not above:
             continue
-        if len(cell) == 3:
-            if len(below) == 1:
-                a = below[0]
-                segs.append((pid(a, above[0]), pid(a, above[1])))
-            else:
-                a = above[0]
-                segs.append((pid(a, below[0]), pid(a, below[1])))
-            continue
         if len(below) == 1:
-            a = below[0]
-            c, d, e = above
-            tris.append((pid(a, c), pid(a, d), pid(a, e)))
+            a, others = below[0], above
         elif len(above) == 1:
-            a = above[0]
-            c, d, e = below
-            tris.append((pid(a, c), pid(a, d), pid(a, e)))
+            a, others = above[0], below
         else:
             a, b = below
             c, d = above
-            # cyclic quad corners; adjacent corners share a tet face
-            corners = [(a, c), (a, d), (b, d), (b, c)]
-            keys = [tuple(sorted(k)) for k in corners]
-            i0 = keys.index(min(keys))
-            q = [pid(*corners[(i0 + j) % 4]) for j in range(4)]
-            tris += [(q[0], q[1], q[2]), (q[0], q[2], q[3])]
+            # the quad's corners run (a, c), (a, d), (b, d), (b, c) round
+            # its cycle, adjacent ones sharing a tet face, and it starts at
+            # its least corner (min(a, b), min(c, d)); swapping both pairs
+            # steps the cycle on by two
+            if a > b:
+                a, b, c, d = b, a, d, c
+            q = ((a, d), (b, d), (b, c), (a, c)) if c > d else \
+                ((a, c), (a, d), (b, d), (b, c))
+            q0, q1, q2, q3 = [put((u, v) if u < v else (v, u), len(pts))
+                              for u, v in q]
+            tris += [(q0, q1, q2), (q0, q2, q3)]
+            continue
+        ids = tuple([put((a, x) if a < x else (x, a), len(pts))
+                     for x in others])
+        if len(cell) == 3:
+            segs.append(ids)
+        else:
+            tris.append(ids)
     if segs:
         return pts, None, segs
     return pts, SurfaceMesh(len(pts), tris), None
@@ -284,11 +319,11 @@ def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
     labels = {}             # surface slice -> label, for this call only
     for i, below, above, classes, carried in _levels(sw):
         nb, na = len(below), len(above)
-        node_of = [0] * (nb + na + len(sw.flat_cells[i]))
+        node_of = [0] * (nb + na + len(sw.flat_regions[i]))
         for cls in classes:
             nid = len(node_values)
             node_values.append(sw.layers[i])
-            # a flat cell witnesses a singular level component
+            # a flat region witnesses a singular level component
             node_pinned.append(sw.layers[i] in pin_set or
                                max(cls) >= nb + na)
             for item in cls:

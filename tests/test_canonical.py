@@ -113,3 +113,10 @@ def test_boundary_sum_of_solids_tracks_canonical():
 def test_canonical_meshes_are_valid_complexes():
     for r in range(-6, 7):
         validate_surface(canonical_mesh(r, 1))
+
+
+@pytest.mark.parametrize("r", [2, -4, 8])
+def test_composite_solids_share_the_canonical_mesh(r):
+    # caps and junction cylinders over a composite solid carry the one
+    # cached mesh, not an equal copy built by the boundary sums
+    assert solid_for_label(r, 3).ends[0].mesh is canonical_mesh(r, 3)

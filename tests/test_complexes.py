@@ -28,6 +28,45 @@ def test_surface_prism_is_product_manifold():
     assert classify_labels(bmesh) == [1, 1]
 
 
+def staircase_reference(bottom: tuple[int, int, int],
+                        top: tuple[int, int, int],
+                        order: tuple[int, int, int]):
+    """Split the prism between two triangle copies into three tets.
+
+    bottom/top are global ids of matched corners, order the surface ids
+    used for the deterministic diagonal choice.
+
+    (Reference: `complexes._staircase`, which `surface_prism` called once
+    per triangle per segment, kept verbatim.)
+    """
+    idx = sorted(range(3), key=lambda i: order[i])
+    a0, b0, c0 = (bottom[i] for i in idx)
+    a1, b1, c1 = (top[i] for i in idx)
+    return [(a0, b0, c0, c1), (a0, b0, b1, c1), (a0, a1, b1, c1)]
+
+
+def prism_tets_reference(mesh: SurfaceMesh, nseg: int) -> list[Tet]:
+    """The tets of `surface_prism` as it built them with the staircase."""
+    nv = mesh.nv
+    tets: list[Tet] = []
+    for j in range(nseg):
+        for tri in mesh.triangles:
+            bottom = tuple(j * nv + v for v in tri)
+            top = tuple((j + 1) * nv + v for v in tri)
+            tets.extend(staircase_reference(bottom, top, tri))
+    return tets
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("r", range(-3, 4))
+def test_prism_matches_staircase_reference(r, k):
+    mesh = canonical_mesh(r, k)
+    for nseg in range(1, 5):
+        prod = surface_prism(mesh, nseg)
+        assert prod.complex.nv == mesh.nv * (nseg + 1)
+        assert prod.complex.tets == prism_tets_reference(mesh, nseg)
+
+
 def test_cone_over_sphere_is_ball():
     sphere = canonical_mesh(0, 1)
     cx = cone_complex(sphere)

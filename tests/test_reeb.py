@@ -16,9 +16,10 @@ from reebforge.complexes import surface_prism
 from reebforge.graphs import Edge, LabeledGraph
 from reebforge.reeb import (ReebEdge, ReebError, ReebGraph, ReebNode,
                             _contract, _levels, _prepare, _slab_label,
-                            _slice_cells, labeled_isomorphic, level_set_of,
-                            reeb_graph_of)
-from reebforge.surfaces import classify_labels, classify_surface
+                            _slice_cells, _Sweep, labeled_isomorphic,
+                            level_set_of, reeb_graph_of)
+from reebforge.surfaces import (SurfaceMesh, classify_labels,
+                                classify_surface)
 from reebforge.unionfind import UnionFind
 
 
@@ -340,11 +341,27 @@ def scan_components(cells, values, lo, hi):
         max(vrank[v] for v in cell) >= hi)
 
 
+def touching_flat_regions():
+    """A sphere prism over [0, 3] with two triangle prisms of its middle
+    segment flattened to 3/2.  Triangles 1 and 37 of the sphere share
+    vertex 4 alone and no other triangle has its corners among their five
+    vertices, so the flat tets form two regions that meet along the edge
+    over vertex 4."""
+    sphere = canonical_mesh(0, 1)
+    prism = surface_prism(sphere, 3)
+    values = [F(j) for j in range(4) for _ in range(sphere.nv)]
+    for v in sphere.triangles[1] + sphere.triangles[37]:
+        values[prism.vid(v, 1)] = values[prism.vid(v, 2)] = F(3, 2)
+    return prism.complex.tets, values, ()
+
+
 @functools.lru_cache(maxsize=None)
 def sweep_pool():
     """(cells, values, pin values) of small complexes whose own values
     slice them into closed surfaces or circles: criterion-2 junction
-    blocks, a cylinder, a prism, and triangle-mode surfaces."""
+    blocks, a cylinder, two prisms, and triangle-mode surfaces.  The
+    second prism has a level whose two flat regions meet at an edge and
+    share no face."""
     pool = []
     for bottom, top in (((0,), (0, 0)), ((1,), (0, 1)), ((-1,), (-1, 0)),
                         ((-2,), (-1, -1)), ((2,), (1, 1))):
@@ -357,6 +374,7 @@ def sweep_pool():
     prism = surface_prism(mesh, 3)
     pool.append((prism.complex.tets,
                  [F(k, 3) for k in range(4) for _ in range(mesh.nv)], ()))
+    pool.append(touching_flat_regions())
     pool.append(bipyramid() + ((),))
     pool.append(grid_torus_heights() + ((),))
     klein = canonical_mesh(-2, 1)
@@ -376,8 +394,38 @@ def _perturbed(values, rng):
     return [mid if rng.random() < 0.1 else v for v in values]
 
 
+def scan_flat_regions(cells, values, lvl):
+    """Reference for the flat regions of `_prepare`: the cells constant at
+    layer lvl, joined across the faces they share and never across a
+    shared edge or vertex alone."""
+    layer = sorted(set(values))[lvl]
+    flat = [c for c, cell in enumerate(cells)
+            if all(values[v] == layer for v in cell)]
+    fmap = {}
+    for c in flat:
+        for f in combinations(sorted(cells[c]), len(cells[c]) - 1):
+            fmap.setdefault(f, []).append(c)
+    uf = UnionFind(len(cells))
+    for cs in fmap.values():
+        for c in cs[1:]:
+            uf.union(c, cs[0])
+    return uf.groups(flat)
+
+
+def test_pool_has_flat_regions_meeting_off_a_face():
+    cells, values, _ = touching_flat_regions()
+    level = sorted(set(values)).index(F(3, 2))
+    first, second = scan_flat_regions(cells, values, level)
+    shared = ({v for c in first for v in cells[c]} &
+              {v for c in second for v in cells[c]})
+    assert len(shared) == 2
+    # and one level component holds both
+    (home,) = scan_components(cells, values, level, level)
+    assert set(first + second) < set(home)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 9), st.booleans(), st.integers(0, 2 ** 32))
+@given(st.integers(0, 10), st.booleans(), st.integers(0, 2 ** 32))
 def test_bucketed_components_match_full_scan(i, perturb, seed):
     cells, values, _ = sweep_pool()[i]
     if perturb:
@@ -386,7 +434,9 @@ def test_bucketed_components_match_full_scan(i, perturb, seed):
     for lvl, below, above, classes, carried in _levels(sw):
         if lvl + 1 < len(sw.layers):
             assert above == scan_components(cells, values, lvl, lvl + 1), lvl
-        parts = below + above + [[c] for c in sw.flat_cells[lvl]]
+        assert sw.flat_regions[lvl] == \
+            scan_flat_regions(cells, values, lvl), lvl
+        parts = below + above + sw.flat_regions[lvl]
         level = [sorted({c for k in cls for c in parts[k]}) for cls in classes]
         assert level == scan_components(cells, values, lvl, lvl), lvl
         # a slab component carries the label of the one below exactly when
@@ -550,7 +600,7 @@ def _node_profile(r):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 9), st.integers(0, 2 ** 32))
+@given(st.integers(0, 10), st.integers(0, 2 ** 32))
 def test_reeb_graph_invariant_under_reordering_and_renumbering(i, seed):
     cells, values, pins = sweep_pool()[i]
     base = reeb_graph_of(cells, values, pin_values=pins)
@@ -560,7 +610,7 @@ def test_reeb_graph_invariant_under_reordering_and_renumbering(i, seed):
     assert _node_profile(base) == _node_profile(other)
 
 
-@pytest.mark.parametrize("i", range(7))
+@pytest.mark.parametrize("i", range(8))
 def test_level_set_members_match_full_scan(i):
     cells, values, _ = sweep_pool()[i]
     layers = sorted(set(values))
@@ -579,8 +629,85 @@ def test_level_set_members_match_full_scan(i):
                 classify_labels(ls.mesh))
 
 
+def slice_cells_reference(sw: _Sweep, members, level: int):
+    """Marching slice of the given cells between ranks level and level+1.
+
+    Returns a closed SurfaceMesh for tetrahedral cells or a segment graph
+    (as a 1-complex triangle-free mesh) for triangle cells.
+
+    (Reference: `reeb._slice_cells` before it numbered points without a
+    closure and ordered quad corners without sorting them, kept verbatim.)
+    """
+    pts: dict[tuple[int, int], int] = {}
+
+    def pid(u, v):
+        return pts.setdefault((u, v) if u < v else (v, u), len(pts))
+
+    tris = []
+    segs = []
+    for ci in members:
+        cell = sw.cells[ci]
+        below = [v for v in cell if sw.vrank[v] <= level]
+        above = [v for v in cell if sw.vrank[v] > level]
+        if not below or not above:
+            continue
+        if len(cell) == 3:
+            if len(below) == 1:
+                a = below[0]
+                segs.append((pid(a, above[0]), pid(a, above[1])))
+            else:
+                a = above[0]
+                segs.append((pid(a, below[0]), pid(a, below[1])))
+            continue
+        if len(below) == 1:
+            a = below[0]
+            c, d, e = above
+            tris.append((pid(a, c), pid(a, d), pid(a, e)))
+        elif len(above) == 1:
+            a = above[0]
+            c, d, e = below
+            tris.append((pid(a, c), pid(a, d), pid(a, e)))
+        else:
+            a, b = below
+            c, d = above
+            # cyclic quad corners; adjacent corners share a tet face
+            corners = [(a, c), (a, d), (b, d), (b, c)]
+            keys = [tuple(sorted(k)) for k in corners]
+            i0 = keys.index(min(keys))
+            q = [pid(*corners[(i0 + j) % 4]) for j in range(4)]
+            tris += [(q[0], q[1], q[2]), (q[0], q[2], q[3])]
+    if segs:
+        return pts, None, segs
+    return pts, SurfaceMesh(len(pts), tris), None
+
+
+@pytest.mark.parametrize("mode", ["own", "perturbed", "presented",
+                                  "identified"])
+@pytest.mark.parametrize("i", range(11))
+def test_slices_match_reference(i, mode):
+    # identifying two vertices of a cell makes cells with a repeated
+    # vertex, whose quad corners tie
+    cells, values, _ = sweep_pool()[i]
+    rng = Random(f"{i}/{mode}")
+    if mode == "perturbed":
+        values = _perturbed(values, rng)
+    elif mode == "presented":
+        cells, values = _presented(cells, values, rng)
+    elif mode == "identified":
+        u, w = rng.sample(rng.choice(cells), 2)
+        cells = [tuple(w if v == u else v for v in cell) for cell in cells]
+    sw = _prepare(cells, values)
+    for lvl, _, above, _, _ in _levels(sw):
+        for comp in above:
+            pts, mesh, segs = _slice_cells(sw, comp, lvl)
+            want_pts, want_mesh, want_segs = slice_cells_reference(
+                sw, comp, lvl)
+            assert list(pts.items()) == list(want_pts.items())
+            assert (mesh, segs) == (want_mesh, want_segs)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 9), st.sampled_from(["own", "perturbed", "presented"]),
+@given(st.integers(0, 10), st.sampled_from(["own", "perturbed", "presented"]),
        st.integers(0, 2 ** 32), st.integers(0, 3))
 def test_sweep_matches_reference(i, mode, seed, npins):
     cells, values, pins = sweep_pool()[i]
@@ -598,7 +725,7 @@ def test_sweep_matches_reference(i, mode, seed, npins):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 9), st.booleans(), st.integers(0, 2 ** 32))
+@given(st.integers(0, 10), st.booleans(), st.integers(0, 2 ** 32))
 def test_sweep_matches_reference_on_corrupt_input(i, identify, seed):
     # a few cells removed, or two vertices made one: both sweeps raise the
     # same error, or return the same graph
