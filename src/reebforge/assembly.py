@@ -191,10 +191,14 @@ def validate_manifold(m: Manifold3) -> CheckReport:
     checks.append(("connected", 0 < reached == n,
                    f"{reached}/{n} tetrahedra"))
     checks.append(("euler", chi == 0, f"chi = {chi}"))
-    ok = len(m.provenance) == len(m.cx.tets) and \
-        all(kind in ("vertex", "edge") for kind, _ in m.provenance)
-    checks.append(("provenance", ok,
-                   f"{len(m.provenance)} records for {len(m.cx.tets)} tets"))
+    detail = f"{len(m.provenance)} records for {len(m.cx.tets)} tets"
+    bad = next((j for j, (kind, _) in enumerate(m.provenance)
+                if kind not in ("vertex", "edge")), None)
+    if bad is not None and len(m.provenance) == len(m.cx.tets):
+        detail = (f"record {bad} is {brief(list(m.provenance[bad]))}, "
+                  "neither a vertex nor an edge record")
+    checks.append(("provenance", bad is None and
+                   len(m.provenance) == len(m.cx.tets), detail))
     return CheckReport(checks)
 
 

@@ -8,7 +8,10 @@ faces, a level's components are classes of the slab components on either
 side and its flat regions (flat cells joined across shared faces), and
 each slab component touches exactly one level component at each end.
 Each distinct slab slice is classified once per extraction: the slabs of
-a product region slice to the same surface.
+a product region slice to the same surface.  A slab component of
+triangles (the self-test mode) is not sliced: each face joining two of
+its triangles is an edge cut by the slab, so it slices to one circle or
+arc and its edge gets label 0.  A level set cuts only its own slab.
 
 A level component is treated as certainly singular when it contains a
 cell on which the function is constant (the PL stand-in for a fat
@@ -20,10 +23,11 @@ inessential node.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Edge, LabeledGraph, format_rational
+from .graphs import Edge, LabeledGraph, format_rational, graph_to_dict
 from .surfaces import SurfaceMesh, classify_surface
 from .unionfind import UnionFind
 
@@ -72,7 +76,6 @@ class ReebGraph:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        from .graphs import graph_to_dict
         return json.dumps(graph_to_dict(self.to_labeled_graph()), indent=2)
 
 
@@ -99,10 +102,20 @@ class _Sweep:
     cross_at: list[list[int]]      # spanning both, a vertex at rank i
 
 
+def _ranks(values) -> tuple[list, list[int]]:
+    """The distinct values ascending, and the rank of each value among
+    them.  Each value is hashed once, by numbering it on first sight."""
+    number: dict = {}
+    first = [number.setdefault(v, len(number)) for v in values]
+    layers = sorted(number)
+    rank = [0] * len(layers)
+    for r, v in enumerate(layers):
+        rank[number[v]] = r
+    return layers, [rank[k] for k in first]
+
+
 def _prepare(cells, values) -> _Sweep:
-    layers = sorted(set(values))
-    rank = {v: i for i, v in enumerate(layers)}
-    vrank = [rank[v] for v in values]
+    layers, vrank = _ranks(values)
     n, L = len(vrank), len(layers)
     # number the vertices by (rank, id): a cell sorted by that position
     # lists its ranks ascending, and so does each of its faces
@@ -232,18 +245,16 @@ def _levels(sw: _Sweep):
         below_of, above_of = above_of, below_of
 
 
-def _slice_cells(sw: _Sweep, members, level: int):
-    """Marching slice of the given cells between ranks level and level+1.
+def _slice_cells(cells, vrank, members, level: int):
+    """Marching slice of the given tetrahedra between ranks level and
+    level + 1.
 
-    Returns (pts, mesh, segs): pts numbers the cut edges (u, v), u < v, in
-    order of first use; mesh is a closed SurfaceMesh for tetrahedral cells
-    and segs the segment list for triangle cells (the other is None).
+    Returns (pts, mesh): pts numbers the cut edges (u, v), u < v, in
+    order of first use, and mesh is the closed SurfaceMesh on them.
     """
-    cells, vrank = sw.cells, sw.vrank
     pts: dict[tuple[int, int], int] = {}
     put = pts.setdefault
     tris = []
-    segs = []
     for ci in members:
         cell = cells[ci]
         below, above = [], []
@@ -273,27 +284,18 @@ def _slice_cells(sw: _Sweep, members, level: int):
                               for u, v in q]
             tris += [(q0, q1, q2), (q0, q2, q3)]
             continue
-        ids = tuple([put((a, x) if a < x else (x, a), len(pts))
-                     for x in others])
-        if len(cell) == 3:
-            segs.append(ids)
-        else:
-            tris.append(ids)
-    if segs:
-        return pts, None, segs
-    return pts, SurfaceMesh(len(pts), tris), None
+        tris.append(tuple([put((a, x) if a < x else (x, a), len(pts))
+                           for x in others]))
+    return pts, SurfaceMesh(len(pts), tris)
 
 
 def _slab_label(sw: _Sweep, members, level: int, labels: dict) -> int:
     """Label of the slice of members; labels holds those of the surface
     slices already classified, keyed by what classify_surface reads."""
-    pts, mesh, segs = _slice_cells(sw, members, level)
-    if segs is not None:
-        # 1-manifold slice: count circles, report count - 1
-        uf = UnionFind(len(pts))
-        for a, b in segs:
-            uf.union(a, b)
-        return len(uf.groups(range(len(pts)))) - 1
+    if len(sw.cells[members[0]]) == 3:
+        # one circle or arc: see the module docstring
+        return 0
+    pts, mesh = _slice_cells(sw.cells, sw.vrank, members, level)
     key = (mesh.nv, tuple(mesh.triangles))
     label = labels.get(key)
     if label is None:
@@ -309,7 +311,7 @@ def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
     """Extract the Reeb graph of PL interpolation over the given cells.
 
     cells are tetrahedra (3-manifold mode) or triangles (self-test mode,
-    where edge labels record circle count minus one).  pin_values marks
+    where every edge gets label 0 by construction).  pin_values marks
     level values whose nodes must survive contraction.
     """
     sw = _prepare(cells, values)
@@ -405,24 +407,24 @@ class LevelSet:
 
 
 def level_set_of(cells, values, t: Fraction) -> LevelSet:
-    """Marching slice of a tetrahedral complex at a regular value t."""
-    layers = sorted(set(values))
+    """Marching slice of a tetrahedral complex at a regular value t.  Only
+    the cells of t's slab are cut; nothing else of the sweep is built."""
+    if any(len(cell) == 3 for cell in cells):
+        raise ReebError("level sets of triangle complexes are 1-manifolds; "
+                        "no surface to return")
+    layers, vrank = _ranks(values)
     if t in layers:
         raise ReebError(f"{t} is a layer value; pick a value strictly "
                         "between consecutive layers")
     if not layers[0] < t < layers[-1]:
         raise ReebError(f"{t} is outside the function image")
-    sw = _prepare(cells, values)
     level = max(i for i, v in enumerate(layers) if v < t)
-    pts, mesh, segs = _slice_cells(sw, sw.slab_cells[level], level)
-    if mesh is None:
-        raise ReebError("level sets of triangle complexes are 1-manifolds; "
-                        "no surface to return")
-    coords = [None] * len(pts)
-    for (u, v), i in pts.items():
+    # a cell is cut exactly when it spans the slab
+    pts, mesh = _slice_cells(cells, vrank, range(len(cells)), level)
+    coords = []
+    for u, v in pts:                # in the order pts numbers them
         lo, hi = (u, v) if values[u] < values[v] else (v, u)
-        s = (t - values[lo]) / (values[hi] - values[lo])
-        coords[i] = (lo, hi, s)
+        coords.append((lo, hi, (t - values[lo]) / (values[hi] - values[lo])))
     return LevelSet(mesh, coords)
 
 
@@ -435,6 +437,22 @@ class IsoResult:
     isomorphic: bool
     mapping: dict[int, int] | None = None
     mismatch: str | None = None
+
+
+def _incidence(graph: LabeledGraph):
+    """Per vertex, the sorted (neighbour value, label) pairs of its edges,
+    and per ordered pair of joined vertices the label multiset of the
+    edges joining them: one pass over the edges (a graph has no loop)."""
+    around: list[list] = [[] for _ in range(graph.n)]
+    labels: dict[tuple[int, int], Counter] = {}
+    values = graph.values
+    for e in graph.edges:
+        u, v = e.u, e.v
+        around[u].append((values[v], e.label))
+        around[v].append((values[u], e.label))
+        labels.setdefault((u, v), Counter())[e.label] += 1
+        labels[v, u] = labels[u, v]
+    return [tuple(sorted(inc)) for inc in around], labels
 
 
 def labeled_isomorphic(r: ReebGraph | LabeledGraph,
@@ -450,54 +468,30 @@ def labeled_isomorphic(r: ReebGraph | LabeledGraph,
         return IsoResult(
             False, mismatch=f"edge count {len(a.edges)} != {len(g.edges)}")
 
-    def signature(graph, v):
-        inc = []
-        for e in graph.edges:
-            if e.u == v:
-                inc.append((graph.values[e.v], e.label))
-            elif e.v == v:
-                inc.append((graph.values[e.u], e.label))
-        return tuple(sorted(inc))
-
-    sig_a = {v: signature(a, v) for v in range(a.n)}
-    sig_g = {v: signature(g, v) for v in range(g.n)}
-    if sorted(sig_a.values()) != sorted(sig_g.values()):
+    sig_a, adj_a = _incidence(a)
+    sig_g, adj_g = _incidence(g)
+    if sorted(sig_a) != sorted(sig_g):
         # find a concrete witness for the report
-        from collections import Counter
-        ca, cg = Counter(sig_a.values()), Counter(sig_g.values())
+        ca, cg = Counter(sig_a), Counter(sig_g)
         diff = next(iter((ca - cg) or (cg - ca)))
-        deg_a = sorted(len(sig_a[v]) for v in range(a.n))
-        deg_g = sorted(len(sig_g[v]) for v in range(g.n))
-        if deg_a != deg_g:
+        if sorted(map(len, sig_a)) != sorted(map(len, sig_g)):
             return IsoResult(False, mismatch="degree multiset mismatch")
         return IsoResult(
             False,
             mismatch=f"incident label profile mismatch around {diff}")
 
-    adj_a: dict[tuple[int, int], dict[int, int]] = {}
-    adj_g: dict[tuple[int, int], dict[int, int]] = {}
-    for store, graph in ((adj_a, a), (adj_g, g)):
-        for e in graph.edges:
-            key = (min(e.u, e.v), max(e.u, e.v))
-            store.setdefault(key, {})
-            store[key][e.label] = store[key].get(e.label, 0) + 1
-
-    candidates: dict[int, list[int]] = {}
-    for v in range(a.n):
-        candidates[v] = [w for w in range(g.n)
-                         if g.values[w] == a.values[v]
-                         and sig_g[w] == sig_a[v]]
+    index: dict[tuple, list[int]] = {}
+    for w in range(g.n):
+        index.setdefault((g.values[w], sig_g[w]), []).append(w)
+    candidates = [index.get(key, []) for key in zip(a.values, sig_a)]
     order = sorted(range(a.n), key=lambda v: len(candidates[v]))
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
     def consistent(v, w):
-        for u, x in mapping.items():
-            key_a = (min(u, v), max(u, v))
-            key_g = (min(x, w), max(x, w))
-            if adj_a.get(key_a, {}) != adj_g.get(key_g, {}):
-                return False
-        return True
+        # no entry means no edge: every stored multiset is non-empty
+        return all(adj_a.get((u, v)) == adj_g.get((x, w))
+                   for u, x in mapping.items())
 
     def search(k):
         if k == len(order):

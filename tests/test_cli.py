@@ -267,6 +267,26 @@ def test_extract_empty_complex_is_not_a_manifold(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("corrupt,line", [
+    (lambda doc: doc["provenance"][0].__setitem__(0, "bogus"),
+     "[FAIL] provenance: record 0 is ['bogus', 0], neither a vertex nor an "
+     "edge record"),
+    (lambda doc: doc["provenance"].pop(),
+     "[FAIL] provenance: {n} records for {n1} tets"),
+], ids=["unknown-kind", "missing-record"])
+def test_extract_names_the_bad_provenance_record(tmp_path, corrupt, line):
+    mpath = tmp_path / "m.json"
+    main(["build", write(tmp_path, "g.json", MINIMAL), "--out", str(mpath)])
+    doc = json.loads(mpath.read_text())
+    n1 = len(doc["tetrahedra"])
+    corrupt(doc)
+    proc = run_cli(tmp_path, ["extract"], doc)
+    assert proc.returncode == 3, proc.stderr
+    assert line.format(n=len(doc["provenance"]), n1=n1) in \
+        [text.strip() for text in proc.stderr.splitlines()]
+    assert "Traceback" not in proc.stderr
+
+
 def test_extract_constant_function_is_a_domain_rejection(tmp_path):
     mpath = tmp_path / "m.json"
     main(["build", write(tmp_path, "g.json", MINIMAL), "--out", str(mpath)])

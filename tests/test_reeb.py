@@ -13,11 +13,13 @@ from reebforge.blocks import (build_junction, cylinder_block,
                               elementary_junction, plan_junction)
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import surface_prism
-from reebforge.graphs import Edge, LabeledGraph
-from reebforge.reeb import (ReebEdge, ReebError, ReebGraph, ReebNode,
-                            _contract, _levels, _prepare, _slab_label,
-                            _slice_cells, _Sweep, labeled_isomorphic,
-                            level_set_of, reeb_graph_of)
+from reebforge.corpus import random_graph
+from reebforge.graphs import Edge, GraphError, LabeledGraph
+from reebforge.reeb import (IsoResult, LevelSet, ReebEdge, ReebError,
+                            ReebGraph, ReebNode, _contract, _levels,
+                            _prepare, _ranks, _slab_label, _slice_cells,
+                            _Sweep, labeled_isomorphic, level_set_of,
+                            reeb_graph_of)
 from reebforge.surfaces import (SurfaceMesh, classify_labels,
                                 classify_surface)
 from reebforge.unionfind import UnionFind
@@ -123,6 +125,30 @@ def test_level_set_rejects_layer_values():
         level_set_of(b.cx.tets, b.values, F(1, 2))
     with pytest.raises(ReebError, match="outside"):
         level_set_of(b.cx.tets, b.values, F(3))
+
+
+def test_level_set_refuses_triangle_complex():
+    # refused before any value is looked at, a layer value included
+    tris, values = bipyramid()
+    for t in (F(1, 2), F(1)):
+        with pytest.raises(ReebError) as info:
+            level_set_of(tris, values, t)
+        assert str(info.value) == ("level sets of triangle complexes are "
+                                   "1-manifolds; no surface to return")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)),
+                max_size=40))
+def test_ranks_match_sorted_set(pairs):
+    # F(2, 2) and F(1) are equal values held by distinct objects
+    values = [F(p, q) for p, q in pairs]
+    layers = sorted(set(values))
+    rank = {v: i for i, v in enumerate(layers)}
+    got_layers, got_ranks = _ranks(values)
+    assert got_layers == layers
+    assert all(x is y for x, y in zip(got_layers, layers))
+    assert got_ranks == [rank[v] for v in values]
 
 
 def test_level_set_coordinates_exact():
@@ -311,6 +337,175 @@ def test_value_mismatch_reported():
     res = labeled_isomorphic(g1, g2)
     assert not res.isomorphic
     assert "value" in res.mismatch
+
+
+def labeled_isomorphic_reference(r: ReebGraph | LabeledGraph,
+                                 g: LabeledGraph) -> IsoResult:
+    """Decide isomorphism preserving exact values, adjacency multiplicity,
+    and edge labels.  Values pre-partition the search.
+
+    (Reference: `reeb.labeled_isomorphic` while it scanned every edge once
+    per vertex, kept verbatim.)
+    """
+    a = r.to_labeled_graph() if isinstance(r, ReebGraph) else r
+    if a.n != g.n:
+        return IsoResult(False, mismatch=f"vertex count {a.n} != {g.n}")
+    if sorted(a.values) != sorted(g.values):
+        return IsoResult(False, mismatch="value multiset mismatch")
+    if len(a.edges) != len(g.edges):
+        return IsoResult(
+            False, mismatch=f"edge count {len(a.edges)} != {len(g.edges)}")
+
+    def signature(graph, v):
+        inc = []
+        for e in graph.edges:
+            if e.u == v:
+                inc.append((graph.values[e.v], e.label))
+            elif e.v == v:
+                inc.append((graph.values[e.u], e.label))
+        return tuple(sorted(inc))
+
+    sig_a = {v: signature(a, v) for v in range(a.n)}
+    sig_g = {v: signature(g, v) for v in range(g.n)}
+    if sorted(sig_a.values()) != sorted(sig_g.values()):
+        # find a concrete witness for the report
+        from collections import Counter
+        ca, cg = Counter(sig_a.values()), Counter(sig_g.values())
+        diff = next(iter((ca - cg) or (cg - ca)))
+        deg_a = sorted(len(sig_a[v]) for v in range(a.n))
+        deg_g = sorted(len(sig_g[v]) for v in range(g.n))
+        if deg_a != deg_g:
+            return IsoResult(False, mismatch="degree multiset mismatch")
+        return IsoResult(
+            False,
+            mismatch=f"incident label profile mismatch around {diff}")
+
+    adj_a: dict[tuple[int, int], dict[int, int]] = {}
+    adj_g: dict[tuple[int, int], dict[int, int]] = {}
+    for store, graph in ((adj_a, a), (adj_g, g)):
+        for e in graph.edges:
+            key = (min(e.u, e.v), max(e.u, e.v))
+            store.setdefault(key, {})
+            store[key][e.label] = store[key].get(e.label, 0) + 1
+
+    candidates: dict[int, list[int]] = {}
+    for v in range(a.n):
+        candidates[v] = [w for w in range(g.n)
+                         if g.values[w] == a.values[v]
+                         and sig_g[w] == sig_a[v]]
+    order = sorted(range(a.n), key=lambda v: len(candidates[v]))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def consistent(v, w):
+        for u, x in mapping.items():
+            key_a = (min(u, v), max(u, v))
+            key_g = (min(x, w), max(x, w))
+            if adj_a.get(key_a, {}) != adj_g.get(key_g, {}):
+                return False
+        return True
+
+    def search(k):
+        if k == len(order):
+            return True
+        v = order[k]
+        for w in candidates[v]:
+            if w in used or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if search(k + 1):
+                return True
+            del mapping[v]
+            used.remove(w)
+        return False
+
+    if search(0):
+        return IsoResult(True, dict(mapping))
+    return IsoResult(False, mismatch="no value- and label-preserving "
+                                     "bijection exists")
+
+
+def _iso_copy(g, rng, kind):
+    """A copy of g with its vertices renumbered and renamed, its edges
+    shuffled and their ends swapped at random, after one change of the
+    given kind: none, a label moved by one, two labels swapped, a value
+    moved off every neighbour's, one end of an edge moved, an edge
+    dropped, an edge doubled or a leaf added.  None when the change leaves
+    no graph."""
+    values, edges = list(g.values), [(e.u, e.v, e.label) for e in g.edges]
+    k = rng.randrange(len(edges))
+    u, v, label = edges[k]
+    if kind == "mislabeled":
+        edges[k] = (u, v, label + rng.choice((-1, 1)))
+    elif kind == "swapped":
+        j = rng.randrange(len(edges))
+        edges[k], edges[j] = (u, v, edges[j][2]), edges[j][:2] + (label,)
+    elif kind == "value":
+        values[u] = max(values) + 1
+    elif kind == "moved":
+        edges[k] = (u, rng.randrange(len(values)), label)
+    elif kind == "dropped":
+        del edges[k]
+    elif kind == "doubled":
+        edges.append(edges[k])
+    elif kind == "grown":
+        values.append(values[u] + 1)
+        edges.append((u, len(values) - 1, label))
+    new_id = list(range(len(values)))
+    rng.shuffle(new_id)
+    new_values = [None] * len(values)
+    for w, x in enumerate(values):
+        new_values[new_id[w]] = x
+    new_edges = [Edge(*rng.sample((new_id[a], new_id[b]), 2), lab)
+                 for a, b, lab in edges]
+    rng.shuffle(new_edges)
+    try:
+        return LabeledGraph([f"x{w}" for w in range(len(values))],
+                            new_values, new_edges)
+    except GraphError:
+        return None
+
+
+def _hub_cycles(*cycles):
+    """Cycles through vertices 0..n-1, even ones at height 0 and odd ones
+    at height 1, every odd vertex joined to a hub at height 2: the vertex
+    signatures depend only on n, not on how the cycles run."""
+    n = sum(map(len, cycles))
+    edges = [Edge(c[k], c[(k + 1) % len(c)], 0)
+             for c in cycles for k in range(len(c))]
+    edges += [Edge(v, n, 0) for v in range(1, n, 2)]
+    return LabeledGraph([f"v{v}" for v in range(n + 1)],
+                        [F(v % 2) for v in range(n)] + [F(2)], edges)
+
+
+def test_isomorphism_matches_reference():
+    # relabeled copies are isomorphic, and the changed ones (some changes
+    # give an isomorphic copy too) reach every mismatch message; two
+    # 4-cycles and one 8-cycle on a hub share their vertex signatures,
+    # and copies of them tie on values
+    two, one = _hub_cycles((0, 1, 2, 3), (4, 5, 6, 7)), _hub_cycles(range(8))
+    graphs = [two, one] + [
+        random_graph(Random(seed), max_vertices=7, max_edges=9, max_label=2)
+        for seed in range(60)]
+    cases = [(two, one, "changed"), (one, two, "changed")]
+    for kind in ("relabeled", "mislabeled", "swapped", "value", "moved",
+                 "dropped", "doubled", "grown"):
+        for seed, g in enumerate(graphs):
+            other = _iso_copy(g, Random(f"{kind}/{seed}"), kind)
+            if other is not None:
+                cases.append((g, other, kind))
+    seen = set()
+    for g, other, kind in cases:
+        got = labeled_isomorphic(g, other)
+        want = labeled_isomorphic_reference(g, other)
+        assert got == want
+        assert list((got.mapping or {}).items()) == \
+            list((want.mapping or {}).items())
+        assert kind != "relabeled" or got.isomorphic
+        seen.add(got.mismatch and got.mismatch.split(" ")[0])
+    assert seen == {None, "vertex", "value", "edge", "degree", "incident",
+                    "no"}
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +815,10 @@ def test_level_set_members_match_full_scan(i):
         ls = level_set_of(cells, values, t)
         members = [c for comp in scan_components(cells, values, level,
                                                  level + 1) for c in comp]
-        pts, mesh, _ = _slice_cells(sw, sorted(members), level)
+        pts, mesh = _slice_cells(sw.cells, sw.vrank, sorted(members), level)
         assert ls.mesh.triangles == mesh.triangles
         assert len(ls.coordinates) == len(pts)
+        assert ls == level_set_reference(cells, values, t)
         # and the slice does not depend on how the complex is presented
         cells2, values2 = _presented(cells, values, Random(level))
         assert (classify_labels(level_set_of(cells2, values2, t).mesh) ==
@@ -681,14 +877,38 @@ def slice_cells_reference(sw: _Sweep, members, level: int):
     return pts, SurfaceMesh(len(pts), tris), None
 
 
-@pytest.mark.parametrize("mode", ["own", "perturbed", "presented",
-                                  "identified"])
-@pytest.mark.parametrize("i", range(11))
-def test_slices_match_reference(i, mode):
-    # identifying two vertices of a cell makes cells with a repeated
-    # vertex, whose quad corners tie
-    cells, values, _ = sweep_pool()[i]
-    rng = Random(f"{i}/{mode}")
+def level_set_reference(cells, values, t: Fraction) -> LevelSet:
+    """Marching slice of a tetrahedral complex at a regular value t.
+
+    (Reference: `reeb.level_set_of` while it built a whole sweep to cut
+    one slab, kept verbatim but for the slice, which comes from
+    `slice_cells_reference`.)
+    """
+    layers = sorted(set(values))
+    if t in layers:
+        raise ReebError(f"{t} is a layer value; pick a value strictly "
+                        "between consecutive layers")
+    if not layers[0] < t < layers[-1]:
+        raise ReebError(f"{t} is outside the function image")
+    sw = _prepare(cells, values)
+    level = max(i for i, v in enumerate(layers) if v < t)
+    pts, mesh, segs = slice_cells_reference(sw, sw.slab_cells[level], level)
+    if mesh is None:
+        raise ReebError("level sets of triangle complexes are 1-manifolds; "
+                        "no surface to return")
+    coords = [None] * len(pts)
+    for (u, v), i in pts.items():
+        lo, hi = (u, v) if values[u] < values[v] else (v, u)
+        s = (t - values[lo]) / (values[hi] - values[lo])
+        coords[i] = (lo, hi, s)
+    return LevelSet(mesh, coords)
+
+
+def _varied(cells, values, mode, rng):
+    """The complex and function of a pool entry under one variation:
+    its own values, perturbed values, a new presentation, two vertices of
+    a cell identified (cells with a repeated vertex, whose quad corners
+    tie), or one to three cells removed."""
     if mode == "perturbed":
         values = _perturbed(values, rng)
     elif mode == "presented":
@@ -696,14 +916,51 @@ def test_slices_match_reference(i, mode):
     elif mode == "identified":
         u, w = rng.sample(rng.choice(cells), 2)
         cells = [tuple(w if v == u else v for v in cell) for cell in cells]
+    elif mode == "removed":
+        cells = list(cells)
+        for _ in range(rng.randint(1, 3)):
+            del cells[rng.randrange(len(cells))]
+    return cells, values
+
+
+def _is_one_circle_or_arc(pts, segs):
+    uf = UnionFind(len(pts))
+    for a, b in segs:
+        uf.union(a, b)
+    return len(uf.groups(range(len(pts)))) == 1
+
+
+@pytest.mark.parametrize("mode", ["own", "perturbed", "presented",
+                                  "identified", "removed"])
+@pytest.mark.parametrize("i", range(11))
+def test_slices_match_reference(i, mode):
+    cells, values = _varied(*sweep_pool()[i][:2], mode, Random(f"{i}/{mode}"))
     sw = _prepare(cells, values)
     for lvl, _, above, _, _ in _levels(sw):
         for comp in above:
-            pts, mesh, segs = _slice_cells(sw, comp, lvl)
-            want_pts, want_mesh, want_segs = slice_cells_reference(
-                sw, comp, lvl)
+            want_pts, want_mesh, segs = slice_cells_reference(sw, comp, lvl)
+            if segs is not None:
+                # a triangle component is labeled without a slice
+                assert _is_one_circle_or_arc(want_pts, segs)
+                assert _slab_label(sw, comp, lvl, {}) == 0
+                continue
+            pts, mesh = _slice_cells(sw.cells, sw.vrank, comp, lvl)
             assert list(pts.items()) == list(want_pts.items())
-            assert (mesh, segs) == (want_mesh, want_segs)
+            assert mesh == want_mesh
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 10), st.sampled_from(["own", "perturbed", "presented",
+                                            "identified", "removed"]),
+       st.integers(0, 2 ** 32))
+def test_triangle_slab_components_slice_to_one_circle_or_arc(i, mode, seed):
+    cells, values = _varied(*sweep_pool()[i][:2], mode, Random(seed))
+    sw = _prepare(cells, values)
+    for lvl, _, above, _, _ in _levels(sw):
+        for comp in above:
+            pts, _, segs = slice_cells_reference(sw, comp, lvl)
+            assert _is_one_circle_or_arc(pts, segs)
+            assert _slab_label(sw, comp, lvl, {}) == 0
 
 
 @settings(max_examples=40, deadline=None)
