@@ -54,8 +54,11 @@ def find_interior_tets(cx: TetComplex, boundary) -> list[int]:
 
 
 def validate_complex(cx: TetComplex):
-    """Manifold check: face pairing plus sphere/disk vertex links."""
-    validate_faces(cx, face_map(cx))
+    """Manifold check: face pairing plus sphere/disk vertex links.  One
+    pass over the tets accepts; a face map is built only to name a
+    failure."""
+    if manifold_census(cx) is None:
+        validate_faces(cx, face_map(cx))
 
 
 # a sorted tet (a, b, c, d) has vertex slots 0-3 and edge slots 0-5, edge
@@ -65,6 +68,74 @@ def validate_complex(cx: TetComplex):
 _EDGE = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _FACE_VERTS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _FACE_EDGES = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
+
+
+def manifold_census(cx: TetComplex) -> tuple[int, int] | None:
+    """(boundary triangles, components) when cx is a 3-manifold, possibly
+    with boundary, that validate_faces accepts; None when any check fails,
+    for validate_faces to name.  One pass over the tets, no face map.
+
+    Each face, keyed by one int, keeps the (tet, omitted slot) node of its
+    first tet.  A second tet pairs it and joins the shared vertex slots of
+    the two, the classes _slot_classes builds; a third tet fails, and so
+    does a second with the same omitted vertex: the first tet again.  The
+    links pass by one count of 0 (validate_faces), and with every star
+    connected the components are those of the 1-skeleton.
+    """
+    nv = cx.nv
+    slots: list[int] = []         # node 4 * tet + slot -> vertex, tets sorted
+    first: dict[int, int] = {}    # face -> 4 * tet + omitted slot, -1 paired
+    get = first.get
+    edges: set[int] = set()       # the distinct edges, uw as u * nv + w
+    add_edges = edges.update
+    stars = UnionFind(4 * len(cx.tets))
+    union = stars.union
+    for t in cx.tets:
+        a, b, c, d = s = sorted(t)
+        if a == b or b == c or c == d or a < 0 or d >= nv:
+            return None
+        node = len(slots)
+        slots += s
+        ab, ac, bc = a * nv + b, a * nv + c, b * nv + c
+        add_edges((ab, ac, a * nv + d, bc, b * nv + d, c * nv + d))
+        abn = ab * nv
+        for key, k in ((abn + c, 3), (abn + d, 2), (ac * nv + d, 1),
+                       (bc * nv + d, 0)):
+            o = get(key)
+            if o is None:
+                first[key] = node + k
+                continue
+            if o < 0 or slots[o] == s[k]:
+                return None       # a third tet, or a duplicate
+            first[key] = -1
+            k1 = o & 3
+            o -= k1
+            x, y, z = _FACE_VERTS[k1]
+            p, q, r = _FACE_VERTS[k]
+            # this tet's slots, often still alone, go under the older
+            # classes, so that the trees stay shallow
+            union(node + p, o + x)
+            union(node + q, o + y)
+            union(node + r, o + z)
+    roots = stars.roots()
+    if len(roots) != nv or len({slots[r] for r in roots}) != nv:
+        return None               # a vertex with no star or a split one
+    nf = len(first)
+    nb = 2 * nf - len(slots)      # faces in one tet
+    on_boundary = set()
+    if nb:
+        for key, o in first.items():
+            if o >= 0:
+                ab, c = divmod(key, nv)
+                on_boundary.update(divmod(ab, nv))
+                on_boundary.add(c)
+    if 2 * nv - 2 * len(edges) + nf + nb - len(on_boundary):
+        return None
+    skeleton = UnionFind(nv)
+    union = skeleton.union
+    for e in edges:
+        union(*divmod(e, nv))
+    return nb, len(skeleton.roots())
 
 
 def _slot_classes(fm: FaceMap, st: list[Tet], w: int, slots) -> UnionFind:
@@ -92,7 +163,8 @@ def _slot_classes(fm: FaceMap, st: list[Tet], w: int, slots) -> UnionFind:
 
 def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
     """validate_complex on the face map of cx, already built; returns the
-    Euler characteristic of cx.
+    Euler characteristic of cx.  It runs to name what manifold_census
+    rejects.
 
     The link of v has a vertex per edge, an edge per face and a triangle
     per tet at v, and must be a sphere (a disk on the boundary).  It pinches
@@ -102,6 +174,14 @@ def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
     is, with chi(link) = chi(S) - sum(classes around w - 1).  A connected
     S has chi <= 2 (<= 1 with boundary), equal only for a sphere (disk).
     So counted chi 2 (1) and a connected star accept: no pinch anywhere.
+
+    manifold_census checks all links with one count.  With every face in
+    at most two tets and every star one class, each term 2 (1 at a
+    boundary vertex) - chi(lk v) is >= 2 - chi(S) (1 - chi(S)) >= 0, and
+    over all vertices the terms sum to 2V - 2E + F + F_bd - V_bd (as
+    4T = 2F - F_bd), which is 2 chi(M) - chi(bd M).  A sum of 0 makes
+    every term 0: every link a sphere or a disk.  On a closed complex
+    the sum is 2 chi(M).
     """
     nv = cx.nv
     st: list[Tet] = []

@@ -6,18 +6,24 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reebforge import complexes
 from reebforge.assembly import (AssemblyError, Manifold3, assemble,
                                 common_refinement, extract_reeb,
                                 manifold_from_dict, manifold_to_dict,
                                 validate_manifold, verify_realization)
-from reebforge.blocks import cylinder_block
+from reebforge.blocks import CheckReport, cylinder_block
 from reebforge.canonical import canonical_mesh
-from reebforge.complexes import (TetComplex, boundary_faces, cone_complex,
-                                 euler_characteristic, face_map,
-                                 merge_complexes, remove_tets)
-from reebforge.graphs import Edge, LabeledGraph
+from reebforge.complexes import (ComplexError, TetComplex, boundary_faces,
+                                 cone_complex, euler_characteristic,
+                                 euler_from_faces, face_map,
+                                 merge_complexes, remove_tets,
+                                 validate_faces)
+from reebforge.corpus import realizable_corpus
+from reebforge.graphs import Edge, LabeledGraph, brief
 from reebforge.reeb import labeled_isomorphic
-from test_complexes import _accepts, _identify, oracle_validate
+from reebforge.unionfind import UnionFind
+from test_complexes import (COPIES, _accepts, _damaged, _identify,
+                            oracle_validate)
 
 
 def make(names, values, edges):
@@ -263,3 +269,85 @@ def test_every_check_matches_its_reference(i, seed, holes, glue, stray,
     chi = euler_characteristic(cx)
     assert checks["euler"] == (chi == 0, f"chi = {chi}")
     assert checks["provenance"][0] == (len(provenance) == n)
+
+
+# ---------------------------------------------------------------------------
+# reference: validate_manifold before the one-pass accept, every check read
+# off a face map, kept verbatim
+# ---------------------------------------------------------------------------
+
+def validate_manifold_reference(m: Manifold3) -> CheckReport:
+    """Closedness, link conditions, connectedness, chi = 0, provenance,
+    every one read off a single face map."""
+    fm = face_map(m.cx)
+    checks = []
+    bf = [f for f, ts in fm.items() if len(ts) == 1]
+    checks.append(("closed", not bf,
+                   "no boundary triangles" if not bf else
+                   f"{len(bf)} boundary triangles, e.g. {bf[:3]}"))
+    try:
+        chi = validate_faces(m.cx, fm)
+        checks.append(("links", True, "all vertex links are spheres/disks"))
+    except ComplexError as exc:
+        checks.append(("links", False, str(exc)))
+        chi = euler_from_faces(m.cx, fm)
+    # connectivity over tets through shared faces; no tets is no manifold
+    n = len(m.cx.tets)
+    uf = UnionFind(n)
+    union = uf.union
+    for ts in fm.values():
+        for t in ts[1:]:
+            union(t, ts[0])
+    roots = [uf.find(t) for t in range(n)]
+    reached = roots.count(roots[0]) if n else 0
+    checks.append(("connected", 0 < reached == n,
+                   f"{reached}/{n} tetrahedra"))
+    checks.append(("euler", chi == 0, f"chi = {chi}"))
+    detail = f"{len(m.provenance)} records for {len(m.cx.tets)} tets"
+    bad = next((j for j, (kind, _) in enumerate(m.provenance)
+                if kind not in ("vertex", "edge")), None)
+    if bad is not None and len(m.provenance) == len(m.cx.tets):
+        detail = (f"record {bad} is {brief(list(m.provenance[bad]))}, "
+                  "neither a vertex nor an edge record")
+    checks.append(("provenance", bad is None and
+                   len(m.provenance) == len(m.cx.tets), detail))
+    return CheckReport(checks)
+
+
+@lru_cache(maxsize=None)
+def _reference_base(i: int) -> Manifold3:
+    if i < 2:
+        return _assembled(i)
+    # the benchmark's corpus graph with a torus edge and a genus-2 edge
+    return assemble(realizable_corpus(20260810, 3)[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2 ** 32), st.integers(0, 3),
+       st.sampled_from([None, "near", "far"]),
+       st.sampled_from([None, "apart", "vertex", "face"]), st.booleans(),
+       st.sampled_from(COPIES), st.booleans())
+def test_validate_manifold_matches_reference(i, seed, holes, glue, stray,
+                                             permute, copies,
+                                             keep_provenance):
+    # the same checks, verdicts and messages as the face-map code the one
+    # pass replaced, on assembled manifolds whole and damaged
+    m = _reference_base(i)
+    cx = _damaged(m.cx, Random(seed), holes, glue, stray, permute, copies)
+    provenance = list(m.provenance) if keep_provenance else \
+        [("edge", 0)] * len(cx.tets)
+    damaged = Manifold3(cx, [F(0)] * cx.nv, provenance)
+    assert validate_manifold(damaged).checks == \
+        validate_manifold_reference(damaged).checks
+
+
+def test_a_passing_manifold_builds_no_face_map(monkeypatch):
+    def refuse(cx):
+        raise AssertionError("a face map was built")
+    m = _assembled(1)
+    monkeypatch.setattr(complexes, "face_map", refuse)
+    assert validate_manifold(m).ok
+    broken = Manifold3(TetComplex(m.cx.nv, m.cx.tets[1:]), m.values,
+                       m.provenance[1:])
+    with pytest.raises(AssertionError, match="a face map was built"):
+        validate_manifold(broken)

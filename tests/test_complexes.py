@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reebforge import complexes
 from reebforge.blocks import cap_block, elementary_junction
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
@@ -12,8 +13,8 @@ from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
                                  _slot_classes, boundary_faces,
                                  boundary_surface, cone_complex,
                                  euler_characteristic, face_map,
-                                 find_interior_tets, merge_complexes,
-                                 remove_tets, surface_prism,
+                                 find_interior_tets, manifold_census,
+                                 merge_complexes, remove_tets, surface_prism,
                                  validate_complex, validate_faces)
 from reebforge.surfaces import SurfaceMesh, classify_labels
 from reebforge.unionfind import UnionFind
@@ -384,10 +385,23 @@ def _identify(cx: TetComplex, u: int, w: int) -> TetComplex:
     return TetComplex(cx.nv - 1, [tuple(f(x) for x in t) for t in cx.tets])
 
 
-def _damaged(cx, rng, holes, glue, stray, permute):
+def _damaged(cx, rng, holes, glue, stray, permute, copies=None):
     """cx with holes tets dropped, two vertices identified (glue), a stray
     tet (apart from cx, on one vertex of it, or on one face of it) and each
-    tet's vertices and the tets themselves in a shuffled order."""
+    tet's vertices and the tets themselves in a shuffled order.  Before
+    that, copies can duplicate one tet, replace cx by the pillow (two
+    copies of one tet: closed, connected, chi 0), or add a second copy of
+    cx apart from it or glued to it along one face (on a closed cx, a face
+    in four tets)."""
+    if copies == "duplicate":
+        cx = TetComplex(cx.nv, cx.tets + [rng.choice(cx.tets)])
+    elif copies == "pillow":
+        cx = TetComplex(4, [(0, 1, 2, 3), (0, 1, 2, 3)])
+    elif copies == "apart":
+        cx = merge_complexes([cx, cx], [])[0]
+    elif copies == "face":
+        f = rng.sample(rng.choice(cx.tets), 3)
+        cx = merge_complexes([cx, cx], [(0, x, 1, x) for x in f])[0]
     drop = set(rng.sample(range(len(cx.tets)), min(holes, len(cx.tets) - 1)))
     cx = remove_tets(cx, drop)
     if glue:
@@ -412,14 +426,19 @@ def _damaged(cx, rng, holes, glue, stray, permute):
     return cx
 
 
+COPIES = [None, "duplicate", "pillow", "apart", "face"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(BASES) - 1), st.integers(0, 2 ** 32),
-       st.integers(0, 4), st.sampled_from([None, "near", "far"]))
-def test_link_check_matches_reference(i, seed, holes, glue):
+       st.integers(0, 4), st.sampled_from([None, "near", "far"]),
+       st.sampled_from(COPIES))
+def test_link_check_matches_reference(i, seed, holes, glue, copies):
     # removing tets makes boundary vertices, chain links and pinches;
     # identifying two vertices makes disconnected or pinched links, or
-    # degenerate and duplicate tets: the verdicts must agree
-    cx = _damaged(_base(i), Random(seed), holes, glue, None, False)
+    # degenerate and duplicate tets; copies make duplicates, faces in four
+    # tets and disconnected complexes: the verdicts must agree
+    cx = _damaged(_base(i), Random(seed), holes, glue, None, False, copies)
     assert _accepts(validate_complex, cx) == _accepts(oracle_validate, cx)
 
 
@@ -526,6 +545,71 @@ def test_counted_link_check_matches_exact_reference(i, seed, holes, glue,
     # 2, so that only its split star sends it to be named
     cx = _damaged(_base(i), Random(seed), holes, glue, stray, permute)
     assert _verdict(validate_faces, cx) == _verdict(exact_reference, cx)
+
+
+def validate_complex_reference(cx: TetComplex):
+    """Manifold check: face pairing plus sphere/disk vertex links.
+
+    (Reference: `validate_complex` before the one-pass accept, kept
+    verbatim.)"""
+    validate_faces(cx, face_map(cx))
+
+
+def _message(check, cx):
+    try:
+        check(cx)
+    except ComplexError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("i", range(len(BASES)),
+                         ids=[name for name, _, _ in BASES])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 4),
+       st.sampled_from([None, "near", "far"]),
+       st.sampled_from([None, "apart", "vertex", "face"]), st.booleans(),
+       st.sampled_from(COPIES))
+def test_one_pass_matches_face_map_reference(i, seed, holes, glue, stray,
+                                             permute, copies):
+    # the one pass accepts exactly what the face-map path accepts, and
+    # every rejection is named by that path with the same message
+    cx = _damaged(_base(i), Random(seed), holes, glue, stray, permute,
+                  copies)
+    assert _message(validate_complex, cx) == \
+        _message(validate_complex_reference, cx)
+
+
+@pytest.mark.parametrize("copies, census, message", [
+    (None, (0, 1), None),
+    ("duplicate", None, "duplicate tetrahedron"),
+    ("pillow", None, r"duplicate tetrahedron \(0, 1, 2, 3\)"),
+    ("face", None, "in 4 tetrahedra"),
+    ("apart", (0, 2), None)])
+def test_census_of_copies_of_a_closed_complex(copies, census, message):
+    # the pillow and a face in four tets pass a pairing that pops faces
+    # two at a time, and the pillow is closed and connected with chi 0
+    cx = _damaged(_base([n for n, _, _ in BASES].index("double_cone")),
+                  Random(5), 0, None, None, True, copies)
+    assert manifold_census(cx) == census
+    if message:
+        with pytest.raises(ComplexError, match=message):
+            validate_complex(cx)
+
+
+def test_census_of_a_product():
+    mesh = canonical_mesh(1, 1)
+    cx = surface_prism(mesh, 3).complex
+    assert manifold_census(cx) == (2 * len(mesh.triangles), 1)
+
+
+def test_accepting_builds_no_face_map(monkeypatch):
+    def refuse(cx):
+        raise AssertionError("a face map was built")
+    monkeypatch.setattr(complexes, "face_map", refuse)
+    for i, (name, _, accepted) in enumerate(BASES):
+        if accepted:
+            validate_complex(_base(i))
 
 
 @pytest.mark.parametrize("name", ["cylinder_klein", "cylinder_torus"])
