@@ -15,10 +15,9 @@ from fractions import Fraction
 from .blocks import (Block, BlockError, CheckReport, cap_block,
                      build_junction, cylinder_block, fold_block,
                      glued_values, plan_junction)
-from .complexes import (ComplexError, TetComplex, euler_from_faces,
-                        manifold_census, merge_complexes, validate_faces)
-# imported for the benchmark's tracer, which wraps them as assembly.<name>
-# (benchmarks/spans.py SITES)
+from .complexes import TetComplex, manifold_census, merge_complexes
+# imported only for the benchmark's tracer, which wraps them as
+# assembly.<name> (benchmarks/spans.py SITES)
 from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
                         validate_complex)
 from .graphs import (GraphError, LabeledGraph, brief, check_realizable,
@@ -26,7 +25,6 @@ from .graphs import (GraphError, LabeledGraph, brief, check_realizable,
                      parse_rational)
 from .reeb import ReebGraph, labeled_isomorphic, reeb_graph_of
 from .surfaces import same_triangles
-from .unionfind import UnionFind
 
 
 class AssemblyError(ValueError):
@@ -163,63 +161,27 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
 
 
 def validate_manifold(m: Manifold3) -> CheckReport:
-    """Closedness, link conditions, connectedness, chi = 0, provenance.
-
-    A closed connected manifold passes the first four on one pass over
-    its tets (`manifold_census`).  On a closed complex whose faces each
-    lie in two tets and whose vertex stars are connected, the sum over the
-    vertices of 2 - chi(lk v) is 2 chi, and each term is >= 0: so chi = 0
-    is exactly every link a sphere.  Any failure is named off a face map.
-    """
+    """Closedness, link conditions, connectedness, chi = 0 (all four off
+    one `manifold_census` of the tets), provenance.  On a closed complex
+    the census' link sum is 2 chi, so chi = 0 is every link a sphere."""
+    census = manifold_census(m.cx)
     n = len(m.cx.tets)
-    if manifold_census(m.cx) == (0, 1):
-        checks = [("closed", True, "no boundary triangles"),
-                  ("links", True, "all vertex links are spheres/disks"),
-                  ("connected", True, f"{n}/{n} tetrahedra"),
-                  ("euler", True, "chi = 0")]
-    else:
-        checks = _face_map_checks(m.cx)
-    detail = f"{len(m.provenance)} records for {len(m.cx.tets)} tets"
+    bf, reached, chi = census.boundary, census.reached, census.chi
+    detail = f"{len(m.provenance)} records for {n} tets"
     bad = next((j for j, (kind, _) in enumerate(m.provenance)
                 if kind not in ("vertex", "edge")), None)
-    if bad is not None and len(m.provenance) == len(m.cx.tets):
+    if bad is not None and len(m.provenance) == n:
         detail = (f"record {bad} is {brief(list(m.provenance[bad]))}, "
                   "neither a vertex nor an edge record")
-    checks.append(("provenance", bad is None and
-                   len(m.provenance) == len(m.cx.tets), detail))
-    return CheckReport(checks)
-
-
-def _face_map_checks(cx: TetComplex) -> list[tuple[str, bool, str]]:
-    """The closed, links, connected and euler checks, every one read off a
-    single face map: they name what the one pass rejects."""
-    # looked up at call time, where the benchmark's tracer counts the calls
-    from .complexes import face_map
-    fm = face_map(cx)
-    checks = []
-    bf = [f for f, ts in fm.items() if len(ts) == 1]
-    checks.append(("closed", not bf,
-                   "no boundary triangles" if not bf else
-                   f"{len(bf)} boundary triangles, e.g. {bf[:3]}"))
-    try:
-        chi = validate_faces(cx, fm)
-        checks.append(("links", True, "all vertex links are spheres/disks"))
-    except ComplexError as exc:
-        checks.append(("links", False, str(exc)))
-        chi = euler_from_faces(cx, fm)
-    # connectivity over tets through shared faces; no tets is no manifold
-    n = len(cx.tets)
-    uf = UnionFind(n)
-    union = uf.union
-    for ts in fm.values():
-        for t in ts[1:]:
-            union(t, ts[0])
-    roots = [uf.find(t) for t in range(n)]
-    reached = roots.count(roots[0]) if n else 0
-    checks.append(("connected", 0 < reached == n,
-                   f"{reached}/{n} tetrahedra"))
-    checks.append(("euler", chi == 0, f"chi = {chi}"))
-    return checks
+    return CheckReport([
+        ("closed", not bf, "no boundary triangles" if not bf else
+         f"{len(bf)} boundary triangles, e.g. {bf[:3]}"),
+        ("links", census.fault is None,
+         census.fault or "all vertex links are spheres/disks"),
+        # no tets is no manifold
+        ("connected", 0 < reached == n, f"{reached}/{n} tetrahedra"),
+        ("euler", chi == 0, f"chi = {chi}"),
+        ("provenance", bad is None and len(m.provenance) == n, detail)])
 
 
 def extract_reeb(m: Manifold3) -> ReebGraph:

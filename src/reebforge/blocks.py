@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from .canonical import (End, Solid, boundary_connect_sum, canonical_mesh,
                         solid_for_label)
-from .complexes import (ComplexError, TetComplex, boundary_surface,
-                        find_interior_tets, merge_complexes, remove_tets,
-                        surface_prism, validate_complex)
+from .complexes import (TetComplex, find_interior_tets, manifold_census,
+                        merge_complexes, remove_tets, surface_prism)
 from .graphs import euler_char, is_odd_chi
 from .reeb import ReebGraph, reeb_graph_of
 from .surfaces import MeshError, SurfaceMesh, classify_surface
@@ -539,20 +538,16 @@ def verify_block(b: Block) -> CheckReport:
     """Re-derive everything the contract promises: manifold validity,
     boundary classification, function image, and the extracted Reeb shape
     with nodes pinned at the declared singular values."""
-    checks = []
-
-    try:
-        validate_complex(b.cx)
-        checks.append(("manifold", True, f"{len(b.cx.tets)} tets"))
-    except ComplexError as exc:
-        checks.append(("manifold", False, str(exc)))
-        return CheckReport(checks)
+    census = manifold_census(b.cx)
+    if census.fault:
+        return CheckReport([("manifold", False, census.fault)])
+    checks = [("manifold", True, f"{len(b.cx.tets)} tets")]
 
     lo, hi = min(b.values), max(b.values)
     ok = (lo, hi) == (b.a1, b.a2)
     checks.append(("image", ok, f"[{lo}, {hi}] vs [{b.a1}, {b.a2}]"))
 
-    mesh, used = boundary_surface(b.cx)
+    mesh, used = census.surface()
     try:
         comps = classify_surface(mesh)
         got = sorted((b.values[used[mesh.triangles[c.triangles[0]][0]]],

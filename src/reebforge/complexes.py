@@ -10,6 +10,8 @@ triangle's prism is split once and repeated layer by layer.
 """
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 from .surfaces import SurfaceMesh
@@ -33,6 +35,8 @@ class TetComplex:
 
 
 def face_map(cx: TetComplex) -> FaceMap:
+    """Every face of cx, sorted, with its tets in order.  Nothing in the
+    package builds one: manifold_census files the faces under int keys."""
     fm: FaceMap = {}
     for ti, t in enumerate(cx.tets):
         # the faces of a sorted tet come out sorted
@@ -43,7 +47,7 @@ def face_map(cx: TetComplex) -> FaceMap:
 
 
 def boundary_faces(cx: TetComplex) -> list[tuple[int, int, int]]:
-    return [f for f, ts in face_map(cx).items() if len(ts) == 1]
+    return manifold_census(cx).boundary
 
 
 def find_interior_tets(cx: TetComplex, boundary) -> list[int]:
@@ -53,12 +57,21 @@ def find_interior_tets(cx: TetComplex, boundary) -> list[int]:
     return [ti for ti, t in enumerate(cx.tets) if bv.isdisjoint(t)]
 
 
-def validate_complex(cx: TetComplex):
-    """Manifold check: face pairing plus sphere/disk vertex links.  One
-    pass over the tets accepts; a face map is built only to name a
-    failure."""
-    if manifold_census(cx) is None:
-        validate_faces(cx, face_map(cx))
+def validate_complex(cx: TetComplex) -> int:
+    """Face pairing plus sphere/disk vertex links: chi of cx, or a
+    ComplexError naming the first fault."""
+    census = manifold_census(cx)
+    if census.fault:
+        raise ComplexError(census.fault)
+    return census.chi
+
+
+def euler_characteristic(cx: TetComplex) -> int:
+    return manifold_census(cx).chi
+
+
+def boundary_surface(cx: TetComplex):
+    return manifold_census(cx).surface()
 
 
 # a sorted tet (a, b, c, d) has vertex slots 0-3 and edge slots 0-5, edge
@@ -70,214 +83,196 @@ _FACE_VERTS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _FACE_EDGES = ((3, 4, 5), (1, 2, 5), (0, 2, 4), (0, 1, 3))
 
 
-def manifold_census(cx: TetComplex) -> tuple[int, int] | None:
-    """(boundary triangles, components) when cx is a 3-manifold, possibly
-    with boundary, that validate_faces accepts; None when any check fails,
-    for validate_faces to name.  One pass over the tets, no face map.
+@dataclass
+class Census:
+    """A complex as manifold_census reads it: its faces in one tet, sorted,
+    in face_map's order; its first fault, None for a 3-manifold (possibly
+    with boundary); the tets tet 0 reaches through shared faces; and
+    V - E + F - T over the vertices in tets."""
 
-    Each face, keyed by one int, keeps the (tet, omitted slot) node of its
-    first tet.  A second tet pairs it and joins the shared vertex slots of
-    the two, the classes _slot_classes builds; a third tet fails, and so
-    does a second with the same omitted vertex: the first tet again.  The
-    links pass by one count of 0 (validate_faces), and with every star
-    connected the components are those of the 1-skeleton.
+    boundary: list[tuple[int, int, int]]
+    fault: str | None
+    reached: int
+    chi: int
+
+    def surface(self):
+        """The boundary as a SurfaceMesh, and its vertices in cx."""
+        used = sorted({v for f in self.boundary for v in f})
+        pos = {v: i for i, v in enumerate(used)}
+        tris = [tuple(pos[v] for v in f) for f in self.boundary]
+        return SurfaceMesh(len(used), tris), used
+
+
+def _face(slots: list[int], o: int) -> tuple[int, int, int]:
+    """The sorted face of node o = 4 * tet + k: its tet without slot k."""
+    x, y, z = _FACE_VERTS[o & 3]
+    o -= o & 3
+    return slots[o + x], slots[o + y], slots[o + z]
+
+
+def manifold_census(cx: TetComplex) -> Census:
+    """The closed, links, connected and euler checks of cx in one pass
+    over its tets.  Each face, keyed by one int, keeps the (tet, omitted
+    slot) node of its first tet, whose partner is the node of the second;
+    later tets are kept apart.  Pairing joins the two tets' shared vertex
+    slots, so the classes are the vertex stars.  A connected 3-manifold
+    pairs no face twice nor a tet with itself, has one star per vertex, a
+    link sum of 0 (_fault) and a connected 1-skeleton; _fault names any
+    other complex's fault off the same slots and faces."""
+    nv, tets = cx.nv, cx.tets
+    n = len(tets)
+    lo, hi = 0, nv                # the ids whose faces get distinct keys
+    while True:
+        w = hi - lo
+        slots: list[int] = []     # node 4 * tet + slot -> vertex, sorted
+        faces: dict[int, int] = {}          # face -> its first node
+        get = faces.get
+        partner = array('q', [-1]) * (4 * n)   # first node -> second
+        more: dict[int, list[int]] = {}     # first node -> later tets'
+        edges: set[int] = set()   # the distinct edges, uv as u * w + v
+        add_edges = edges.update
+        stars = UnionFind(4 * n)
+        union = stars.union
+        faulty = False
+        for t in tets:
+            a, b, c, d = s = sorted(t)
+            if a == b or b == c or c == d or a < 0 or d >= nv:
+                if a < lo or d >= hi:
+                    break
+                faulty = True
+            node = len(slots)
+            slots += s
+            ab, ac, bc = a * w + b, a * w + c, b * w + c
+            add_edges((ab, ac, a * w + d, bc, b * w + d, c * w + d))
+            abw = ab * w
+            for key, k in ((abw + c, 3), (abw + d, 2), (ac * w + d, 1),
+                           (bc * w + d, 0)):
+                o = get(key)
+                if o is None:
+                    faces[key] = node + k
+                    continue
+                if partner[o] >= 0 or slots[o] == s[k]:
+                    faulty = True     # a third tet, or the first again
+                    if partner[o] >= 0:
+                        more.setdefault(o, []).append(node)
+                        continue
+                partner[o] = node + k
+                k1 = o & 3
+                o -= k1
+                x, y, z = _FACE_VERTS[k1]
+                p, q, r = _FACE_VERTS[k]
+                # this tet's slots, often still alone, go under the older
+                # classes, so that the trees stay shallow
+                union(node + p, o + x)
+                union(node + q, o + y)
+                union(node + r, o + z)
+        else:
+            break
+        # an id out of range: key the faces over all the ids there are
+        lo = min(map(min, tets))
+        hi = max(map(max, tets)) + 1
+    nf, ne = len(faces), len(edges)
+    # every face in two tets leaves no boundary
+    boundary = [] if 2 * nf == 4 * n and not faulty else \
+        [_face(slots, o) for o in faces.values() if partner[o] < 0]
+    if not faulty:
+        roots = stars.roots()
+        # a vertex with no star or a split one
+        faulty = len(roots) != nv or len({slots[r] for r in roots}) != nv
+    if not faulty and not (2 * nv - 2 * ne + nf + len(boundary) -
+                           len({v for f in boundary for v in f})):
+        skeleton = UnionFind(nv)
+        union = skeleton.union
+        for e in edges:
+            union(*divmod(e, nv))
+        if len(skeleton.roots()) == 1:
+            return Census(boundary, None, n, nv - ne + nf - n)
+    tet = UnionFind(n)
+    for o in faces.values():
+        if partner[o] >= 0:
+            tet.union(partner[o] >> 2, o >> 2)
+        for p in more.get(o, ()):
+            tet.union(p >> 2, o >> 2)
+    roots = [tet.find(t) for t in range(n)]
+    return Census(boundary,
+                  _fault(cx, slots, faces, partner, more, edges, boundary),
+                  roots.count(roots[0]) if n else 0,
+                  len(set(slots)) - ne + nf - n)
+
+
+def _fault(cx: TetComplex, slots: list[int], faces: dict[int, int],
+           partner: array, more: dict[int, list[int]], edges: set[int],
+           boundary: list[tuple[int, int, int]]) -> str | None:
+    """The first fault the census filed, or None: a degenerate,
+    out-of-range or duplicate tet, in tet order; an isolated vertex; a
+    face in three or more tets, in face order; a pinch; a split star; a
+    link of wrong chi.
+
+    The link of v pinches at w when the tets around edge vw form several
+    (tet, edge slot) classes across shared faces; it is connected when the
+    star of v, its (tet, vertex slot) classes, is one class.  Split at its
+    pinches, a connected link has chi <= 2 (1 with boundary), equal only
+    for a sphere (disk).  So the census' link sum, of 2 (1 on the
+    boundary) - chi(lk v) over all v, is 0 only when every link is one.
     """
-    nv = cx.nv
-    slots: list[int] = []         # node 4 * tet + slot -> vertex, tets sorted
-    first: dict[int, int] = {}    # face -> 4 * tet + omitted slot, -1 paired
-    get = first.get
-    edges: set[int] = set()       # the distinct edges, uw as u * nv + w
-    add_edges = edges.update
-    stars = UnionFind(4 * len(cx.tets))
-    union = stars.union
-    for t in cx.tets:
-        a, b, c, d = s = sorted(t)
-        if a == b or b == c or c == d or a < 0 or d >= nv:
-            return None
-        node = len(slots)
-        slots += s
-        ab, ac, bc = a * nv + b, a * nv + c, b * nv + c
-        add_edges((ab, ac, a * nv + d, bc, b * nv + d, c * nv + d))
-        abn = ab * nv
-        for key, k in ((abn + c, 3), (abn + d, 2), (ac * nv + d, 1),
-                       (bc * nv + d, 0)):
-            o = get(key)
-            if o is None:
-                first[key] = node + k
-                continue
-            if o < 0 or slots[o] == s[k]:
-                return None       # a third tet, or a duplicate
-            first[key] = -1
-            k1 = o & 3
-            o -= k1
-            x, y, z = _FACE_VERTS[k1]
-            p, q, r = _FACE_VERTS[k]
-            # this tet's slots, often still alone, go under the older
-            # classes, so that the trees stay shallow
-            union(node + p, o + x)
-            union(node + q, o + y)
-            union(node + r, o + z)
-    roots = stars.roots()
-    if len(roots) != nv or len({slots[r] for r in roots}) != nv:
-        return None               # a vertex with no star or a split one
-    nf = len(first)
-    nb = 2 * nf - len(slots)      # faces in one tet
-    on_boundary = set()
-    if nb:
-        for key, o in first.items():
-            if o >= 0:
-                ab, c = divmod(key, nv)
-                on_boundary.update(divmod(ab, nv))
-                on_boundary.add(c)
-    if 2 * nv - 2 * len(edges) + nf + nb - len(on_boundary):
-        return None
-    skeleton = UnionFind(nv)
-    union = skeleton.union
-    for e in edges:
-        union(*divmod(e, nv))
-    return nb, len(skeleton.roots())
-
-
-def _slot_classes(fm: FaceMap, st: list[Tet], w: int, slots) -> UnionFind:
-    """Union-find over the nodes (tet t, slot i) = w * t + i, joining
-    across every interior face the slots of its two tets that slots[k]
-    names for the face omitting vertex slot k."""
-    uf = UnionFind(w * len(st))
-    union = uf.union
-    for (x, y, z), ts in fm.items():
-        if len(ts) == 2:
-            t1, t2 = ts
-            # the vertex slot each sorted tet leaves out of the sorted face
-            a = st[t1]
-            s1 = slots[0 if a[0] != x else 1 if a[1] != y else
-                       2 if a[2] != z else 3]
-            a = st[t2]
-            s2 = slots[0 if a[0] != x else 1 if a[1] != y else
-                       2 if a[2] != z else 3]
-            b1, b2 = w * t1, w * t2
-            union(b1 + s1[0], b2 + s2[0])
-            union(b1 + s1[1], b2 + s2[1])
-            union(b1 + s1[2], b2 + s2[2])
-    return uf
-
-
-def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
-    """validate_complex on the face map of cx, already built; returns the
-    Euler characteristic of cx.  It runs to name what manifold_census
-    rejects.
-
-    The link of v has a vertex per edge, an edge per face and a triangle
-    per tet at v, and must be a sphere (a disk on the boundary).  It pinches
-    at w when the tets around edge vw form several (tet, edge slot) classes
-    across shared faces; the star of v is its (tet, vertex slot) classes.
-    Split at its pinches, a link is a surface S, connected iff the star
-    is, with chi(link) = chi(S) - sum(classes around w - 1).  A connected
-    S has chi <= 2 (<= 1 with boundary), equal only for a sphere (disk).
-    So counted chi 2 (1) and a connected star accept: no pinch anywhere.
-
-    manifold_census checks all links with one count.  With every face in
-    at most two tets and every star one class, each term 2 (1 at a
-    boundary vertex) - chi(lk v) is >= 2 - chi(S) (1 - chi(S)) >= 0, and
-    over all vertices the terms sum to 2V - 2E + F + F_bd - V_bd (as
-    4T = 2F - F_bd), which is 2 chi(M) - chi(bd M).  A sum of 0 makes
-    every term 0: every link a sphere or a disk.  On a closed complex
-    the sum is 2 chi(M).
-    """
-    nv = cx.nv
-    st: list[Tet] = []
+    nv, n = cx.nv, len(cx.tets)
+    # a duplicate can look like a third tet on each face: tets come first
     seen = set()
-    chi = [0] * nv          # per vertex: link chi, as tets - faces + edges
-    for t in cx.tets:
-        s = tuple(sorted(t))
-        a, b, c, d = s
+    for t, i in zip(cx.tets, range(0, 4 * n, 4)):
+        a, b, c, d = s = tuple(slots[i:i + 4])
         if a == b or b == c or c == d:
-            raise ComplexError(f"degenerate tetrahedron {t}")
+            return f"degenerate tetrahedron {t}"
         if a < 0 or d >= nv:
-            raise ComplexError(f"tetrahedron vertex out of range {t}")
+            return f"tetrahedron vertex out of range {t}"
         if s in seen:
-            raise ComplexError(f"duplicate tetrahedron {s}")
+            return f"duplicate tetrahedron {s}"
         seen.add(s)
-        st.append(s)
-        chi[a] += 1
-        chi[b] += 1
-        chi[c] += 1
-        chi[d] += 1
-    del seen
-    if 0 in chi:
-        raise ComplexError("isolated vertex")
-    boundary = bytearray(nv)
-    edges = set()           # the distinct edges, uw as u * nv + w
-    add = edges.add
-    for f, ts in fm.items():
-        if len(ts) > 2:
-            raise ComplexError(f"triangle {f} in {len(ts)} tetrahedra")
-        a, b, c = f
-        chi[a] -= 1
-        chi[b] -= 1
-        chi[c] -= 1
-        add(a * nv + b)
-        add(a * nv + c)
-        add(b * nv + c)
-        if len(ts) == 1:
-            boundary[a] = boundary[b] = boundary[c] = 1
-    for e in edges:
-        chi[e // nv] += 1
-        chi[e % nv] += 1
-    ne = len(edges)
-    del edges
-    home = bytearray(nv)
-    split = -1              # the first vertex whose star falls apart
-    for r in _slot_classes(fm, st, 4, _FACE_VERTS).roots():
-        t, k = divmod(r, 4)
-        v = st[t][k]
-        if home[v] and split < 0:
-            split = v
-        home[v] = 1
+    if len(set(slots)) != nv:
+        return "isolated vertex"
+    for o in faces.values():
+        if o in more:
+            return f"triangle {_face(slots, o)} in {2 + len(more[o])} " \
+                "tetrahedra"
+    chi = Counter(slots)    # per vertex: link chi, tets - faces + edges
+    chi.subtract(v for o in faces.values() for v in _face(slots, o))
+    chi.update(v for e in edges for v in divmod(e, nv))
     # a link edge ab of v is a boundary edge exactly when the face vab lies
     # in one tet, so a link has boundary iff its vertex is a boundary vertex
-    bad = [v for v in range(nv) if chi[v] != (1 if boundary[v] else 2)]
-    if split < 0 and not bad:
-        return nv - ne + len(fm) - len(st)
+    on_boundary = {v for f in boundary for v in f}
+    bad = [v for v in range(nv) if chi[v] != 2 - (v in on_boundary)]
+    # the (tet, vertex slot) and (tet, edge slot) classes, each face's
+    # first tet's slots joined under its second's, in filing order
+    stars, fans = UnionFind(4 * n), UnionFind(6 * n)
+    for o in faces.values():
+        t, p = o >> 2, partner[o]
+        if p >= 0:
+            for i, j in zip(_FACE_VERTS[o & 3], _FACE_VERTS[p & 3]):
+                stars.union(4 * t + i, 4 * (p >> 2) + j)
+            for i, j in zip(_FACE_EDGES[o & 3], _FACE_EDGES[p & 3]):
+                fans.union(6 * t + i, 6 * (p >> 2) + j)
+    split, home = None, set()   # the first vertex whose star falls apart
+    for v in map(slots.__getitem__, stars.roots()):
+        if v in home:
+            split = v
+            break
+        home.add(v)
+    if split is None and not bad:
+        return None
     # one class per edge, or the link of one end pinches at the other;
     # with no pinch the distinct edges are the classes, and chi is exact
     edges = set()
-    for r in _slot_classes(fm, st, 6, _FACE_EDGES).roots():
-        t, e = divmod(r, 6)
-        i, j = _EDGE[e]
-        u, w = st[t][i], st[t][j]
-        if u * nv + w in edges:
-            raise ComplexError(f"vertex {u} link pinches at {w}")
-        edges.add(u * nv + w)
-    if split >= 0:
-        raise ComplexError(f"vertex {split} link is disconnected")
+    for r in fans.roots():
+        i, j = _EDGE[r % 6]
+        u, v = slots[r // 6 * 4 + i], slots[r // 6 * 4 + j]
+        if (u, v) in edges:
+            return f"vertex {u} link pinches at {v}"
+        edges.add((u, v))
+    if split is not None:
+        return f"vertex {split} link is disconnected"
     v = bad[0]
-    raise ComplexError(
-        f"boundary vertex {v} link is not a disk (chi={chi[v]})"
-        if boundary[v] else
-        f"interior vertex {v} link is not a sphere (chi={chi[v]})")
-
-
-def euler_characteristic(cx: TetComplex) -> int:
-    return euler_from_faces(cx, face_map(cx))
-
-
-def euler_from_faces(cx: TetComplex, fm: FaceMap) -> int:
-    """V - E + F - T, with vertices and edges read off the (sorted) faces."""
-    verts = set()
-    edges = set()
-    for a, b, c in fm:
-        verts.update((a, b, c))
-        edges.update(((a, b), (a, c), (b, c)))
-    return len(verts) - len(edges) + len(fm) - len(cx.tets)
-
-
-def boundary_surface(cx: TetComplex):
-    """Boundary as a SurfaceMesh plus the map back into complex vertices."""
-    faces = boundary_faces(cx)
-    used = sorted({v for f in faces for v in f})
-    pos = {v: i for i, v in enumerate(used)}
-    tris = [tuple(pos[v] for v in f) for f in faces]
-    return SurfaceMesh(len(used), tris), used
+    return (f"boundary vertex {v} link is not a disk (chi={chi[v]})"
+            if v in on_boundary else
+            f"interior vertex {v} link is not a sphere (chi={chi[v]})")
 
 
 # ---------------------------------------------------------------------------

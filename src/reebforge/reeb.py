@@ -493,22 +493,23 @@ def labeled_isomorphic(r: ReebGraph | LabeledGraph,
         return all(adj_a.get((u, v)) == adj_g.get((x, w))
                    for u, x in mapping.items())
 
-    def search(k):
-        if k == len(order):
-            return True
+    # depth first, without recursion: left[k] holds the candidates that
+    # order[k] has still to try; with none left, order[k - 1] tries its next
+    left: list = []
+    while len(mapping) < len(order):
+        k = len(mapping)
+        if len(left) == k:
+            left.append(iter(candidates[order[k]]))
         v = order[k]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w):
-                continue
+        w = next((w for w in left[k]
+                  if w not in used and consistent(v, w)), None)
+        if w is not None:
             mapping[v] = w
             used.add(w)
-            if search(k + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if search(0):
-        return IsoResult(True, dict(mapping))
-    return IsoResult(False, mismatch="no value- and label-preserving "
-                                     "bijection exists")
+            continue
+        left.pop()
+        if not left:
+            return IsoResult(False, mismatch="no value- and label-preserving "
+                                             "bijection exists")
+        used.remove(mapping.pop(order[k - 1]))
+    return IsoResult(True, dict(mapping))

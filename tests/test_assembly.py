@@ -13,17 +13,17 @@ from reebforge.assembly import (AssemblyError, Manifold3, assemble,
                                 validate_manifold, verify_realization)
 from reebforge.blocks import CheckReport, cylinder_block
 from reebforge.canonical import canonical_mesh
-from reebforge.complexes import (ComplexError, TetComplex, boundary_faces,
-                                 cone_complex, euler_characteristic,
-                                 euler_from_faces, face_map,
+from reebforge.complexes import (ComplexError, TetComplex, cone_complex,
+                                 euler_characteristic, face_map,
                                  merge_complexes, remove_tets,
-                                 validate_faces)
+                                 validate_complex)
 from reebforge.corpus import realizable_corpus
 from reebforge.graphs import Edge, LabeledGraph, brief
 from reebforge.reeb import labeled_isomorphic
 from reebforge.unionfind import UnionFind
 from test_complexes import (COPIES, _accepts, _damaged, _identify,
-                            oracle_validate)
+                            _message, euler_from_faces, oracle_validate,
+                            validate_complex_reference, validate_faces)
 
 
 def make(names, values, edges):
@@ -261,12 +261,15 @@ def test_every_check_matches_its_reference(i, seed, holes, glue, stray,
               for name, ok, msg in validate_manifold(damaged).checks}
     assert list(checks) == ["closed", "links", "connected", "euler",
                             "provenance"]
-    assert checks["closed"][0] == (not boundary_faces(cx))
+    # the face-map oracles: boundary_faces and euler_characteristic read
+    # the census that validate_manifold reads
+    fm = face_map(cx)
+    assert checks["closed"][0] == all(len(ts) != 1 for ts in fm.values())
     assert checks["links"][0] == _accepts(oracle_validate, cx)
     n = len(cx.tets)
     reached = _reached_by_bfs(cx)
     assert checks["connected"] == (reached == n, f"{reached}/{n} tetrahedra")
-    chi = euler_characteristic(cx)
+    chi = euler_from_faces(cx, fm)
     assert checks["euler"] == (chi == 0, f"chi = {chi}")
     assert checks["provenance"][0] == (len(provenance) == n)
 
@@ -347,7 +350,42 @@ def test_a_passing_manifold_builds_no_face_map(monkeypatch):
     m = _assembled(1)
     monkeypatch.setattr(complexes, "face_map", refuse)
     assert validate_manifold(m).ok
+    # nor does a failing one: the census names its own faults
     broken = Manifold3(TetComplex(m.cx.nv, m.cx.tets[1:]), m.values,
                        m.provenance[1:])
-    with pytest.raises(AssertionError, match="a face map was built"):
-        validate_manifold(broken)
+    assert not validate_manifold(broken).ok
+
+
+def _colliding(cx: TetComplex) -> TetComplex:
+    """cx with the last vertex of a tet at vertex a - 1 swapped for nv + b,
+    where ab is an edge: read as digits base nv, the edge from a - 1 to
+    nv + b and edge ab are the same number."""
+    nv = cx.nv
+    a, b = next(sorted(t)[:2] for t in cx.tets if min(t) > 0)
+    ti = next(ti for ti, t in enumerate(cx.tets)
+              if a - 1 in t and max(t) != a - 1)
+    t = cx.tets[ti]
+    tets = list(cx.tets)
+    tets[ti] = tuple(nv + b if x == max(t) else x for x in t)
+    return TetComplex(nv, tets)
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("collide", [False, True])
+def test_out_of_range_ids_match_the_references(first, collide):
+    # one tet holding id nv and another holding -1, in either order: the
+    # faces and edges past the fault must keep distinct keys, so that the
+    # closed, connected and euler checks read as before
+    m = _assembled(1)
+    nv = m.cx.nv
+    tets = list(m.cx.tets)
+    for ti, x in zip((3, 40) if first else (40, 3), (nv, -1)):
+        tets[ti] = (x,) + tets[ti][1:]
+    cx = TetComplex(nv, tets)
+    if collide:
+        cx = _colliding(cx)
+    assert _message(validate_complex, cx) == \
+        _message(validate_complex_reference, cx)
+    damaged = Manifold3(cx, m.values, m.provenance)
+    assert validate_manifold(damaged).checks == \
+        validate_manifold_reference(damaged).checks

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reebforge import blocks
+from reebforge import blocks, canonical, complexes
 from reebforge.blocks import (Block, BlockError, Plan, block_to_json,
                               build_junction, cap_block, cylinder_block,
                               elementary_junction, evaluate_plan, fold_block,
@@ -344,3 +344,18 @@ def test_junction_interior_tets_match_the_face_map(bottom, top):
         bottom = bottom + [-1]
     with checked_interior_tets():
         build_junction(plan_junction(bottom, top), 0, 1, 2)
+
+
+def test_block_checks_build_no_face_map(monkeypatch):
+    # verify_block reads its manifold check and its boundary off one
+    # census, and a product solid checks its boundary the same way
+    def refuse(cx):
+        raise AssertionError("a face map was built")
+    monkeypatch.setattr(complexes, "face_map", refuse)
+    for label in (1, -2):
+        canonical._product_solid(label, 1)
+    assert_verified(cylinder_block(1, F(0), F(1)))
+    assert_verified(elementary_junction("sphere_to_torus", F(0), F(1), F(2)))
+    holed = cap_block(0, F(0), F(1))
+    holed = replace(holed, cx=remove_tets(holed.cx, {0}))
+    assert not verify_block(holed).ok

@@ -10,12 +10,12 @@ from reebforge.blocks import cap_block, elementary_junction
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
                                  ComplexError, FaceMap, Tet, TetComplex,
-                                 _slot_classes, boundary_faces,
-                                 boundary_surface, cone_complex,
-                                 euler_characteristic, face_map,
-                                 find_interior_tets, manifold_census,
-                                 merge_complexes, remove_tets, surface_prism,
-                                 validate_complex, validate_faces)
+                                 boundary_faces, boundary_surface,
+                                 cone_complex, euler_characteristic,
+                                 face_map, find_interior_tets,
+                                 manifold_census, merge_complexes,
+                                 remove_tets, surface_prism,
+                                 validate_complex)
 from reebforge.surfaces import SurfaceMesh, classify_labels
 from reebforge.unionfind import UnionFind
 
@@ -443,6 +443,140 @@ def test_link_check_matches_reference(i, seed, holes, glue, copies):
 
 
 # ---------------------------------------------------------------------------
+# reference: the face-map validator that named what the one pass rejected,
+# with its slot classes and its Euler characteristic, kept verbatim
+# ---------------------------------------------------------------------------
+
+def _slot_classes(fm: FaceMap, st: list[Tet], w: int, slots) -> UnionFind:
+    """Union-find over the nodes (tet t, slot i) = w * t + i, joining
+    across every interior face the slots of its two tets that slots[k]
+    names for the face omitting vertex slot k."""
+    uf = UnionFind(w * len(st))
+    union = uf.union
+    for (x, y, z), ts in fm.items():
+        if len(ts) == 2:
+            t1, t2 = ts
+            # the vertex slot each sorted tet leaves out of the sorted face
+            a = st[t1]
+            s1 = slots[0 if a[0] != x else 1 if a[1] != y else
+                       2 if a[2] != z else 3]
+            a = st[t2]
+            s2 = slots[0 if a[0] != x else 1 if a[1] != y else
+                       2 if a[2] != z else 3]
+            b1, b2 = w * t1, w * t2
+            union(b1 + s1[0], b2 + s2[0])
+            union(b1 + s1[1], b2 + s2[1])
+            union(b1 + s1[2], b2 + s2[2])
+    return uf
+
+
+def validate_faces(cx: TetComplex, fm: FaceMap) -> int:
+    """validate_complex on the face map of cx, already built; returns the
+    Euler characteristic of cx.  It runs to name what manifold_census
+    rejects.
+
+    The link of v has a vertex per edge, an edge per face and a triangle
+    per tet at v, and must be a sphere (a disk on the boundary).  It pinches
+    at w when the tets around edge vw form several (tet, edge slot) classes
+    across shared faces; the star of v is its (tet, vertex slot) classes.
+    Split at its pinches, a link is a surface S, connected iff the star
+    is, with chi(link) = chi(S) - sum(classes around w - 1).  A connected
+    S has chi <= 2 (<= 1 with boundary), equal only for a sphere (disk).
+    So counted chi 2 (1) and a connected star accept: no pinch anywhere.
+
+    manifold_census checks all links with one count.  With every face in
+    at most two tets and every star one class, each term 2 (1 at a
+    boundary vertex) - chi(lk v) is >= 2 - chi(S) (1 - chi(S)) >= 0, and
+    over all vertices the terms sum to 2V - 2E + F + F_bd - V_bd (as
+    4T = 2F - F_bd), which is 2 chi(M) - chi(bd M).  A sum of 0 makes
+    every term 0: every link a sphere or a disk.  On a closed complex
+    the sum is 2 chi(M).
+    """
+    nv = cx.nv
+    st: list[Tet] = []
+    seen = set()
+    chi = [0] * nv          # per vertex: link chi, as tets - faces + edges
+    for t in cx.tets:
+        s = tuple(sorted(t))
+        a, b, c, d = s
+        if a == b or b == c or c == d:
+            raise ComplexError(f"degenerate tetrahedron {t}")
+        if a < 0 or d >= nv:
+            raise ComplexError(f"tetrahedron vertex out of range {t}")
+        if s in seen:
+            raise ComplexError(f"duplicate tetrahedron {s}")
+        seen.add(s)
+        st.append(s)
+        chi[a] += 1
+        chi[b] += 1
+        chi[c] += 1
+        chi[d] += 1
+    del seen
+    if 0 in chi:
+        raise ComplexError("isolated vertex")
+    boundary = bytearray(nv)
+    edges = set()           # the distinct edges, uw as u * nv + w
+    add = edges.add
+    for f, ts in fm.items():
+        if len(ts) > 2:
+            raise ComplexError(f"triangle {f} in {len(ts)} tetrahedra")
+        a, b, c = f
+        chi[a] -= 1
+        chi[b] -= 1
+        chi[c] -= 1
+        add(a * nv + b)
+        add(a * nv + c)
+        add(b * nv + c)
+        if len(ts) == 1:
+            boundary[a] = boundary[b] = boundary[c] = 1
+    for e in edges:
+        chi[e // nv] += 1
+        chi[e % nv] += 1
+    ne = len(edges)
+    del edges
+    home = bytearray(nv)
+    split = -1              # the first vertex whose star falls apart
+    for r in _slot_classes(fm, st, 4, _FACE_VERTS).roots():
+        t, k = divmod(r, 4)
+        v = st[t][k]
+        if home[v] and split < 0:
+            split = v
+        home[v] = 1
+    # a link edge ab of v is a boundary edge exactly when the face vab lies
+    # in one tet, so a link has boundary iff its vertex is a boundary vertex
+    bad = [v for v in range(nv) if chi[v] != (1 if boundary[v] else 2)]
+    if split < 0 and not bad:
+        return nv - ne + len(fm) - len(st)
+    # one class per edge, or the link of one end pinches at the other;
+    # with no pinch the distinct edges are the classes, and chi is exact
+    edges = set()
+    for r in _slot_classes(fm, st, 6, _FACE_EDGES).roots():
+        t, e = divmod(r, 6)
+        i, j = _EDGE[e]
+        u, w = st[t][i], st[t][j]
+        if u * nv + w in edges:
+            raise ComplexError(f"vertex {u} link pinches at {w}")
+        edges.add(u * nv + w)
+    if split >= 0:
+        raise ComplexError(f"vertex {split} link is disconnected")
+    v = bad[0]
+    raise ComplexError(
+        f"boundary vertex {v} link is not a disk (chi={chi[v]})"
+        if boundary[v] else
+        f"interior vertex {v} link is not a sphere (chi={chi[v]})")
+
+
+def euler_from_faces(cx: TetComplex, fm: FaceMap) -> int:
+    """V - E + F - T, with vertices and edges read off the (sorted) faces."""
+    verts = set()
+    edges = set()
+    for a, b, c in fm:
+        verts.update((a, b, c))
+        edges.update(((a, b), (a, c), (b, c)))
+    return len(verts) - len(edges) + len(fm) - len(cx.tets)
+
+
+# ---------------------------------------------------------------------------
 # reference link check: every link through the (tet, edge slot) classes as
 # well as the (tet, vertex slot) classes, the check that counting replaced,
 # kept verbatim
@@ -526,9 +660,13 @@ def exact_reference(cx: TetComplex, fm: FaceMap) -> int:
 def _verdict(check, cx):
     """The Euler characteristic check returns, or the message it raises."""
     try:
-        return check(cx, face_map(cx))
+        return check(cx)
     except ComplexError as exc:
         return str(exc)
+
+
+def _exact(cx):
+    return exact_reference(cx, face_map(cx))
 
 
 @pytest.mark.parametrize("i", range(len(BASES)),
@@ -539,12 +677,13 @@ def _verdict(check, cx):
        st.sampled_from([None, "apart", "vertex", "face"]), st.booleans())
 def test_counted_link_check_matches_exact_reference(i, seed, holes, glue,
                                                     stray, permute):
-    # the same Euler characteristic on acceptance, the same message on
-    # rejection, pinches named first; each base gets its own examples, the
-    # chained wedge among them, whose apex link has a distinct-edge chi of
-    # 2, so that only its split star sends it to be named
+    # the census gives the same Euler characteristic on acceptance and the
+    # same message on rejection, pinches named first; each base gets its
+    # own examples, the chained wedge among them, whose apex link has a
+    # distinct-edge chi of 2, so that only its split star sends it to be
+    # named
     cx = _damaged(_base(i), Random(seed), holes, glue, stray, permute)
-    assert _verdict(validate_faces, cx) == _verdict(exact_reference, cx)
+    assert _verdict(validate_complex, cx) == _verdict(_exact, cx)
 
 
 def validate_complex_reference(cx: TetComplex):
@@ -588,10 +727,14 @@ def test_one_pass_matches_face_map_reference(i, seed, holes, glue, stray,
     ("apart", (0, 2), None)])
 def test_census_of_copies_of_a_closed_complex(copies, census, message):
     # the pillow and a face in four tets pass a pairing that pops faces
-    # two at a time, and the pillow is closed and connected with chi 0
+    # two at a time, and the pillow is closed and connected with chi 0;
+    # census is (boundary triangles, components) of an accepted complex,
+    # whose copies are all the same size
     cx = _damaged(_base([n for n, _, _ in BASES].index("double_cone")),
                   Random(5), 0, None, None, True, copies)
-    assert manifold_census(cx) == census
+    got = manifold_census(cx)
+    assert (None if got.fault else
+            (len(got.boundary), len(cx.tets) // got.reached)) == census
     if message:
         with pytest.raises(ComplexError, match=message):
             validate_complex(cx)
@@ -600,16 +743,20 @@ def test_census_of_copies_of_a_closed_complex(copies, census, message):
 def test_census_of_a_product():
     mesh = canonical_mesh(1, 1)
     cx = surface_prism(mesh, 3).complex
-    assert manifold_census(cx) == (2 * len(mesh.triangles), 1)
+    census = manifold_census(cx)
+    assert (len(census.boundary), census.fault, census.reached,
+            census.chi) == (2 * len(mesh.triangles), None, len(cx.tets), 0)
+    assert census.boundary == [f for f, ts in face_map(cx).items()
+                               if len(ts) == 1]
 
 
 def test_accepting_builds_no_face_map(monkeypatch):
+    # nor does rejecting: the census names its own faults
     def refuse(cx):
         raise AssertionError("a face map was built")
     monkeypatch.setattr(complexes, "face_map", refuse)
     for i, (name, _, accepted) in enumerate(BASES):
-        if accepted:
-            validate_complex(_base(i))
+        assert _accepts(validate_complex, _base(i)) == accepted
 
 
 @pytest.mark.parametrize("name", ["cylinder_klein", "cylinder_torus"])
@@ -623,8 +770,8 @@ def test_a_hole_in_a_boundary_edge_fan_is_a_pinch(name):
     pinches = 0
     for ti in range(12):
         holed = remove_tets(cx, {ti})
-        got = _verdict(validate_faces, holed)
-        assert got == _verdict(exact_reference, holed)
+        got = _verdict(validate_complex, holed)
+        assert got == _verdict(_exact, holed)
         pinches += "pinches" in str(got)
     assert pinches
 

@@ -508,6 +508,18 @@ def test_isomorphism_matches_reference():
                     "no"}
 
 
+def test_isomorphism_of_a_long_zigzag_needs_no_recursion():
+    # a path of 2,000 vertices at heights 0, 1, 0, 1, ...: the search
+    # places one vertex per step, deeper than the default recursion limit
+    n = 2000
+    g = LabeledGraph([f"v{i}" for i in range(n)],
+                     [F(i % 2) for i in range(n)],
+                     [Edge(i, i + 1, 0) for i in range(n - 1)])
+    res = labeled_isomorphic(g, g)
+    assert res.isomorphic
+    assert res.mapping == {v: v for v in range(n)}
+
+
 # ---------------------------------------------------------------------------
 # the sweep against a full scan
 # ---------------------------------------------------------------------------
