@@ -141,6 +141,27 @@ def _prepare(cells, values) -> _Sweep:
             a, b, c, d = s
             ra, hi = prank[a], prank[d]
             ab = (a * n + b) * n
+            if hi == ra + 1:
+                # one slab, spanned by every face but abc when flat at ra
+                # and bcd when flat at hi; filed as the loop below files
+                cmin.append(ra)
+                slab_cells[ra].append(ci)
+                joins = slab_joins[ra]
+                first = file_face(ab + c, ci)
+                if first != ci:
+                    (flat_joins[ra] if prank[c] == ra else joins).append(
+                        (ci, first))
+                first = file_face(ab + d, ci)
+                if first != ci:
+                    joins.append((ci, first))
+                first = file_face((a * n + c) * n + d, ci)
+                if first != ci:
+                    joins.append((ci, first))
+                first = file_face((b * n + c) * n + d, ci)
+                if first != ci:
+                    (flat_joins[hi] if prank[b] == hi else joins).append(
+                        (ci, first))
+                continue
             keys = (ab + c, ab + d, (a * n + c) * n + d, (b * n + c) * n + d)
         else:
             a, b, c = s
@@ -265,27 +286,29 @@ def _slice_cells(cells, vrank, members, level: int):
                 above.append(v)
         if not below or not above:
             continue
-        if len(below) == 1:
-            a, others = below[0], above
-        elif len(above) == 1:
-            a, others = above[0], below
-        else:
-            a, b = below
-            c, d = above
-            # the quad's corners run (a, c), (a, d), (b, d), (b, c) round
-            # its cycle, adjacent ones sharing a tet face, and it starts at
-            # its least corner (min(a, b), min(c, d)); swapping both pairs
-            # steps the cycle on by two
-            if a > b:
-                a, b, c, d = b, a, d, c
-            q = ((a, d), (b, d), (b, c), (a, c)) if c > d else \
-                ((a, c), (a, d), (b, d), (b, c))
-            q0, q1, q2, q3 = [put((u, v) if u < v else (v, u), len(pts))
-                              for u, v in q]
-            tris += [(q0, q1, q2), (q0, q2, q3)]
+        if len(below) == 1 or len(above) == 1:
+            a, x, y, z = below + above if len(below) == 1 else above + below
+            tris.append((put((a, x) if a < x else (x, a), len(pts)),
+                         put((a, y) if a < y else (y, a), len(pts)),
+                         put((a, z) if a < z else (z, a), len(pts))))
             continue
-        tris.append(tuple([put((a, x) if a < x else (x, a), len(pts))
-                           for x in others]))
+        a, b = below
+        c, d = above
+        # the quad's corners run (a, c), (a, d), (b, d), (b, c) round its
+        # cycle, adjacent ones sharing a tet face, and it starts at its
+        # least corner (min(a, b), min(c, d)); swapping both pairs steps
+        # the cycle on by two
+        if a > b:
+            a, b, c, d = b, a, d, c
+        ac = (a, c) if a < c else (c, a)
+        ad = (a, d) if a < d else (d, a)
+        bd = (b, d) if b < d else (d, b)
+        bc = (b, c) if b < c else (c, b)
+        if c > d:           # the cycle starts at (a, d)
+            ac, ad, bd, bc = ad, bd, bc, ac
+        q0, q1, q2, q3 = (put(ac, len(pts)), put(ad, len(pts)),
+                          put(bd, len(pts)), put(bc, len(pts)))
+        tris += [(q0, q1, q2), (q0, q2, q3)]
     return pts, SurfaceMesh(len(pts), tris)
 
 
@@ -441,17 +464,17 @@ class IsoResult:
 
 def _incidence(graph: LabeledGraph):
     """Per vertex, the sorted (neighbour value, label) pairs of its edges,
-    and per ordered pair of joined vertices the label multiset of the
-    edges joining them: one pass over the edges (a graph has no loop)."""
+    and per vertex and neighbour the label multiset of the edges joining
+    them: one pass over the edges (a graph has no loop)."""
     around: list[list] = [[] for _ in range(graph.n)]
-    labels: dict[tuple[int, int], Counter] = {}
+    labels: list[dict[int, Counter]] = [{} for _ in range(graph.n)]
     values = graph.values
     for e in graph.edges:
         u, v = e.u, e.v
         around[u].append((values[v], e.label))
         around[v].append((values[u], e.label))
-        labels.setdefault((u, v), Counter())[e.label] += 1
-        labels[v, u] = labels[u, v]
+        labels[u].setdefault(v, Counter())[e.label] += 1
+        labels[v][u] = labels[u][v]
     return [tuple(sorted(inc)) for inc in around], labels
 
 
@@ -486,12 +509,15 @@ def labeled_isomorphic(r: ReebGraph | LabeledGraph,
     candidates = [index.get(key, []) for key in zip(a.values, sig_a)]
     order = sorted(range(a.n), key=lambda v: len(candidates[v]))
     mapping: dict[int, int] = {}
-    used: set[int] = set()
+    inverse: dict[int, int] = {}
 
     def consistent(v, w):
-        # no entry means no edge: every stored multiset is non-empty
-        return all(adj_a.get((u, v)) == adj_g.get((x, w))
-                   for u, x in mapping.items())
+        # no entry means no edge: every stored multiset is non-empty, so
+        # a mapped pair can differ only where one side has an edge
+        return (all(adj_g[w].get(mapping[u]) == lab
+                    for u, lab in adj_a[v].items() if u in mapping) and
+                all(adj_a[v].get(inverse[x]) == lab
+                    for x, lab in adj_g[w].items() if x in inverse))
 
     # depth first, without recursion: left[k] holds the candidates that
     # order[k] has still to try; with none left, order[k - 1] tries its next
@@ -502,14 +528,14 @@ def labeled_isomorphic(r: ReebGraph | LabeledGraph,
             left.append(iter(candidates[order[k]]))
         v = order[k]
         w = next((w for w in left[k]
-                  if w not in used and consistent(v, w)), None)
+                  if w not in inverse and consistent(v, w)), None)
         if w is not None:
             mapping[v] = w
-            used.add(w)
+            inverse[w] = v
             continue
         left.pop()
         if not left:
             return IsoResult(False, mismatch="no value- and label-preserving "
                                              "bijection exists")
-        used.remove(mapping.pop(order[k - 1]))
+        del inverse[mapping.pop(order[k - 1])]
     return IsoResult(True, dict(mapping))

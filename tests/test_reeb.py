@@ -1,5 +1,5 @@
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import combinations
@@ -509,15 +509,16 @@ def test_isomorphism_matches_reference():
 
 
 def test_isomorphism_of_a_long_zigzag_needs_no_recursion():
-    # a path of 2,000 vertices at heights 0, 1, 0, 1, ...: the search
-    # places one vertex per step, deeper than the default recursion limit
-    n = 2000
-    g = LabeledGraph([f"v{i}" for i in range(n)],
-                     [F(i % 2) for i in range(n)],
-                     [Edge(i, i + 1, 0) for i in range(n - 1)])
-    res = labeled_isomorphic(g, g)
-    assert res.isomorphic
-    assert res.mapping == {v: v for v in range(n)}
+    # paths of 2,000 and 5,000 vertices at heights 0, 1, 0, 1, ...: the
+    # search places one vertex per step, deeper than the default recursion
+    # limit, and checks each candidate against its mapped neighbours only
+    for n in (2000, 5000):
+        g = LabeledGraph([f"v{i}" for i in range(n)],
+                         [F(i % 2) for i in range(n)],
+                         [Edge(i, i + 1, 0) for i in range(n - 1)])
+        res = labeled_isomorphic(g, g)
+        assert res.isomorphic
+        assert res.mapping == {v: v for v in range(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +654,124 @@ def test_bucketed_components_match_full_scan(i, perturb, seed):
             regular = all(sw.vrank[v] != lvl for c in home for v in cells[c])
             assert (k >= 0) == regular, lvl
             assert not regular or below[k] == comp, lvl
+
+
+def prepare_zip_reference(cells, values) -> _Sweep:
+    """(Reference: `reeb._prepare` while it filed every face of every
+    cell through one loop over zipped (key, lo, up) triples, kept
+    verbatim.)"""
+    layers, vrank = _ranks(values)
+    n, L = len(vrank), len(layers)
+    # number the vertices by (rank, id): a cell sorted by that position
+    # lists its ranks ascending, and so does each of its faces
+    order = sorted(range(n), key=vrank.__getitem__)
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    prank = [vrank[v] for v in order]
+    at = pos.__getitem__
+    slab_cells, slab_joins = ([[] for _ in range(L - 1)] for _ in range(2))
+    flat_cells, flat_joins, cross, cross_at = (
+        [[] for _ in range(L)] for _ in range(4))
+    cmin, first_cell = [], {}
+    file_face = first_cell.setdefault
+    # flat cells joined across a face fall into one region; region_of
+    # marks the flat cells here and numbers their regions after the pass
+    regions = UnionFind(len(cells))
+    union = regions.union
+    region_of = [-1] * len(cells)
+    for ci, cell in enumerate(cells):
+        s = sorted(map(at, cell))
+        if len(s) == 4:
+            a, b, c, d = s
+            ra, hi = prank[a], prank[d]
+            ab = (a * n + b) * n
+            keys = (ab + c, ab + d, (a * n + c) * n + d, (b * n + c) * n + d)
+        else:
+            a, b, c = s
+            ra, hi = prank[a], prank[c]
+            keys = (a * n + b, a * n + c, b * n + c)
+        cmin.append(ra)
+        if ra == hi:
+            # every face is flat and no slab is spanned
+            region_of[ci] = 0
+            flat_cells[ra].append(ci)
+            for key in keys:
+                first = file_face(key, ci)
+                if first != ci:
+                    if region_of[first] >= 0:
+                        union(ci, first)
+                    else:
+                        flat_joins[ra].append((ci, first))
+            continue
+        if len(s) == 4:
+            rb, rc = prank[b], prank[c]
+            faces = zip(keys, (ra, ra, ra, rb), (rc, hi, hi, hi))
+            mids = (rb, rc)
+        else:
+            rb = prank[b]
+            faces = zip(keys, (ra, ra, rb), (rb, hi, hi))
+            mids = (rb,)
+        for k in range(ra, hi):
+            slab_cells[k].append(ci)
+        for k in range(ra + 1, hi):
+            (cross_at if k in mids else cross)[k].append(ci)
+        for key, lo, up in faces:
+            first = file_face(key, ci)
+            if first != ci:
+                # every later cell on a face joins the first one
+                join = (ci, first)
+                if lo == up:
+                    flat_joins[lo].append(join)
+                for k in range(lo, up):
+                    slab_joins[k].append(join)
+    flat_regions = [regions.groups(fc) for fc in flat_cells]
+    for level in flat_regions:
+        for j, region in enumerate(level):
+            for c in region:
+                region_of[c] = j
+    return _Sweep(list(cells), layers, vrank, cmin, slab_cells, slab_joins,
+                  flat_regions, region_of, flat_joins, cross, cross_at)
+
+
+def _join_pattern(ranks):
+    """How `_prepare` files a cell with the given ascending vertex ranks."""
+    ra, hi = ranks[0], ranks[-1]
+    if ra == hi:
+        return "flat"
+    if hi > ra + 1:
+        return "multi-slab"
+    if len(ranks) == 3:
+        return "one-slab triangle"
+    if ranks[2] == ra:
+        return "abc flat"
+    return "bcd flat" if ranks[1] == hi else "all four spanning"
+
+
+def test_pool_holds_every_one_slab_join_pattern():
+    # `_prepare` files the faces of a tet spanning one slab in straight
+    # lines, by which of its faces are flat, and all other cells through
+    # a loop: the pool holds tets of every pattern and of both paths
+    seen = set()
+    for cells, values, _ in sweep_pool():
+        vrank = _ranks(values)[1]
+        seen.update(_join_pattern(sorted(vrank[v] for v in cell))
+                    for cell in cells)
+    assert seen >= {"abc flat", "bcd flat", "all four spanning",
+                    "multi-slab", "flat"}
+
+
+@pytest.mark.parametrize("i", range(11))
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_prepare_matches_zip_reference(i, seed):
+    cells, values, _ = sweep_pool()[i]
+    names = [f.name for f in fields(_Sweep)]
+    assert len(names) == 11
+    for vals in (values, _perturbed(values, Random(seed))):
+        got, want = _prepare(cells, vals), prepare_zip_reference(cells, vals)
+        for name in names:
+            assert getattr(got, name) == getattr(want, name), name
 
 
 # the sweep before level components were quotients of slab components,
