@@ -20,9 +20,9 @@ from .complexes import TetComplex, manifold_census, merge_complexes
 # assembly.<name> (benchmarks/spans.py SITES)
 from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
                         validate_complex)
-from .graphs import (GraphError, LabeledGraph, brief, check_realizable,
-                     euler_char, format_rational, is_odd_chi,
-                     parse_rational)
+from .graphs import (Edge, GraphError, LabeledGraph, brief,
+                     check_realizable, euler_char, format_rational,
+                     is_odd_chi, parse_rational)
 from .reeb import ReebGraph, labeled_isomorphic, reeb_graph_of
 from .surfaces import same_triangles
 
@@ -213,7 +213,6 @@ def verify_realization(g: LabeledGraph, refinement: int = 1,
         # debug hook: compare against a deliberately mislabeled copy
         edges = list(g.edges)
         e = edges[mislabel_edge]
-        from .graphs import Edge
         bumped = e.label + 1 if e.label >= 0 else e.label - 1
         edges[mislabel_edge] = Edge(e.u, e.v, bumped)
         target = LabeledGraph(list(g.names), list(g.values), edges)

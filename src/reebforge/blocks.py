@@ -22,7 +22,7 @@ from .canonical import (End, Solid, boundary_connect_sum, canonical_mesh,
                         solid_for_label)
 from .complexes import (TetComplex, find_interior_tets, manifold_census,
                         merge_complexes, remove_tets, surface_prism)
-from .graphs import euler_char, is_odd_chi
+from .graphs import euler_char, format_rational, is_odd_chi
 from .reeb import ReebGraph, reeb_graph_of
 from .surfaces import MeshError, SurfaceMesh, classify_surface
 
@@ -481,7 +481,6 @@ def fold_block(j: Block, vertex_value, direction: str,
 def block_to_dict(b: Block) -> dict:
     """Mesh, function values, and contract; bridge tets are
     construction-time data and are not serialized."""
-    from .graphs import format_rational
     c = b.contract
     if isinstance(c, EdgeContract):
         contract = {"kind": "edge", "lo": format_rational(c.lo),

@@ -336,86 +336,46 @@ def reeb_graph_of(cells, values, pin_values=()) -> ReebGraph:
     cells are tetrahedra (3-manifold mode) or triangles (self-test mode,
     where every edge gets label 0 by construction).  pin_values marks
     level values whose nodes must survive contraction.
+
+    Nodes are the level components that are not contracted, numbered by
+    value and then by smallest cell.  Each edge runs from its lower node
+    to its upper one, a < b, and edges come sorted by (a, b, label).
     """
     sw = _prepare(cells, values)
     pin_set = set(pin_values)
-    node_values, node_pinned, edges = [], [], []
-    below_node, below_label = [], []
+    nodes, edges = [], []
+    below_start, below_label = [], []
     labels = {}             # surface slice -> label, for this call only
     for i, below, above, classes, carried in _levels(sw):
         nb, na = len(below), len(above)
-        node_of = [0] * (nb + na + len(sw.flat_regions[i]))
-        for cls in classes:
-            nid = len(node_values)
-            node_values.append(sw.layers[i])
-            # a flat region witnesses a singular level component
-            node_pinned.append(sw.layers[i] in pin_set or
-                               max(cls) >= nb + na)
-            for item in cls:
-                node_of[item] = nid
-        edges += zip(below_node, node_of[:nb], below_label)
-        below_node = node_of[nb:nb + na]
+        value = sw.layers[i]
+        pinned = value in pin_set
         # a regular level component leaves the slice unchanged
-        below_label = [below_label[k] if k >= 0 else
+        above_label = [below_label[k] if k >= 0 else
                        _slab_label(sw, comp, i, labels)
                        for comp, k in zip(above, carried)]
-    return _contract(node_values, node_pinned, edges)
-
-
-def _contract(node_values, node_pinned, edges) -> ReebGraph:
-    """Remove inessential degree-2 nodes, then renumber deterministically."""
-    edges = [list(e) for e in edges]
-    alive = [True] * len(node_values)
-    incident: dict[int, list[int]] = {i: [] for i in range(len(node_values))}
-    for ei, (a, b, _) in enumerate(edges):
-        incident[a].append(ei)
-        incident[b].append(ei)
-
-    # contracting n keeps the degree and edge labels of every other node;
-    # it can only make a neighbour's two ends meet, which blocks that
-    # neighbour and never unblocks one, so one pass reaches the fixpoint
-    for n in range(len(node_values)):
-        if node_pinned[n]:
-            continue
-        inc = [ei for ei in incident[n] if edges[ei] is not None]
-        if len(inc) != 2:
-            continue
-        e1, e2 = inc
-        if edges[e1][2] != edges[e2][2]:
-            continue
-        x = edges[e1][0] if edges[e1][1] == n else edges[e1][1]
-        y = edges[e2][0] if edges[e2][1] == n else edges[e2][1]
-        if x == n or y == n or x == y:
-            continue
-        label = edges[e1][2]
-        edges[e1] = None
-        edges[e2] = None
-        newe = [x, y, label]
-        incident[x].append(len(edges))
-        incident[y].append(len(edges))
-        edges.append(newe)
-        alive[n] = False
-
-    live_edges = [e for e in edges if e is not None]
-    used = [n for n in range(len(node_values)) if alive[n]]
-    renum = {n: i for i, n in enumerate(used)}
-    # (neighbour, label) per edge end, gathered in one pass
-    around: dict[int, list] = {n: [] for n in used}
-    for a, b, label in live_edges:
-        around[a].append((b, label))
-        around[b].append((a, label))
-    nodes = []
-    for n in used:
-        inc = around[n]
-        # a parallel double edge back to one neighbour is kept to avoid loops
-        essential = (node_pinned[n] or len(inc) != 2 or
-                     inc[0][1] != inc[1][1] or inc[0][0] == inc[1][0])
-        nodes.append(ReebNode(node_values[n], essential, node_pinned[n]))
-    redges = sorted(
-        (ReebEdge(min(renum[a], renum[b]), max(renum[a], renum[b]), l)
-         for a, b, l in live_edges),
-        key=lambda e: (e.a, e.b, e.label))
-    return ReebGraph(nodes, redges)
+        above_start = [0] * na
+        for cls in classes:
+            lo, hi = min(cls), max(cls)
+            if (len(cls) == 2 and not pinned and lo < nb <= hi < nb + na
+                    and below_label[lo] == above_label[hi - nb]):
+                # one slab component on each side, no flat region, and
+                # the same label: the edge runs on through this level
+                above_start[hi - nb] = below_start[lo]
+                continue
+            node = len(nodes)
+            # a flat region witnesses a singular level component
+            nodes.append(ReebNode(value, True, pinned or hi >= nb + na))
+            for item in cls:
+                if item < nb:
+                    edges.append(ReebEdge(below_start[item], node,
+                                          below_label[item]))
+                elif item < nb + na:
+                    above_start[item - nb] = node
+        below_start, below_label = above_start, above_label
+    # a start node is older than the node that closes its edge
+    edges.sort(key=lambda e: (e.a, e.b, e.label))
+    return ReebGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

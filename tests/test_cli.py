@@ -8,6 +8,8 @@ import pytest
 
 import reebforge
 from reebforge import cli
+from reebforge.assembly import manifold_from_dict, validate_manifold
+from reebforge.canonical import canonical_mesh
 from reebforge.cli import main
 
 MINIMAL = {"vertices": [{"id": "a", "value": "0/1"},
@@ -285,6 +287,35 @@ def test_extract_names_the_bad_provenance_record(tmp_path, corrupt, line):
     assert line.format(n=len(doc["provenance"]), n1=n1) in \
         [text.strip() for text in proc.stderr.splitlines()]
     assert "Traceback" not in proc.stderr
+
+
+def suspension(lo):
+    """The suspension of the canonical sphere: a cone on each side, the
+    sphere at value 1 and its two apexes at 0 and lo."""
+    sphere = canonical_mesh(0, 1)
+    tets = [[apex, a, b, c] for apex in (sphere.nv, sphere.nv + 1)
+            for a, b, c in sphere.triangles]
+    return {"vertices": sphere.nv + 2, "tetrahedra": tets,
+            "values": ["1/1"] * sphere.nv + ["0/1", lo],
+            "provenance": [["vertex", 0]] * len(tets)}
+
+
+@pytest.mark.parametrize("lo", ["0/1", "-1/1"])
+def test_extract_keeps_a_fold_node(tmp_path, lo):
+    # the sphere's level closes both cones and opens nothing: a node of
+    # degree 2 with its edges on one side, one label, and no flat cell
+    doc = suspension(lo)
+    assert len(doc["tetrahedra"]) == 128
+    assert validate_manifold(manifold_from_dict(doc)).ok
+    proc = run_cli(tmp_path, ["extract"], doc)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    got = json.loads(proc.stdout)
+    assert sorted(v["value"] for v in got["vertices"]) == \
+        sorted(["0/1", lo]) + ["1/1"]
+    top = next(v["id"] for v in got["vertices"] if v["value"] == "1/1")
+    assert sorted((e["u"] == top) + (e["v"] == top) for e in got["edges"]) \
+        == [1, 1]
 
 
 def test_extract_constant_function_is_a_domain_rejection(tmp_path):
