@@ -9,13 +9,17 @@ every edge leaves room for its cylinder.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocks import (Block, BlockError, CheckReport, cap_block,
                      build_junction, cylinder_block, fold_block,
                      glued_values, plan_junction)
-from .complexes import TetComplex, manifold_census, merge_complexes
+from .complexes import Census, TetComplex, manifold_census, merge_complexes
 # imported only for the benchmark's tracer, which wraps them as
 # assembly.<name> (benchmarks/spans.py SITES)
 from .complexes import (boundary_faces, euler_characteristic,  # noqa: F401
@@ -160,11 +164,14 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
                      vertex_values=list(g.values))
 
 
-def validate_manifold(m: Manifold3) -> CheckReport:
+def validate_manifold(m: Manifold3, census=None) -> CheckReport:
     """Closedness, link conditions, connectedness, chi = 0 (all four off
     one `manifold_census` of the tets), provenance.  On a closed complex
-    the census' link sum is 2 chi, so chi = 0 is every link a sphere."""
-    census = manifold_census(m.cx)
+    the census' link sum is 2 chi, so chi = 0 is every link a sphere.
+    `census`, when given, is a waiter that returns the census of `m.cx`
+    taken elsewhere (see `_CensusChild`); it is waited on here, so the
+    time spent blocked on it counts as validation."""
+    census = manifold_census(m.cx) if census is None else census()
     n = len(m.cx.tets)
     bf, reached, chi = census.boundary, census.reached, census.chi
     detail = f"{len(m.provenance)} records for {n} tets"
@@ -188,6 +195,67 @@ def extract_reeb(m: Manifold3) -> ReebGraph:
     return reeb_graph_of(m.cx.tets, m.values)
 
 
+class _CensusChild:
+    """`manifold_census(cx)` taken in a forked child while the caller
+    works on; calling the waiter returns the census.  The child pickles
+    (ok, census or exception) into a pipe and always leaves through
+    `os._exit`.  The waiter reads the pipe to EOF before reaping (a long
+    boundary list can outgrow the pipe buffer) and re-raises the child's
+    exception.  Without `os.fork`, with a second thread alive, when the
+    fork fails or when the child dies without a complete result, the
+    census is taken inline: a dead child never passes a manifold."""
+
+    def __init__(self, cx: TetComplex):
+        self.cx, self.pid, self.pipe = cx, 0, None
+        if not hasattr(os, "fork") or threading.active_count() != 1:
+            return
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return
+        if pid == 0:
+            try:
+                try:
+                    out = (True, manifold_census(cx))
+                except Exception as exc:
+                    out = (False, exc)
+                with open(w, "wb") as f:
+                    pickle.dump(out, f, pickle.HIGHEST_PROTOCOL)
+            finally:
+                os._exit(0)
+        os.close(w)
+        self.pid, self.pipe = pid, open(r, "rb")
+
+    def __call__(self) -> Census:
+        out = None
+        if self.pid:
+            with self.pipe:
+                data = self.pipe.read()
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+            try:
+                out = pickle.loads(data)
+            except Exception:       # the child died mid-result
+                pass
+        if out is None:
+            return manifold_census(self.cx)
+        ok, census = out
+        if not ok:
+            raise census
+        return census
+
+    def close(self) -> None:
+        """Kill and reap a child that was not waited for."""
+        if self.pid:
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
 @dataclass
 class VerificationResult:
     ok: bool
@@ -198,16 +266,28 @@ class VerificationResult:
 
 def verify_realization(g: LabeledGraph, refinement: int = 1,
                        mislabel_edge: int | None = None) -> VerificationResult:
-    """Build, validate, extract, and compare against the input graph."""
+    """Build, validate, extract, and compare against the input graph.
+    The census runs in a forked child while the Reeb graph is extracted;
+    validation still decides: an invalid manifold fails with no Reeb
+    graph, and an extraction error counts only on a valid one."""
     try:
         m = assemble(g, refinement)
     except (AssemblyError, BlockError, GraphError) as exc:
         return VerificationResult(False, None, None, f"assembly: {exc}")
-    rep = validate_manifold(m)
+    census = _CensusChild(m.cx)
+    try:
+        try:
+            reeb, held = extract_reeb(m), None
+        except Exception as exc:
+            reeb, held = None, exc
+        rep = validate_manifold(m, census)
+    finally:
+        census.close()
     if not rep.ok:
         return VerificationResult(False, m, None,
                                   "manifold invalid:\n" + rep.summary())
-    reeb = extract_reeb(m)
+    if held is not None:
+        raise held
     target = g
     if mislabel_edge is not None:
         # debug hook: compare against a deliberately mislabeled copy

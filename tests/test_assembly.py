@@ -1,3 +1,8 @@
+import os
+import pickle
+import threading
+import time
+import warnings
 from collections import deque
 from fractions import Fraction as F
 from functools import lru_cache
@@ -6,9 +11,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reebforge import complexes
-from reebforge.assembly import (AssemblyError, Manifold3, assemble,
-                                common_refinement, extract_reeb,
+from reebforge import assembly, complexes
+from reebforge.assembly import (AssemblyError, Manifold3, VerificationResult,
+                                assemble, common_refinement, extract_reeb,
                                 manifold_from_dict, manifold_to_dict,
                                 validate_manifold, verify_realization)
 from reebforge.blocks import CheckReport, cylinder_block
@@ -19,7 +24,7 @@ from reebforge.complexes import (ComplexError, TetComplex, cone_complex,
                                  validate_complex)
 from reebforge.corpus import realizable_corpus
 from reebforge.graphs import Edge, LabeledGraph, brief
-from reebforge.reeb import labeled_isomorphic
+from reebforge.reeb import ReebError, labeled_isomorphic
 from reebforge.unionfind import UnionFind
 from test_complexes import (COPIES, _accepts, _damaged, _identify,
                             _message, euler_from_faces, oracle_validate,
@@ -389,3 +394,180 @@ def test_out_of_range_ids_match_the_references(first, collide):
     damaged = Manifold3(cx, m.values, m.provenance)
     assert validate_manifold(damaged).checks == \
         validate_manifold_reference(damaged).checks
+
+
+# ---------------------------------------------------------------------------
+# verify takes the census in a forked child while the parent extracts
+# ---------------------------------------------------------------------------
+
+FORKS = hasattr(os, "fork")
+needs_fork = pytest.mark.skipif(not FORKS, reason="no os.fork here")
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes verify forks from here on."""
+    pids = []
+    if FORKS:
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _census_in(where, census=complexes.manifold_census):
+    """A census that runs only in the parent process; `where(cx)` decides
+    what it does in a child.  Parent calls are recorded in `.calls`."""
+    parent = os.getpid()
+
+    def patched(cx):
+        if os.getpid() != parent:
+            return where(cx)
+        patched.calls.append(len(cx.tets))
+        return census(cx)
+    patched.calls = []
+    return patched
+
+
+def test_verify_forks_one_census_and_reaps_it(forks):
+    # a fork from a single-threaded process warns of nothing on any
+    # Python; warnings are recorded, not raised, because Python 3.12+
+    # does not raise its fork DeprecationWarning under "error"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = verify_realization(MINIMAL)
+    assert [str(w.message) for w in caught] == []
+    assert res.ok, res.detail
+    assert len(forks) == FORKS and _no_child_left()
+
+
+@needs_fork
+def test_census_error_in_the_child_is_raised_in_the_parent(monkeypatch,
+                                                           forks):
+    def boom(cx):
+        raise complexes.ComplexError("boom")
+    census = _census_in(boom)
+    monkeypatch.setattr(assembly, "manifold_census", census)
+    with pytest.raises(complexes.ComplexError) as info:
+        verify_realization(MINIMAL)
+    assert str(info.value) == "boom"
+    # the child raised it: the parent took no census of its own
+    assert census.calls == [] and len(forks) == 1
+    assert _no_child_left()
+
+
+@needs_fork
+def test_a_child_dying_without_a_result_falls_back_to_the_inline_census(
+        monkeypatch, forks):
+    census = _census_in(lambda cx: os._exit(1))
+    monkeypatch.setattr(assembly, "manifold_census", census)
+    res = verify_realization(MINIMAL)
+    assert res.ok, res.detail
+    assert len(forks) == 1 and census.calls == [len(res.manifold.cx.tets)]
+    assert _no_child_left()
+
+
+@needs_fork
+def test_an_interrupt_while_extracting_kills_the_child(monkeypatch, forks):
+    def interrupt(m):
+        raise KeyboardInterrupt
+    # a child still busy when the parent gives up
+    monkeypatch.setattr(assembly, "manifold_census",
+                        _census_in(lambda cx: time.sleep(60)))
+    monkeypatch.setattr(assembly, "extract_reeb", interrupt)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify_realization(MINIMAL)
+    assert time.perf_counter() - t0 < 30
+    assert len(forks) == 1 and _no_child_left()
+
+
+def _holed_corpus_manifold() -> Manifold3:
+    m = assemble(realizable_corpus(20260810, 3)[0])
+    return Manifold3(TetComplex(m.cx.nv, m.cx.tets[1:]), m.values,
+                     m.provenance[1:], m.vertex_values)
+
+
+def test_an_invalid_manifold_fails_with_no_reeb_graph(monkeypatch):
+    holed = _holed_corpus_manifold()
+    # extraction alone does not notice the hole: its graph must not leak
+    assert len(extract_reeb(holed).nodes) == 3
+    want = VerificationResult(False, holed, None, "manifold invalid:\n" +
+                              validate_manifold(holed).summary())
+    monkeypatch.setattr(assembly, "assemble", lambda g, refinement: holed)
+    assert verify_realization(MINIMAL) == want
+
+    def fail(m):
+        raise ReebError("sweep failed")
+    monkeypatch.setattr(assembly, "extract_reeb", fail)
+    assert verify_realization(MINIMAL) == want
+    assert _no_child_left()
+
+
+def test_a_census_larger_than_the_pipe_buffer_comes_through(monkeypatch,
+                                                            forks):
+    # every tet of a corpus manifold on its own four vertices: all its
+    # faces are boundary, and the child's result outgrows a 64 KiB pipe
+    m = assemble(realizable_corpus(20260810, 3)[0])
+    n = len(m.cx.tets)
+    apart = Manifold3(TetComplex(4 * n, [tuple(range(4 * i, 4 * i + 4))
+                                         for i in range(n)]),
+                      [m.values[v] for t in m.cx.tets for v in t],
+                      m.provenance, m.vertex_values)
+    census = complexes.manifold_census(apart.cx)
+    assert len(pickle.dumps((True, census))) > 1 << 16
+    want = VerificationResult(False, apart, None, "manifold invalid:\n" +
+                              validate_manifold(apart, lambda: census)
+                              .summary())
+    monkeypatch.setattr(assembly, "assemble", lambda g, refinement: apart)
+    assert verify_realization(MINIMAL) == want
+    assert len(forks) == FORKS and _no_child_left()
+
+
+def test_an_extraction_error_on_a_valid_manifold_is_raised(monkeypatch):
+    def fail(m):
+        raise ReebError("sweep failed")
+    monkeypatch.setattr(assembly, "extract_reeb", fail)
+    with pytest.raises(ReebError, match="sweep failed"):
+        verify_realization(MINIMAL)
+    assert _no_child_left()
+
+
+def _outcomes(graphs):
+    return [(r.ok, r.detail, r.reeb)
+            for r in map(verify_realization, graphs)]
+
+
+def test_inline_census_paths_match_the_forked_one(monkeypatch, forks):
+    graphs = realizable_corpus(20260810, 3)
+    forked = _outcomes(graphs)
+    assert all(ok for ok, _, _ in forked)
+    assert len(forks) == 3 * FORKS
+    del forks[:]
+    # a second thread alive: no fork
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _outcomes(graphs) == forked
+    finally:
+        stop.set()
+        other.join(10)
+    assert not other.is_alive() and forks == []
+    # no os.fork on this platform
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _outcomes(graphs) == forked
+    assert forks == [] and _no_child_left()

@@ -568,14 +568,24 @@ def sweep_pool():
     return pool
 
 
-def _perturbed(values, rng):
-    """The same complex under another function: a few layers of random
-    integers, or the given values with a random share of vertices moved
-    to a new value between two layers."""
-    if rng.random() < 0.5:
+def _perturbed(values, rng, kind=None):
+    """The same complex under another function of the given kind, drawn
+    when None: "inner" keeps every vertex on the lowest and highest layer
+    and redraws the others among a few values strictly between the two;
+    "redrawn" is a few layers of random integers; "moved" is the given
+    values with a random share of vertices moved to a new value between
+    the two lowest layers.  Only "inner" keeps a block's boundary on its
+    extreme levels, and so slices every pool entry into closed pieces;
+    the other two mostly cut a slice open, which tests error messages."""
+    kind = kind or rng.choice(("inner", "inner", "redrawn", "moved"))
+    layers = sorted(set(values))
+    if kind == "inner":
+        lo, hi, k = layers[0], layers[-1], rng.randint(1, 5)
+        return [v if v in (lo, hi) else
+                lo + (hi - lo) * F(rng.randint(1, k), k + 1) for v in values]
+    if kind == "redrawn":
         top = rng.randint(1, 6)
         return [F(rng.randint(0, top)) for _ in values]
-    layers = sorted(set(values))
     mid = (layers[0] + layers[1]) / 2
     return [mid if rng.random() < 0.1 else v for v in values]
 
@@ -1073,7 +1083,8 @@ def test_triangle_slab_components_slice_to_one_circle_or_arc(i, mode, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 11), st.sampled_from(["own", "perturbed", "presented"]),
+@given(st.integers(0, 11),
+       st.sampled_from(["own", "perturbed", "inner", "presented"]),
        st.integers(0, 2 ** 32), st.integers(0, 3))
 @example(11, "own", 0, 0)
 def test_sweep_matches_reference(i, mode, seed, npins):
@@ -1081,13 +1092,16 @@ def test_sweep_matches_reference(i, mode, seed, npins):
     rng = Random(seed)
     if mode == "perturbed":
         values = _perturbed(values, rng)
+    elif mode == "inner":
+        values = _perturbed(values, rng, "inner")
     elif mode == "presented":
         cells, values = _presented(cells, values, rng)
     layers = sorted(set(values))
     pins = pins + tuple(rng.sample(layers, min(npins, len(layers))))
     got = _outcome(reeb_graph_of, cells, values, pins)
     assert got == _outcome(sweep_reference, cells, values, pins)
-    # the complexes' own functions slice them into closed pieces
+    # the complexes' own functions slice them into closed pieces, and so
+    # do "inner" values, which keep the lowest and highest levels
     assert mode == "perturbed" or isinstance(got, ReebGraph)
 
 
@@ -1110,7 +1124,8 @@ def test_sweep_matches_reference_on_corrupt_input(i, identify, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 11), st.sampled_from(["own", "perturbed", "presented"]),
+@given(st.integers(0, 11),
+       st.sampled_from(["own", "perturbed", "inner", "presented"]),
        st.integers(0, 2 ** 32))
 @example(11, "own", 0)
 def test_no_inessential_degree2_nodes_survive(i, mode, seed):
@@ -1118,6 +1133,8 @@ def test_no_inessential_degree2_nodes_survive(i, mode, seed):
     rng = Random(seed)
     if mode == "perturbed":
         values = _perturbed(values, rng)
+    elif mode == "inner":
+        values = _perturbed(values, rng, "inner")
     elif mode == "presented":
         cells, values = _presented(cells, values, rng)
     try:
