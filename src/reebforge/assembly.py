@@ -86,12 +86,13 @@ def _split_extremum_labels(labels: list[int]) -> tuple[list[int], list[int]]:
     return sorted(f1), sorted(f2)
 
 
-def _vertex_block(g: LabeledGraph, v: int, eps: Fraction,
+def _vertex_block(g: LabeledGraph, v: int, sides, eps: Fraction,
                   refinement: int) -> tuple[Block, dict[int, int]]:
     """Build the block for one vertex and assign its boundary components
-    to the incident edge indices (matching labels, sorted tie-break)."""
+    to the incident edge indices (matching labels, sorted tie-break);
+    sides is g.sides(v)."""
     gv = g.values[v]
-    down, up = g.sides(v)
+    down, up = sides
     if down and up:
         plan = plan_junction([l for l, _ in down], [l for l, _ in up])
         block = build_junction(plan, gv - eps, gv, gv + eps, refinement)
@@ -135,8 +136,9 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
         raise AssemblyError("graph fails the parity conditions:\n" +
                             report.summary())
     eps = _vertex_epsilons(g)
-    blocks, assignments = zip(*(_vertex_block(g, v, eps[v], refinement)
-                                for v in range(g.n)))
+    blocks, assignments = zip(*(
+        _vertex_block(g, v, sides, eps[v], refinement)
+        for v, sides in enumerate(g.all_sides())))
     parts = [b.cx for b in blocks]
     part_values = [b.values for b in blocks]
     provenance: list[tuple[str, int]] = []

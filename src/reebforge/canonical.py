@@ -132,6 +132,36 @@ def _summands(label: int) -> list[int]:
     return [-1] + [-2] * ((-label - 1) // 2)
 
 
+# the most triangles the CLI lets a canonical mesh have: at refinement 1,
+# labels from -5,713 to 2,857
+MAX_MESH_TRIANGLES = 200_000
+
+
+def mesh_triangles(label: int, refinement: int) -> int:
+    """The triangle count of canonical_mesh(label, refinement), by
+    arithmetic: 4 * 4**(k + 1) for the sphere, 2 * P**2 for each grid
+    summand, less 2 for each connected sum."""
+    P = grid_size(refinement)
+    if label == 0:
+        return 4 * 4 ** (refinement + 1)
+    summands = label if label > 0 else (1 - label) // 2
+    return summands * 2 * P ** 2 - 2 * (summands - 1)
+
+
+def mesh_budget_error(label: int, refinement: int) -> str | None:
+    """None when canonical_mesh(label, refinement) fits
+    MAX_MESH_TRIANGLES, or else one line naming its size.  Every
+    canonical mesh has at least 16 * 4**k triangles, so past refinement
+    64 the size at 64 bounds it from below."""
+    k = min(refinement, 64)
+    count = mesh_triangles(label, k)
+    if count <= MAX_MESH_TRIANGLES:
+        return None
+    size = f"{count:,}" if k == refinement else f"more than {count:,}"
+    return (f"surface r={label} at refinement {refinement} needs {size} "
+            f"triangles, over the mesh budget of {MAX_MESH_TRIANGLES:,}")
+
+
 def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
     """The one triangulation of each surface used at block interfaces.
 

@@ -14,7 +14,7 @@ from .assembly import (assemble, extract_reeb, manifold_from_dict,
                        manifold_to_json, validate_manifold,
                        verify_realization, AssemblyError)
 from .blocks import BlockError
-from .canonical import canonical_mesh
+from .canonical import canonical_mesh, mesh_budget_error
 from .graphs import (LabeledGraph, check_realizable, graph_to_dot,
                      parse_graph, serialize_graph)
 from .surfaces import (MeshError, classify_surface, mesh_from_dict,
@@ -62,6 +62,15 @@ def _write(path: str | None, text: str):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _check_mesh_budget(labels, refinement: int):
+    """Refuse, before any mesh is built, a label whose canonical mesh has
+    more triangles than canonical.MAX_MESH_TRIANGLES."""
+    for label in labels:
+        error = mesh_budget_error(label, refinement)
+        if error:
+            raise _InputError(error)
+
+
 def cmd_check(args) -> int:
     report = check_realizable(_load_graph(args.input))
     print(report.summary())
@@ -70,6 +79,7 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     g = _load_graph(args.input)
+    _check_mesh_budget({e.label for e in g.edges}, args.refinement)
     report = check_realizable(g)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
@@ -90,6 +100,7 @@ def cmd_verify(args) -> int:
     if edge is not None and not 0 <= edge < len(g.edges):
         raise _InputError(f"--debug-mislabel-edge {edge} is not an edge "
                           f"index in 0..{len(g.edges) - 1}")
+    _check_mesh_budget({e.label for e in g.edges}, args.refinement)
     report = check_realizable(g)
     if not report.ok:
         print(report.summary(), file=sys.stderr)
@@ -134,8 +145,10 @@ def cmd_surface(args) -> int:
         if len(given) > 1:
             raise _InputError(f"refinement {args.refinement_arg} disagrees "
                               f"with --refinement {args.refinement}")
+        refinement = given.pop() if given else 1
+        _check_mesh_budget((args.label,), refinement)
         try:
-            mesh = canonical_mesh(args.label, given.pop() if given else 1)
+            mesh = canonical_mesh(args.label, refinement)
         except (MeshError, ValueError) as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -100,6 +100,18 @@ class LabeledGraph:
                 side.append((e.label, ei))
         return sorted(down), sorted(up)
 
+    def all_sides(self) -> list[tuple[list[tuple[int, int]],
+                                      list[tuple[int, int]]]]:
+        """sides(v) for every vertex v, in one pass over the edges."""
+        down: list[list] = [[] for _ in range(self.n)]
+        up: list[list] = [[] for _ in range(self.n)]
+        values = self.values
+        for ei, e in enumerate(self.edges):
+            lo, hi = (e.u, e.v) if values[e.u] < values[e.v] else (e.v, e.u)
+            up[lo].append((e.label, ei))
+            down[hi].append((e.label, ei))
+        return [(sorted(d), sorted(u)) for d, u in zip(down, up)]
+
     def _check(self):
         if len(self.values) != self.n:
             raise GraphError("vertex name/value length mismatch")
@@ -159,8 +171,10 @@ class VertexProfile:
                 f"{self.odd_up} must be even")
 
 
-def vertex_profile(g: LabeledGraph, v: int) -> VertexProfile:
-    down, up = ([label for label, _ in side] for side in g.sides(v))
+def vertex_profile(g: LabeledGraph, v: int, sides=None) -> VertexProfile:
+    """The profile of v, from g.sides(v) or the given sides of v."""
+    down, up = ([label for label, _ in side]
+                for side in (g.sides(v) if sides is None else sides))
     return VertexProfile(g.names[v], down, up)
 
 
@@ -195,7 +209,8 @@ def check_realizable(g: LabeledGraph) -> RealizabilityReport:
     3-manifold bounded by the incident surfaces, and chi(dN) = 2 chi(N) is
     even.  So a rejected graph has no realization.
     """
-    return RealizabilityReport([vertex_profile(g, v) for v in range(g.n)])
+    return RealizabilityReport([vertex_profile(g, v, sides)
+                                for v, sides in enumerate(g.all_sides())])
 
 
 # ---------------------------------------------------------------------------

@@ -87,17 +87,19 @@ class _Sweep:
     Level i keeps what its two slabs miss: its flat regions (flat cells,
     lo == hi == i, joined across the faces two of them share, merged
     while faces are filed), the joins across flat faces that touch a
-    non-flat cell, and cells spanning both slabs."""
+    non-flat cell, and cells spanning both slabs.  A join list is flat:
+    each join is two ints in a row, the later cell on the face and then
+    the first one, so the lists hold no tuples."""
 
-    cells: list[tuple]
+    cells: list[tuple]             # the caller's list, not a copy
     layers: list[Fraction]
     vrank: list[int]
     cmin: list[int]
     slab_cells: list[list[int]]
-    slab_joins: list[list[tuple[int, int]]]
+    slab_joins: list[list[int]]    # per slab, (later, first) flat pairs
     flat_regions: list[list[list[int]]]   # per level, by first cell
     region_of: list[int]           # flat cell -> its region at its level
-    flat_joins: list[list[tuple[int, int]]]
+    flat_joins: list[list[int]]    # per level, (later, first) flat pairs
     cross: list[list[int]]         # spanning both, no vertex at rank i
     cross_at: list[list[int]]      # spanning both, a vertex at rank i
 
@@ -149,17 +151,17 @@ def _prepare(cells, values) -> _Sweep:
                 joins = slab_joins[ra]
                 first = file_face(ab + c, ci)
                 if first != ci:
-                    (flat_joins[ra] if prank[c] == ra else joins).append(
+                    (flat_joins[ra] if prank[c] == ra else joins).extend(
                         (ci, first))
                 first = file_face(ab + d, ci)
                 if first != ci:
-                    joins.append((ci, first))
+                    joins += ci, first
                 first = file_face((a * n + c) * n + d, ci)
                 if first != ci:
-                    joins.append((ci, first))
+                    joins += ci, first
                 first = file_face((b * n + c) * n + d, ci)
                 if first != ci:
-                    (flat_joins[hi] if prank[b] == hi else joins).append(
+                    (flat_joins[hi] if prank[b] == hi else joins).extend(
                         (ci, first))
                 continue
             keys = (ab + c, ab + d, (a * n + c) * n + d, (b * n + c) * n + d)
@@ -178,7 +180,7 @@ def _prepare(cells, values) -> _Sweep:
                     if region_of[first] >= 0:
                         union(ci, first)
                     else:
-                        flat_joins[ra].append((ci, first))
+                        flat_joins[ra] += ci, first
             continue
         if len(s) == 4:
             rb, rc = prank[b], prank[c]
@@ -196,17 +198,17 @@ def _prepare(cells, values) -> _Sweep:
             first = file_face(key, ci)
             if first != ci:
                 # every later cell on a face joins the first one
-                join = (ci, first)
+                join = ci, first
                 if lo == up:
-                    flat_joins[lo].append(join)
+                    flat_joins[lo] += join
                 for k in range(lo, up):
-                    slab_joins[k].append(join)
+                    slab_joins[k] += join
     flat_regions = [regions.groups(fc) for fc in flat_cells]
     for level in flat_regions:
         for j, region in enumerate(level):
             for c in region:
                 region_of[c] = j
-    return _Sweep(list(cells), layers, vrank, cmin, slab_cells, slab_joins,
+    return _Sweep(cells, layers, vrank, cmin, slab_cells, slab_joins,
                   flat_regions, region_of, flat_joins, cross, cross_at)
 
 
@@ -234,7 +236,8 @@ def _levels(sw: _Sweep):
             # inside the slab, and resetting the slab's cells suffices
             for c in members:
                 parent[c] = c
-            for a, b in sw.slab_joins[i]:
+            it = iter(sw.slab_joins[i])
+            for a, b in zip(it, it):
                 uf.union(a, b)
             above = uf.groups(members)
             for k, comp in enumerate(above):
@@ -250,7 +253,8 @@ def _levels(sw: _Sweep):
             union(below_of[c], nb + above_of[c])
         for c in sw.cross_at[i]:
             union(below_of[c], nb + above_of[c])
-        for a, b in sw.flat_joins[i]:
+        it = iter(sw.flat_joins[i])
+        for a, b in zip(it, it):
             # each join here touches a non-flat cell
             union(nb + na + region_of[a] if region_of[a] >= 0 else
                   below_of[a] if cmin[a] < i else nb + above_of[a],

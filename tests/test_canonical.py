@@ -2,7 +2,9 @@ import hashlib
 
 import pytest
 
-from reebforge.canonical import canonical_mesh, solid_for_label
+from reebforge.canonical import (MAX_MESH_TRIANGLES, canonical_mesh,
+                                 mesh_budget_error, mesh_triangles,
+                                 solid_for_label)
 from reebforge.complexes import (boundary_surface, find_interior_tets,
                                  validate_complex)
 from reebforge.graphs import euler_char
@@ -120,3 +122,27 @@ def test_composite_solids_share_the_canonical_mesh(r):
     # caps and junction cylinders over a composite solid carry the one
     # cached mesh, not an equal copy built by the boundary sums
     assert solid_for_label(r, 3).ends[0].mesh is canonical_mesh(r, 3)
+
+
+@pytest.mark.parametrize("r", [*range(-9, 10), 17, -23])
+@pytest.mark.parametrize("k", [1, 2])
+def test_triangle_count_by_arithmetic(r, k):
+    assert mesh_triangles(r, k) == len(canonical_mesh(r, k).triangles)
+
+
+def test_mesh_budget_edges():
+    # at refinement 1 the grid summands have 72 triangles, less 2 a sum
+    assert MAX_MESH_TRIANGLES == 200_000
+    assert mesh_triangles(2857, 1) == 199_992
+    for label in (2857, -5713, 0):
+        assert mesh_budget_error(label, 1) is None
+    assert mesh_budget_error(2858, 1) == (
+        "surface r=2858 at refinement 1 needs 200,062 triangles, over the "
+        "mesh budget of 200,000")
+    assert "needs 19,342,813,113,834,066,795,298,816 " in \
+        mesh_budget_error(0, 40)
+    # past refinement 64 the size at 64 bounds the count from below
+    assert "needs more than 5,444,517,870,735,015,415,413,993,718,908," \
+        "291,383,296 triangles" in mesh_budget_error(0, 10 ** 18)
+    assert mesh_budget_error(0, 6) is None
+    assert mesh_budget_error(0, 7) is not None

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,45 @@ def test_surface_gen_huge_label_is_an_input_error(tmp_path, label):
     assert "Traceback" not in proc.stderr
     assert "must be at most" in proc.stderr
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["9223372036854775807"], "645,636,042,579,834,306,492"),
+    (["--", "-9223372036854775807"], "322,818,021,289,917,153,282"),
+    (["0", "--refinement", "40"], "19,342,813,113,834,066,795,298,816"),
+    (["1", "12"], "301,989,888"),
+])
+def test_surface_gen_over_the_mesh_budget_is_an_input_error(
+        tmp_path, capsys, argv, size):
+    out = tmp_path / "s.json"
+    t0 = time.perf_counter()
+    assert main(["surface", "gen", "--out", str(out), *argv]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: surface r=")
+    assert f" needs {size} triangles, over the mesh budget of 200,000" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("argv", [["--refinement", "40"], []])
+def test_graph_over_the_mesh_budget_is_an_input_error(tmp_path, capsys,
+                                                      command, argv):
+    label = 0 if argv else 9223372036854775807
+    doc = dict(MINIMAL, edges=[{"u": "a", "v": "b", "r": label}])
+    out = tmp_path / "m.json"
+    t0 = time.perf_counter()
+    rc = main([command, write(tmp_path, "g.json", doc), *argv,
+               *(["--out", str(out)] if command == "build" else [])])
+    assert rc == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: surface r={label} at ")
+    assert "over the mesh budget of 200,000" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["check", "build", "verify"])
