@@ -52,12 +52,12 @@ class Manifold3:
 
 
 def _vertex_epsilons(g: LabeledGraph) -> list[Fraction]:
-    eps = []
-    for v in range(g.n):
-        gaps = [abs(g.values[e.u] - g.values[e.v])
-                for e in g.edges if v in (e.u, e.v)]
-        eps.append(min(gaps) / 3)
-    return eps
+    """A third of each vertex's smallest incident height gap."""
+    gaps = [float("inf")] * g.n
+    for e in g.edges:
+        gap = abs(g.values[e.u] - g.values[e.v])
+        gaps[e.u], gaps[e.v] = min(gaps[e.u], gap), min(gaps[e.v], gap)
+    return [gap / 3 for gap in gaps]
 
 
 def _split_extremum_labels(labels: list[int]) -> tuple[list[int], list[int]]:

@@ -191,9 +191,9 @@ def _odd_pair_piece(label_a: int, label_b: int, refinement: int) -> Solid:
     piece = Solid(prod.complex, [End(-1, rp2, prod.layer_vertices(0)),
                                  End(-1, rp2, prod.layer_vertices(3))])
     for i, want in enumerate((label_a, label_b)):
-        while piece.ends[i].label != want:
-            piece = boundary_connect_sum(
-                piece, solid_for_label(-2, refinement), i)
+        if want != -1:
+            kleins = [solid_for_label(-2, refinement)] * ((-1 - want) // 2)
+            piece = boundary_connect_sum(piece, kleins, i)
     return piece
 
 

@@ -9,12 +9,13 @@ unrelated triangulations:
   label 1, -2, -1  P x P grid on the square (P = 3 * 2**k), bottom side
                    glued to the top and left side to the right; -2
                    reverses the top, -1 the top and the right
-  otherwise        connected sums of the above, left to right
+  otherwise        connected sum of the above in one pass, left to right,
+                   by the rule stated in surfaces.connected_sum_meshes
 
 Solids: ball = sphere prism capped by a cone; solid torus / solid Klein
 bottle = one disk prism whose last layer is identified with its first
 (through the disk reflection for the Klein bottle); higher even-chi labels
-= boundary-connected sums of the cached elementary solids.
+= boundary-connected sums of the cached elementary solids, one merge each.
 
 Meshes and solids are cached per (label, refinement) and shared: callers
 must not mutate them.
@@ -22,12 +23,13 @@ must not mutate them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .complexes import (TetComplex, boundary_surface, cone_complex,
                         merge_complexes, surface_prism)
 from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
-                       connected_sum_label, connected_sum_mesh_maps,
+                       connected_sum_label, connected_sum_meshes,
                        find_spare_triangles, same_triangles)
 from .unionfind import UnionFind
 
@@ -176,12 +178,8 @@ def canonical_mesh(label: int, refinement: int = 1) -> SurfaceMesh:
     elif label in (1, -1, -2):
         mesh = _grid_quotient(P, label)
     else:
-        first, *rest = _summands(label)
-        mesh = canonical_mesh(first, refinement)
-        for summand in rest:
-            nxt = canonical_mesh(summand, refinement)
-            mesh, _, _ = connected_sum_mesh_maps(mesh, mesh.spares[0],
-                                                 nxt, nxt.spares[0])
+        mesh, _ = connected_sum_meshes(
+            [canonical_mesh(s, refinement) for s in _summands(label)])
     comps = classify_surface(mesh)
     if len(comps) != 1 or comps[0].label != label:
         raise MeshError(f"canonical mesh for {label} classifies as "
@@ -275,26 +273,26 @@ def _product_solid(label: int, refinement: int) -> Solid:
     return Solid(cx, [End(label, boundary, bmap)])
 
 
-def boundary_connect_sum(a: Solid, b: Solid, i: int) -> Solid:
-    """Glue the one-ended solid b onto end i of a along one spare boundary
-    triangle each; that end undergoes the matching surface connected sum
-    and the other ends of a carry over."""
-    end, (other,) = a.ends[i], b.ends
-    sa, sb = end.mesh.spares[0], other.mesh.spares[0]
-    ta, tb = end.mesh.triangles[sa], other.mesh.triangles[sb]
-    surf, map_a, map_b = connected_sum_mesh_maps(end.mesh, sa,
-                                                 other.mesh, sb)
-    ident = [(0, end.bmap[x], 1, other.bmap[y])
-             for x, y in zip(sorted(ta), sorted(tb))]
-    cx, (va, vb), _ = merge_complexes([a.cx, b.cx], ident)
-    bmap = [0] * surf.nv
-    for v in range(end.mesh.nv):
-        bmap[map_a[v]] = va[end.bmap[v]]
-    for v in range(other.mesh.nv):
-        bmap[map_b[v]] = vb[other.bmap[v]]
-    ends = [End(e.label, e.mesh, [va[x] for x in e.bmap]) for e in a.ends]
-    ends[i] = End(connected_sum_label(end.label, other.label), surf, bmap)
-    return Solid(cx, ends)
+def boundary_connect_sum(a: Solid, bs: list[Solid], i: int) -> Solid:
+    """Glue the one-ended solids bs onto end i of a, whose mesh undergoes
+    connected_sum_meshes; the other ends of a carry over.  The first
+    (part, vertex) on a vertex of the sum owns it; later ones join it."""
+    ends = [a.ends[i]] + [b.ends[0] for b in bs]
+    surf, maps = connected_sum_meshes([e.mesh for e in ends])
+    owner: dict[int, tuple[int, int]] = {}
+    ident = []
+    for p, (e, vmap) in enumerate(zip(ends, maps)):
+        for x, s in zip(e.bmap, vmap):
+            if owner.setdefault(s, (p, x))[0] != p:
+                ident.append((*owner[s], p, x))
+    cx, vmaps, _ = merge_complexes([a.cx] + [b.cx for b in bs], ident)
+    # the sum numbers its vertices as the parts meet them
+    bmap = [vmaps[p][x] for p, x in owner.values()]
+    label = reduce(connected_sum_label, [e.label for e in ends])
+    out = [End(e.label, e.mesh, [vmaps[0][x] for x in e.bmap])
+           for e in a.ends]
+    out[i] = End(label, surf, bmap)
+    return Solid(cx, out)
 
 
 _SOLID_CACHE: dict[tuple[int, int], Solid] = {}
@@ -316,11 +314,8 @@ def solid_for_label(label: int, refinement: int = 1) -> Solid:
     elif label in (1, -2):
         acc = _product_solid(label, refinement)
     else:
-        first, *rest = _summands(label)
-        acc = solid_for_label(first, refinement)
-        for summand in rest:
-            acc = boundary_connect_sum(
-                acc, solid_for_label(summand, refinement), 0)
+        summands = [solid_for_label(s, refinement) for s in _summands(label)]
+        acc = boundary_connect_sum(summands[0], summands[1:], 0)
     if label not in (0, 1, -2):
         mesh = canonical_mesh(label, refinement)
         if not same_triangles(acc.ends[0].mesh.triangles, mesh.triangles):

@@ -8,6 +8,7 @@ no coordinates.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -218,36 +219,40 @@ def connected_sum_label(r1: int, r2: int) -> int:
     return r2 - 2 * r1
 
 
-def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
-                            d2: int):
-    """Connected sum plus the vertex maps of both summands into the result.
-
-    Removes the spare disk triangles d1 and d2 and identifies their
-    boundary 3-cycles (sorted-order correspondence).
-    """
-    t1 = m1.triangles[d1]
-    t2 = m2.triangles[d2]
-    off = m1.nv
-    remap2 = list(range(off, off + m2.nv))
-    for a, b in zip(sorted(t1), sorted(t2)):
-        remap2[b] = a
-    triangles = [t for i, t in enumerate(m1.triangles) if i != d1]
-    for i, (a, b, c) in enumerate(m2.triangles):
-        if i == d2:
-            continue
-        triangles.append((remap2[a], remap2[b], remap2[c]))
-    # compact the vertex ids
-    used = sorted({v for tri in triangles for v in tri})
-    pos = {v: i for i, v in enumerate(used)}
-    triangles = [(pos[a], pos[b], pos[c]) for a, b, c in triangles]
-    map1 = [pos[v] for v in range(m1.nv)]
-    map2 = [pos[remap2[v]] for v in range(m2.nv)]
-    # a triangle's index drops by one past the removed spare; the second
-    # mesh's triangles follow the first's
-    base2 = len(m1.triangles) - 1
-    spares = ([s - (s > d1) for s in m1.spares if s != d1] +
-              [base2 + s - (s > d2) for s in m2.spares if s != d2])
-    return SurfaceMesh(len(used), triangles, spares), map1, map2
+def connected_sum_meshes(meshes: list[SurfaceMesh]):
+    """Connected sum of meshes, left to right, with each summand's vertex
+    map into it.  Each next mesh gives up its first spare triangle and the
+    sum so far its oldest spare left (a queue); the two boundary 3-cycles
+    are identified in sorted order.  Each mesh's other vertices are
+    numbered after all earlier ones, in order; triangles keep summand
+    order less the removed ones; the spares left keep their queue order."""
+    maps: list[list[int]] = []
+    removed: list[set[int]] = []      # per mesh, its triangles given up
+    queue: deque[tuple[int, int]] = deque()   # (mesh, spare) left
+    nv = 0
+    for j, m in enumerate(meshes):
+        glue: dict[int, int] = {}
+        removed.append(set())
+        if j:
+            i, s = queue.popleft()
+            removed[i].add(s)
+            removed[j].add(m.spares[0])
+            hole = sorted(maps[i][v] for v in meshes[i].triangles[s])
+            glue = dict(zip(sorted(m.triangles[m.spares[0]]), hole))
+        rest = [v for v in range(m.nv) if v not in glue]
+        glue.update(zip(rest, range(nv, nv + len(rest))))
+        nv += len(rest)
+        maps.append([glue[v] for v in range(m.nv)])
+        queue.extend((j, s) for s in m.spares if s not in removed[j])
+    triangles, base = [], []
+    for m, vmap, gone in zip(meshes, maps, removed):
+        base.append(len(triangles))
+        triangles += [(vmap[a], vmap[b], vmap[c])
+                      for t, (a, b, c) in enumerate(m.triangles)
+                      if t not in gone]
+    # a triangle's index drops by one past each removed one of its mesh
+    spares = [base[j] + s - sum(x < s for x in removed[j]) for j, s in queue]
+    return SurfaceMesh(nv, triangles, spares), maps
 
 
 def find_spare_triangles(mesh: SurfaceMesh) -> list[int]:

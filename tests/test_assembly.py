@@ -571,3 +571,48 @@ def test_inline_census_paths_match_the_forked_one(monkeypatch, forks):
     monkeypatch.delattr(os, "fork", raising=False)
     assert _outcomes(graphs) == forked
     assert forks == [] and _no_child_left()
+
+
+def vertex_epsilons_reference(g: LabeledGraph) -> list[F]:
+    """The per-vertex edge scan that the one-pass _vertex_epsilons
+    replaced, kept verbatim."""
+    eps = []
+    for v in range(g.n):
+        gaps = [abs(g.values[e.u] - g.values[e.v])
+                for e in g.edges if v in (e.u, e.v)]
+        eps.append(min(gaps) / 3)
+    return eps
+
+
+@st.composite
+def height_graphs(draw):
+    """Connected multigraphs with distinct rational heights."""
+    n = draw(st.integers(2, 8))
+    values = draw(st.lists(st.fractions(-4, 4, max_denominator=6),
+                           min_size=n, max_size=n, unique=True))
+    edges = [Edge(draw(st.integers(0, i - 1)), i, 0) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=8))
+    edges += [Edge(min(u, v), max(u, v), 0) for u, v in extra if u != v]
+    return LabeledGraph([f"v{i}" for i in range(n)], values, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(height_graphs())
+def test_one_pass_vertex_gaps_match_per_vertex_scans(g):
+    got = assembly._vertex_epsilons(g)
+    assert got == vertex_epsilons_reference(g)
+    assert all(type(eps) is F for eps in got)
+
+
+def test_vertex_gaps_of_a_long_path_take_one_pass():
+    # a zigzag path of 20,000 vertices: one edge scan per vertex took
+    # 0.4 s at 2,000 vertices and 1.7 s at 4,000
+    n = 20000
+    g = LabeledGraph([f"v{i}" for i in range(n)],
+                     [F(i % 2) for i in range(n)],
+                     [Edge(i, i + 1, 0) for i in range(n - 1)])
+    t0 = time.perf_counter()
+    eps = assembly._vertex_epsilons(g)
+    assert time.perf_counter() - t0 < 1
+    assert eps == [F(1, 3)] * n

@@ -1,15 +1,22 @@
 import hashlib
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reebforge.canonical import (MAX_MESH_TRIANGLES, canonical_mesh,
+from reebforge import canonical
+from reebforge.blocks import _odd_pair_piece
+from reebforge.canonical import (MAX_MESH_TRIANGLES, End, Solid,
+                                 boundary_connect_sum, canonical_mesh,
                                  mesh_budget_error, mesh_triangles,
                                  solid_for_label)
 from reebforge.complexes import (boundary_surface, find_interior_tets,
+                                 merge_complexes, surface_prism,
                                  validate_complex)
 from reebforge.graphs import euler_char
-from reebforge.surfaces import (MeshError, classify_labels, classify_surface,
-                                validate_surface)
+from reebforge.surfaces import (MeshError, SurfaceMesh, classify_labels,
+                                classify_surface, connected_sum_label,
+                                connected_sum_meshes, validate_surface)
 
 
 @pytest.mark.parametrize("r", list(range(-6, 7)))
@@ -146,3 +153,149 @@ def test_mesh_budget_edges():
         "291,383,296 triangles" in mesh_budget_error(0, 10 ** 18)
     assert mesh_budget_error(0, 6) is None
     assert mesh_budget_error(0, 7) is not None
+
+
+# ---------------------------------------------------------------------------
+# reference connected sums: the pairwise functions that the one-pass
+# connected_sum_meshes and list-taking boundary_connect_sum replaced, kept
+# verbatim; folded left to right they are the contract
+# ---------------------------------------------------------------------------
+
+def connected_sum_mesh_maps(m1: SurfaceMesh, d1: int, m2: SurfaceMesh,
+                            d2: int):
+    """Connected sum plus the vertex maps of both summands into the result.
+
+    Removes the spare disk triangles d1 and d2 and identifies their
+    boundary 3-cycles (sorted-order correspondence).
+    """
+    t1 = m1.triangles[d1]
+    t2 = m2.triangles[d2]
+    off = m1.nv
+    remap2 = list(range(off, off + m2.nv))
+    for a, b in zip(sorted(t1), sorted(t2)):
+        remap2[b] = a
+    triangles = [t for i, t in enumerate(m1.triangles) if i != d1]
+    for i, (a, b, c) in enumerate(m2.triangles):
+        if i == d2:
+            continue
+        triangles.append((remap2[a], remap2[b], remap2[c]))
+    # compact the vertex ids
+    used = sorted({v for tri in triangles for v in tri})
+    pos = {v: i for i, v in enumerate(used)}
+    triangles = [(pos[a], pos[b], pos[c]) for a, b, c in triangles]
+    map1 = [pos[v] for v in range(m1.nv)]
+    map2 = [pos[remap2[v]] for v in range(m2.nv)]
+    # a triangle's index drops by one past the removed spare; the second
+    # mesh's triangles follow the first's
+    base2 = len(m1.triangles) - 1
+    spares = ([s - (s > d1) for s in m1.spares if s != d1] +
+              [base2 + s - (s > d2) for s in m2.spares if s != d2])
+    return SurfaceMesh(len(used), triangles, spares), map1, map2
+
+
+def boundary_connect_sum_reference(a: Solid, b: Solid, i: int) -> Solid:
+    """Glue the one-ended solid b onto end i of a along one spare boundary
+    triangle each; that end undergoes the matching surface connected sum
+    and the other ends of a carry over."""
+    end, (other,) = a.ends[i], b.ends
+    sa, sb = end.mesh.spares[0], other.mesh.spares[0]
+    ta, tb = end.mesh.triangles[sa], other.mesh.triangles[sb]
+    surf, map_a, map_b = connected_sum_mesh_maps(end.mesh, sa,
+                                                 other.mesh, sb)
+    ident = [(0, end.bmap[x], 1, other.bmap[y])
+             for x, y in zip(sorted(ta), sorted(tb))]
+    cx, (va, vb), _ = merge_complexes([a.cx, b.cx], ident)
+    bmap = [0] * surf.nv
+    for v in range(end.mesh.nv):
+        bmap[map_a[v]] = va[end.bmap[v]]
+    for v in range(other.mesh.nv):
+        bmap[map_b[v]] = vb[other.bmap[v]]
+    ends = [End(e.label, e.mesh, [va[x] for x in e.bmap]) for e in a.ends]
+    ends[i] = End(connected_sum_label(end.label, other.label), surf, bmap)
+    return Solid(cx, ends)
+
+
+def fold_meshes(meshes):
+    """The pairwise fold, with each summand's vertex map composed."""
+    mesh = meshes[0]
+    maps = [list(range(mesh.nv))]
+    for nxt in meshes[1:]:
+        mesh, map1, map2 = connected_sum_mesh_maps(mesh, mesh.spares[0],
+                                                   nxt, nxt.spares[0])
+        maps = [[map1[v] for v in vmap] for vmap in maps] + [map2]
+    return mesh, maps
+
+
+def solid_key(s: Solid):
+    return (s.cx.nv, s.cx.tets, [(e.label, e.mesh.nv, e.mesh.triangles,
+                                  e.mesh.spares, e.bmap) for e in s.ends])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, -1, -2]), min_size=1, max_size=12))
+def test_one_pass_mesh_sum_matches_the_fold(labels):
+    meshes = [canonical_mesh(r, 1) for r in labels]
+    got, got_maps = connected_sum_meshes(meshes)
+    want, want_maps = fold_meshes(meshes)
+    assert (got.nv, got.triangles, got.spares) == \
+        (want.nv, want.triangles, want.spares)
+    assert got_maps == want_maps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, -2]), min_size=1, max_size=12))
+def test_one_merge_solid_sum_matches_the_fold(labels):
+    first, *rest = [solid_for_label(r, 1) for r in labels]
+    want = first
+    for b in rest:
+        want = boundary_connect_sum_reference(want, b, 0)
+    assert solid_key(boundary_connect_sum(first, rest, 0)) == \
+        solid_key(want)
+
+
+@pytest.mark.parametrize("na", range(4))
+@pytest.mark.parametrize("nb", range(4))
+def test_projective_piece_matches_the_fold(na, nb):
+    # the two-ended piece of a junction's odd-chi pair, built as the old
+    # loop did: one solid Klein bottle at a time onto each end
+    rp2 = canonical_mesh(-1, 1)
+    prod = surface_prism(rp2, 3)
+    want = Solid(prod.complex, [End(-1, rp2, prod.layer_vertices(0)),
+                                End(-1, rp2, prod.layer_vertices(3))])
+    for i, count in enumerate((na, nb)):
+        for _ in range(count):
+            want = boundary_connect_sum_reference(
+                want, solid_for_label(-2, 1), i)
+    got = _odd_pair_piece(-1 - 2 * na, -1 - 2 * nb, 1)
+    assert [e.label for e in got.ends] == [-1 - 2 * na, -1 - 2 * nb]
+    assert solid_key(got) == solid_key(want)
+
+
+def test_a_long_sum_is_built_in_one_pass():
+    # the pairwise fold copied the mesh so far at each of 399 sums (about
+    # 3 s); the key is evicted so the mesh is built cold
+    key = (400, 1)
+    canonical._MESH_CACHE.pop(key, None)
+    try:
+        t0 = time.perf_counter()
+        mesh = canonical_mesh(*key)
+        assert time.perf_counter() - t0 < 1.5
+        assert len(mesh.triangles) == mesh_triangles(*key)
+    finally:
+        canonical._MESH_CACHE.pop(key, None)
+
+
+def test_a_long_solid_sum_is_one_merge():
+    # 199 pairwise merges took about 3 s with every summand cached
+    key = (200, 1)
+    solid_for_label(1, 1)
+    canonical_mesh(*key)
+    canonical._SOLID_CACHE.pop(key, None)
+    try:
+        t0 = time.perf_counter()
+        s = solid_for_label(*key)
+        assert time.perf_counter() - t0 < 1
+        assert s.ends[0].mesh is canonical_mesh(*key)
+    finally:
+        canonical._SOLID_CACHE.pop(key, None)
+        canonical._MESH_CACHE.pop(key, None)

@@ -9,7 +9,7 @@ from reebforge.canonical import canonical_mesh
 from reebforge.graphs import euler_char
 from reebforge.surfaces import (MeshError, SurfaceComponent, SurfaceMesh,
                                 classify_labels, classify_surface,
-                                connected_sum_label, connected_sum_mesh_maps,
+                                connected_sum_label, connected_sum_meshes,
                                 mesh_from_dict, mesh_to_dict, mesh_to_off,
                                 validate_surface)
 from reebforge.unionfind import UnionFind
@@ -81,7 +81,7 @@ def test_connected_sum_label_table(r1, r2, expect):
 
 def _sum(m1, m2):
     """Connected sum along the first spare triangle of each mesh."""
-    return connected_sum_mesh_maps(m1, m1.spares[0], m2, m2.spares[0])[0]
+    return connected_sum_meshes([m1, m2])[0]
 
 
 @pytest.mark.parametrize("r1,r2", [(0, 0), (1, 1), (-1, -1), (1, 2),
