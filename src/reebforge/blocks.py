@@ -108,7 +108,7 @@ def glued_values(nv: int, vmaps, part_values) -> list[Fraction]:
             old = values[tgt]
             if old is None:
                 values[tgt] = val
-            elif old != val:
+            elif old is not val and old != val:
                 raise BlockError("value clash at a glued interface")
     return values
 
@@ -120,8 +120,10 @@ def glued_values(nv: int, vmaps, part_values) -> list[Fraction]:
 def _prism_values(nv: int, lo: Fraction, hi: Fraction,
                   nseg: int) -> list[Fraction]:
     """Values of a surface prism with nv vertices a layer, rising linearly
-    from lo on layer 0 to hi on layer nseg."""
+    from lo on layer 0 to hi on layer nseg.  The end layers hold lo and hi
+    themselves, so a glued interface compares them by identity."""
     layers = [lo + (hi - lo) * Fraction(j, nseg) for j in range(nseg + 1)]
+    layers[0], layers[-1] = lo, hi
     return [x for x in layers for _ in range(nv)]
 
 

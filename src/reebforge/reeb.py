@@ -23,7 +23,7 @@ inessential node.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,7 +89,12 @@ class _Sweep:
     while faces are filed), the joins across flat faces that touch a
     non-flat cell, and cells spanning both slabs.  A join list is flat:
     each join is two ints in a row, the later cell on the face and then
-    the first one, so the lists hold no tuples."""
+    the first one, so the lists hold no tuples.  Faces are filed cell by
+    cell in order of lowest rank, and by cell within a rank, each in a
+    face map of its own lowest rank that is dropped once no later cell
+    can hold the face (see _prepare); so "first" is first in that order,
+    and a face's joins always link all of its cells.  Every other field
+    lists cells ascending."""
 
     cells: list[tuple]             # the caller's list, not a copy
     layers: list[Fraction]
@@ -106,17 +111,35 @@ class _Sweep:
 
 def _ranks(values) -> tuple[list, list[int]]:
     """The distinct values ascending, and the rank of each value among
-    them.  Each value is hashed once, by numbering it on first sight."""
+    them.  Values are numbered by object first, so each distinct object
+    is hashed once, however many vertices hold it."""
+    objs = list(values)         # held alive, so no two objects share an id
+    held = dict(zip(map(id, objs), objs))
     number: dict = {}
-    first = [number.setdefault(v, len(number)) for v in values]
+    first = [number.setdefault(v, len(number)) for v in held.values()]
     layers = sorted(number)
     rank = [0] * len(layers)
     for r, v in enumerate(layers):
         rank[number[v]] = r
-    return layers, [rank[k] for k in first]
+    rank_of = dict(zip(held, [rank[k] for k in first]))
+    return layers, list(map(rank_of.__getitem__, map(id, objs)))
 
 
 def _prepare(cells, values) -> _Sweep:
+    """File every cell in the slabs it spans and every face join in its
+    slabs or level, in two passes.  The first, in cell order, sorts each
+    cell once, files it in its slabs, and queues it with its sorted
+    vertices under its lowest rank.  The second takes the queues upward,
+    rank by rank, and files each face in a face map of its own lowest
+    rank.  Dropping map r once queue r is done is exact: a face whose
+    lowest rank is r lies only in cells whose lowest rank is r or less,
+    all of them filed by then, so no later cell can hold it.  Only the
+    maps of the ranks ahead stay alive, and every later cell on a face
+    still joins the face's first cell, a face in three cells included."""
+    widths = set(map(len, cells))
+    if not (widths <= {3} or widths <= {4}):
+        raise ReebError("cells must be all triangles or all tetrahedra")
+    tets = widths == {4}
     layers, vrank = _ranks(values)
     n, L = len(vrank), len(layers)
     # number the vertices by (rank, id): a cell sorted by that position
@@ -128,86 +151,109 @@ def _prepare(cells, values) -> _Sweep:
     prank = [vrank[v] for v in order]
     at = pos.__getitem__
     slab_cells, slab_joins = ([[] for _ in range(L - 1)] for _ in range(2))
-    flat_cells, flat_joins, cross, cross_at = (
+    queued, flat_joins, cross, cross_at = (
         [[] for _ in range(L)] for _ in range(4))
-    cmin, first_cell = [], {}
-    file_face = first_cell.setdefault
-    # flat cells joined across a face fall into one region; region_of
-    # marks the flat cells here and numbers their regions after the pass
-    regions = UnionFind(len(cells))
-    union = regions.union
+    # flat[k] is the k-th flat cell; region_of holds k until the regions
+    # are numbered after the second pass
+    cmin, flat = [], []
     region_of = [-1] * len(cells)
     for ci, cell in enumerate(cells):
         s = sorted(map(at, cell))
-        if len(s) == 4:
-            a, b, c, d = s
-            ra, hi = prank[a], prank[d]
-            ab = (a * n + b) * n
-            if hi == ra + 1:
-                # one slab, spanned by every face but abc when flat at ra
-                # and bcd when flat at hi; filed as the loop below files
-                cmin.append(ra)
-                slab_cells[ra].append(ci)
-                joins = slab_joins[ra]
-                first = file_face(ab + c, ci)
-                if first != ci:
-                    (flat_joins[ra] if prank[c] == ra else joins).extend(
-                        (ci, first))
-                first = file_face(ab + d, ci)
-                if first != ci:
-                    joins += ci, first
-                first = file_face((a * n + c) * n + d, ci)
-                if first != ci:
-                    joins += ci, first
-                first = file_face((b * n + c) * n + d, ci)
-                if first != ci:
-                    (flat_joins[hi] if prank[b] == hi else joins).extend(
-                        (ci, first))
-                continue
-            keys = (ab + c, ab + d, (a * n + c) * n + d, (b * n + c) * n + d)
-        else:
-            a, b, c = s
-            ra, hi = prank[a], prank[c]
-            keys = (a * n + b, a * n + c, b * n + c)
+        ra, hi = prank[s[0]], prank[s[-1]]
         cmin.append(ra)
-        if ra == hi:
-            # every face is flat and no slab is spanned
-            region_of[ci] = 0
-            flat_cells[ra].append(ci)
-            for key in keys:
-                first = file_face(key, ci)
-                if first != ci:
-                    if region_of[first] >= 0:
-                        union(ci, first)
-                    else:
-                        flat_joins[ra] += ci, first
-            continue
-        if len(s) == 4:
-            rb, rc = prank[b], prank[c]
-            faces = zip(keys, (ra, ra, ra, rb), (rc, hi, hi, hi))
-            mids = (rb, rc)
+        queue = queued[ra]
+        queue.append(ci)
+        queue += s
+        if hi == ra + 1:
+            slab_cells[ra].append(ci)
+        elif hi == ra:
+            region_of[ci] = len(flat)
+            flat.append(ci)
         else:
-            rb = prank[b]
-            faces = zip(keys, (ra, ra, rb), (rb, hi, hi))
-            mids = (rb,)
-        for k in range(ra, hi):
-            slab_cells[k].append(ci)
-        for k in range(ra + 1, hi):
-            (cross_at if k in mids else cross)[k].append(ci)
-        for key, lo, up in faces:
-            first = file_face(key, ci)
-            if first != ci:
-                # every later cell on a face joins the first one
-                join = ci, first
-                if lo == up:
-                    flat_joins[lo] += join
-                for k in range(lo, up):
-                    slab_joins[k] += join
-    flat_regions = [regions.groups(fc) for fc in flat_cells]
-    for level in flat_regions:
-        for j, region in enumerate(level):
-            for c in region:
-                region_of[c] = j
+            mids = prank[s[1]], prank[s[-2]]     # a triangle's b twice
+            for k in range(ra, hi):
+                slab_cells[k].append(ci)
+            for k in range(ra + 1, hi):
+                (cross_at if k in mids else cross)[k].append(ci)
+    # flat cells joined across a face fall into one region
+    regions = UnionFind(len(flat))
+    union = regions.union
+    maps = defaultdict(dict)        # rank -> its faces' first cells
+    for r, queue in enumerate(queued):
+        queued[r] = None
+        file_face = maps[r].setdefault
+        it = iter(queue)
+        if tets:
+            queue = zip(it, it, it, it, it)
+        else:
+            # a triangle is read as a tetrahedron with no fourth vertex
+            queue = ((ci, a, b, c, None)
+                     for ci, a, b, c in zip(it, it, it, it))
+        for ci, a, b, c, d in queue:
+            if d is not None:
+                hi = prank[d]
+                ab = (a * n + b) * n
+                if hi == r + 1:
+                    # one slab, spanned by every face but abc when flat at
+                    # r and bcd when flat at hi, where bcd is filed
+                    joins = slab_joins[r]
+                    first = file_face(ab + c, ci)
+                    if first != ci:
+                        (flat_joins[r] if prank[c] == r else joins).extend(
+                            (ci, first))
+                    first = file_face(ab + d, ci)
+                    if first != ci:
+                        joins += ci, first
+                    first = file_face((a * n + c) * n + d, ci)
+                    if first != ci:
+                        joins += ci, first
+                    if prank[b] == hi:
+                        first = maps[hi].setdefault((b * n + c) * n + d, ci)
+                        if first != ci:
+                            flat_joins[hi] += ci, first
+                    else:
+                        first = file_face((b * n + c) * n + d, ci)
+                        if first != ci:
+                            joins += ci, first
+                    continue
+                keys = (ab + c, ab + d, (a * n + c) * n + d,
+                        (b * n + c) * n + d)
+            else:
+                hi = prank[c]
+                keys = (a * n + b, a * n + c, b * n + c)
+            if hi == r:
+                # every face is flat and no slab is spanned
+                k = region_of[ci]
+                for key in keys:
+                    first = file_face(key, ci)
+                    if first != ci:
+                        if region_of[first] >= 0:
+                            union(k, region_of[first])
+                        else:
+                            flat_joins[r] += ci, first
+                continue
+            if d is not None:
+                rb, rc = prank[b], prank[c]
+                faces = zip(keys, (r, r, r, rb), (rc, hi, hi, hi))
+            else:
+                rb = prank[b]
+                faces = zip(keys, (r, r, rb), (rb, hi, hi))
+            for key, lo, up in faces:
+                first = maps[lo].setdefault(key, ci)
+                if first != ci:
+                    # every later cell on a face joins the first one
+                    join = ci, first
+                    if lo == up:
+                        flat_joins[lo] += join
+                    for k in range(lo, up):
+                        slab_joins[k] += join
+        del maps[r]
+    flat_regions = [[] for _ in range(L)]
+    for group in regions.groups(range(len(flat))):
+        level = flat_regions[cmin[flat[group[0]]]]
+        for k in group:
+            region_of[flat[k]] = len(level)
+        level.append([flat[k] for k in group])
     return _Sweep(cells, layers, vrank, cmin, slab_cells, slab_joins,
                   flat_regions, region_of, flat_joins, cross, cross_at)
 

@@ -138,16 +138,30 @@ def test_level_set_refuses_triangle_complex():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)),
-                max_size=40))
-def test_ranks_match_sorted_set(pairs):
-    # F(2, 2) and F(1) are equal values held by distinct objects
+                max_size=40),
+       st.lists(st.integers(0, 2 ** 16), max_size=40))
+def test_ranks_match_sorted_set(pairs, repeats):
+    # F(2, 2), F(1) and the int 1 are equal values held by distinct
+    # objects of two types; a repeat holds one object at several vertices
     values = [F(p, q) for p, q in pairs]
+    values += [p // q for p, q in pairs if p % q == 0]
+    if values:
+        values += [values[k % len(values)] for k in repeats]
     layers = sorted(set(values))
     rank = {v: i for i, v in enumerate(layers)}
     got_layers, got_ranks = _ranks(values)
     assert got_layers == layers
     assert all(x is y for x, y in zip(got_layers, layers))
     assert got_ranks == [rank[v] for v in values]
+
+
+def test_ranks_share_a_rank_across_objects_and_types():
+    half = F(1, 2)
+    values = [F(2, 2), half, 1, F(1), half, F(1, 2), 1]
+    layers, ranks = _ranks(values)
+    assert layers == [F(1, 2), F(1)]
+    assert layers[0] is half and layers[1] is values[0]
+    assert ranks == [1, 0, 1, 1, 0, 0, 1]
 
 
 def test_level_set_coordinates_exact():
@@ -759,17 +773,24 @@ def test_prepare_matches_zip_reference(i, seed):
     for vals in (values, _perturbed(values, Random(seed))):
         got, want = _prepare(cells, vals), prepare_zip_reference(cells, vals)
         for name in names:
-            field = getattr(got, name)
+            field, want_field = getattr(got, name), getattr(want, name)
             if name in ("slab_joins", "flat_joins"):
-                # `_prepare` files each join as two ints in a row, where
-                # the reference keeps a tuple
-                field = [_pairs(joins) for joins in field]
-            assert field == getattr(want, name), name
+                # `_prepare` files each join as two ints in a row, and
+                # files faces by lowest rank, where the reference keeps a
+                # tuple and files faces in cell order: the joins agree as
+                # unordered pairs
+                field = [_unordered(_pairs(joins)) for joins in field]
+                want_field = [_unordered(joins) for joins in want_field]
+            assert field == want_field, name
 
 
 def _pairs(joins):
     it = iter(joins)
     return list(zip(it, it))
+
+
+def _unordered(pairs):
+    return sorted((min(p), max(p)) for p in pairs)
 
 
 @pytest.mark.parametrize("i", range(11))
@@ -779,10 +800,51 @@ def test_join_lists_hold_later_first_pairs(i, seed):
     cells, values, _ = sweep_pool()[i]
     for vals in (values, _perturbed(values, Random(seed))):
         sw = _prepare(cells, vals)
-        for joins in sw.slab_joins + sw.flat_joins:
-            assert len(joins) % 2 == 0
-            # a face's later cell comes first, then the face's first cell
-            assert all(a > b for a, b in _pairs(joins))
+        for lists, width in ((sw.slab_joins, 1), (sw.flat_joins, 0)):
+            for k, joins in enumerate(lists):
+                assert len(joins) % 2 == 0
+                for a, b in _pairs(joins):
+                    # the cell filed later, by lowest rank and then by
+                    # cell, and a distinct cell sharing a face with it
+                    # that spans slab k, or that lies in level k
+                    assert (sw.cmin[a], a) > (sw.cmin[b], b)
+                    face = set(cells[a]) & set(cells[b])
+                    assert len(face) == len(cells[a]) - 1
+                    ranks = [sw.vrank[v] for v in face]
+                    assert min(ranks) <= k and k + width <= max(ranks)
+                    assert width or min(ranks) == max(ranks)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_in_three_cells_of_three_queues(dim):
+    # one face, (u, v) or (u, v, w) at ranks 2 and 3, in three cells whose
+    # lowest ranks are 2, 0 and 1: each is filed from another queue, and
+    # the first cell in cell order is not the first to file the face
+    face = (3, 4) if dim == 2 else (3, 4, 5)
+    cells = [(2,) + face, (0,) + face, (1,) + face]
+    values = [F(0), F(1), F(2), F(2), F(3), F(3)][:len(face) + 3]
+    sw = _prepare(cells, values)
+    assert sorted(sw.cmin) == [0, 1, 2] and sw.cmin[0] == 2
+    for lvl, _, above, _, _ in _levels(sw):
+        if lvl == 2:
+            assert above == [[0, 1, 2]]
+        if lvl + 1 < len(sw.layers):
+            assert above == scan_components(cells, values, lvl, lvl + 1)
+    got = _outcome(reeb_graph_of, cells, values, ())
+    assert got == _outcome(sweep_reference, cells, values, ())
+    if dim == 2:
+        assert isinstance(got, ReebGraph)
+    else:
+        # three tets bound nothing: the lowest slab's slice is one open
+        # triangle, and both sweeps raise on it
+        assert got == (MeshError, "boundary edge (0, 1) in closed mesh")
+
+
+def test_cells_of_two_sizes_are_refused():
+    # the sweep reads each queue of cells at one stride
+    tris, values = bipyramid()
+    with pytest.raises(ReebError, match="all triangles or all tetrahedra"):
+        reeb_graph_of(tris + [(0, 1, 2, 3)], values)
 
 
 # the sweep before level components were quotients of slab components,
