@@ -90,7 +90,7 @@ def _vertex_block(g: LabeledGraph, v: int, sides, eps: Fraction,
                   refinement: int) -> tuple[Block, dict[int, int]]:
     """Build the block for one vertex and assign its boundary components
     to the incident edge indices (matching labels, sorted tie-break);
-    sides is g.sides(v)."""
+    sides is g.all_sides()[v]."""
     gv = g.values[v]
     down, up = sides
     if down and up:
@@ -322,9 +322,13 @@ def manifold_to_dict(m: Manifold3) -> dict:
 def manifold_from_dict(doc) -> Manifold3:
     """Parse a manifold document; shape and index-range errors raise
     ValueError.  Counts and ids are JSON integers: neither a boolean nor
-    a float is read as one."""
+    a float is read as one; tetrahedra, values, provenance and
+    vertex_values are JSON lists."""
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
+    for key in ("tetrahedra", "values", "provenance", "vertex_values"):
+        if type(doc.get(key, [])) is not list:
+            raise ValueError(f"manifold {key} are not a JSON list")
     try:
         nv = doc["vertices"]
         tets = [tuple(t) for t in doc["tetrahedra"]]

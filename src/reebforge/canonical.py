@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .complexes import (TetComplex, boundary_surface, cone_complex,
+from .complexes import (TetComplex, cone_complex, manifold_census,
                         merge_complexes, surface_prism)
 from .graphs import euler_char
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
@@ -266,7 +266,7 @@ def _product_solid(label: int, refinement: int) -> Solid:
     boundary = canonical_mesh(label, refinement)
     # boundary vertex (rim i, layer j) has quotient id j*P + i in the grid
     bmap = [prod.vid(q % P, q // P) for q in range(boundary.nv)]
-    got, used = boundary_surface(cx)
+    got, used = manifold_census(cx).surface()
     if not same_triangles([[used[v] for v in t] for t in got.triangles],
                           [[bmap[v] for v in t] for t in boundary.triangles]):
         raise MeshError("solid boundary does not match its canonical mesh")

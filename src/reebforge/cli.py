@@ -147,11 +147,7 @@ def cmd_surface(args) -> int:
                               f"with --refinement {args.refinement}")
         refinement = given.pop() if given else 1
         _check_mesh_budget((args.label,), refinement)
-        try:
-            mesh = canonical_mesh(args.label, refinement)
-        except (MeshError, ValueError) as exc:
-            print(f"generation failed: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        mesh = canonical_mesh(args.label, refinement)
         if args.off:
             _write(args.out, mesh_to_off(mesh))
         else:

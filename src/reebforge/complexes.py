@@ -70,10 +70,6 @@ def euler_characteristic(cx: TetComplex) -> int:
     return manifold_census(cx).chi
 
 
-def boundary_surface(cx: TetComplex):
-    return manifold_census(cx).surface()
-
-
 # a sorted tet (a, b, c, d) has vertex slots 0-3 and edge slots 0-5, edge
 # slot e joining the vertex slots _EDGE[e]; the face that omits vertex slot
 # k has vertex slots _FACE_VERTS[k] and, in the face's own order (xy, xz,

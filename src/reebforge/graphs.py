@@ -87,22 +87,10 @@ class LabeledGraph:
     def n(self) -> int:
         return len(self.names)
 
-    def sides(self, v: int) -> tuple[list[tuple[int, int]],
-                                     list[tuple[int, int]]]:
-        """Sorted (label, edge index) pairs of the edges whose far
-        endpoint lies below v, and of those whose far endpoint lies
-        above it."""
-        down, up = [], []
-        for ei, e in enumerate(self.edges):
-            if v in (e.u, e.v):
-                other = e.v if e.u == v else e.u
-                side = up if self.values[other] > self.values[v] else down
-                side.append((e.label, ei))
-        return sorted(down), sorted(up)
-
     def all_sides(self) -> list[tuple[list[tuple[int, int]],
                                       list[tuple[int, int]]]]:
-        """sides(v) for every vertex v, in one pass over the edges."""
+        """Per vertex, the sorted (label, edge index) pairs of its edges
+        to lower and to higher far endpoints, in one pass over the edges."""
         down: list[list] = [[] for _ in range(self.n)]
         up: list[list] = [[] for _ in range(self.n)]
         values = self.values
@@ -171,11 +159,9 @@ class VertexProfile:
                 f"{self.odd_up} must be even")
 
 
-def vertex_profile(g: LabeledGraph, v: int, sides=None) -> VertexProfile:
-    """The profile of v, from g.sides(v) or the given sides of v."""
-    down, up = ([label for label, _ in side]
-                for side in (g.sides(v) if sides is None else sides))
-    return VertexProfile(g.names[v], down, up)
+def vertex_profile(g: LabeledGraph, v: int) -> VertexProfile:
+    """The profile of v, as check_realizable(g) reports it."""
+    return check_realizable(g).diagnostics[v]
 
 
 @dataclass
@@ -209,8 +195,10 @@ def check_realizable(g: LabeledGraph) -> RealizabilityReport:
     3-manifold bounded by the incident surfaces, and chi(dN) = 2 chi(N) is
     even.  So a rejected graph has no realization.
     """
-    return RealizabilityReport([vertex_profile(g, v, sides)
-                                for v, sides in enumerate(g.all_sides())])
+    return RealizabilityReport([
+        VertexProfile(name, [label for label, _ in down],
+                      [label for label, _ in up])
+        for name, (down, up) in zip(g.names, g.all_sides())])
 
 
 # ---------------------------------------------------------------------------

@@ -46,26 +46,24 @@ def _edge_map(triangles):
 
 
 @dataclass
-class Survey:
-    """What one pass over the edge map finds out about a valid mesh."""
-
-    # triangles joined across shared edges
-    parts: UnionFind
-    # corner 3 * ti + k -> 2 * tj + same for the triangle tj across the
-    # edge leaving it, same = 1 when both run along that edge the same way
-    across: list[int]
-    # vertex -> one of its corners, -1 for an unused vertex
-    home: list[int]
+class SurfaceComponent:
+    label: int
+    chi: int
+    orientable: bool
+    vertices: list[int]
+    triangles: list[int]   # indices into the mesh triangle list
 
 
-def survey(mesh: SurfaceMesh) -> Survey:
-    """Check that mesh is a closed simplicial surface and survey it in one
-    pass.
+def classify_surface(mesh: SurfaceMesh) -> list[SurfaceComponent]:
+    """Check that mesh is a closed simplicial surface and classify each of
+    its connected components.
 
     Raises MeshError on a degenerate, out-of-range or duplicate triangle,
     an edge in other than two triangles, and a vertex whose link is not
-    one cycle.  The triangle components, corner adjacency and vertex
-    homes of the returned Survey serve the slice classifier.
+    one cycle.  Computes chi = V - E + F and decides orientability by
+    propagating triangle orientations across shared edges; a propagation
+    conflict means non-orientable.  The label is (2-chi)/2 for orientable
+    components and chi-2 otherwise.
     """
     triangles = mesh.triangles
     nv = mesh.nv
@@ -81,10 +79,13 @@ def survey(mesh: SurfaceMesh) -> Survey:
         seen.add(key)
     edges = _edge_map(triangles)
     tn = len(triangles)
+    # triangles joined across shared edges
     parts = UnionFind(tn)
     # corners around one vertex, joined across the interior edges at it:
     # a vertex link is connected iff all its corners fall in one class
     links = UnionFind(3 * tn)
+    # corner 3 * ti + k -> 2 * tj + same for the triangle tj across the
+    # edge leaving it, same = 1 when both run along that edge the same way
     across = [-1] * (3 * tn)
     for key, sides in edges.items():
         if len(sides) == 2:
@@ -108,6 +109,7 @@ def survey(mesh: SurfaceMesh) -> Survey:
         else:
             raise MeshError(f"boundary edge {key} in closed mesh")
     corner_vertex = list(chain.from_iterable(triangles))
+    # vertex -> one of its corners, -1 for an unused vertex
     home = [-1] * nv
     pinched = set()
     for c in links.roots():
@@ -120,35 +122,8 @@ def survey(mesh: SurfaceMesh) -> Survey:
         # the first in order of appearance
         v = next(v for v in corner_vertex if v in pinched)
         raise MeshError(f"vertex {v} link is disconnected")
-    return Survey(parts, across, home)
-
-
-def validate_surface(mesh: SurfaceMesh):
-    """Check closed-surface invariants, every edge in exactly 2 triangles
-    and every vertex link a single cycle."""
-    survey(mesh)
-
-
-@dataclass
-class SurfaceComponent:
-    label: int
-    chi: int
-    orientable: bool
-    vertices: list[int]
-    triangles: list[int]   # indices into the mesh triangle list
-
-
-def classify_surface(mesh: SurfaceMesh) -> list[SurfaceComponent]:
-    """Classify each connected component of a closed triangulated surface.
-
-    Computes chi = V - E + F and decides orientability by propagating
-    triangle orientations across shared edges; a propagation conflict means
-    non-orientable.  The label is (2-chi)/2 for orientable components and
-    chi-2 otherwise.
-    """
-    sv = survey(mesh)
-    tn = len(mesh.triangles)
-    parts = sv.parts
+    # the check's tables, freed before the classification builds its own
+    del seen, edges, links, corner_vertex
     # listed by root, the order `surface classify` prints them in
     comps = sorted(parts.groups(range(tn)), key=lambda c: parts.find(c[0]))
     comp_of = [0] * tn
@@ -157,13 +132,12 @@ def classify_surface(mesh: SurfaceMesh) -> list[SurfaceComponent]:
             comp_of[ti] = i
     # a vertex lies in one component, since its link is connected
     vertices: list[list[int]] = [[] for _ in comps]
-    for v, c in enumerate(sv.home):
+    for v, c in enumerate(home):
         if c >= 0:
             vertices[comp_of[c // 3]].append(v)
 
     # orientation propagation; orient[t] in {0,1}, flipping the triangle
     orient = [-1] * tn
-    across = sv.across
     out = []
     for i, tris in enumerate(comps):
         orientable = True

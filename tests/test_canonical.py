@@ -10,13 +10,13 @@ from reebforge.canonical import (MAX_MESH_TRIANGLES, End, Solid,
                                  boundary_connect_sum, canonical_mesh,
                                  mesh_budget_error, mesh_triangles,
                                  solid_for_label)
-from reebforge.complexes import (boundary_surface, find_interior_tets,
+from reebforge.complexes import (find_interior_tets, manifold_census,
                                  merge_complexes, surface_prism,
                                  validate_complex)
 from reebforge.graphs import euler_char
 from reebforge.surfaces import (MeshError, SurfaceMesh, classify_labels,
                                 classify_surface, connected_sum_label,
-                                connected_sum_meshes, validate_surface)
+                                connected_sum_meshes)
 
 
 @pytest.mark.parametrize("r", list(range(-6, 7)))
@@ -89,7 +89,7 @@ def test_projective_plane_example():
 def test_solids_are_manifolds_with_matching_boundary(label):
     s = solid_for_label(label, 1)
     validate_complex(s.cx)
-    bmesh, used = boundary_surface(s.cx)
+    bmesh, used = manifold_census(s.cx).surface()
     assert classify_labels(bmesh) == [label]
     have = sorted(tuple(sorted(used[v] for v in t)) for t in bmesh.triangles)
     (end,) = s.ends
@@ -121,7 +121,7 @@ def test_boundary_sum_of_solids_tracks_canonical():
 
 def test_canonical_meshes_are_valid_complexes():
     for r in range(-6, 7):
-        validate_surface(canonical_mesh(r, 1))
+        classify_surface(canonical_mesh(r, 1))
 
 
 @pytest.mark.parametrize("r", [2, -4, 8])

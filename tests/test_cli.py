@@ -12,6 +12,7 @@ from reebforge import cli
 from reebforge.assembly import manifold_from_dict, validate_manifold
 from reebforge.canonical import canonical_mesh
 from reebforge.cli import main
+from reebforge.surfaces import MeshError
 
 MINIMAL = {"vertices": [{"id": "a", "value": "0/1"},
                         {"id": "b", "value": "1/1"}],
@@ -76,7 +77,23 @@ def test_verify_mislabel_hook(tmp_path, capsys):
     rc = main(["verify", write(tmp_path, "g.json", MINIMAL),
                "--debug-mislabel-edge", "0"])
     assert rc == 3
-    assert "failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "failed" in captured.err
+    # the failure dumps both graphs as DOT
+    assert "graph input {" in captured.out
+    assert "graph extracted {" in captured.out
+
+
+def test_verify_verbose_dot(tmp_path, capsys):
+    gpath = write(tmp_path, "g.json", MINIMAL)
+    assert main(["build", gpath, "--out", str(tmp_path / "m.json")]) == 0
+    tets = json.loads((tmp_path / "m.json").read_text())["tetrahedra"]
+    capsys.readouterr()
+    assert main(["verify", gpath, "-v", "--dot"]) == 0
+    out = capsys.readouterr().out
+    assert f"tetrahedra: {len(tets)}\n" in out
+    assert "round trip succeeded" in out
+    assert "graph extracted {" in out
 
 
 def test_extract_from_built_manifold(tmp_path, capsys):
@@ -207,11 +224,25 @@ TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
                                         {"id": "b", "value": "1e-9999999"}])),
     (["extract"], dict(ONE_TET, values=["0/1", "1/1", "2/1",
                                         "1e-9999999"])),
+    # manifold lists given as a string or an object, each of which would
+    # be read as its characters or its keys
+    (["extract"], dict(ONE_TET, tetrahedra="")),
+    (["extract"], dict(ONE_TET, tetrahedra={})),
+    (["extract"], dict(ONE_TET, values="0123")),
+    (["extract"], dict(ONE_TET, values={"0/1": 0, "1/1": 1, "2/1": 2,
+                                        "3/1": 3})),
+    (["extract"], dict(ONE_TET, provenance="")),
+    (["extract"], dict(ONE_TET, provenance={})),
+    (["extract"], dict(ONE_TET, vertex_values="0123")),
+    (["extract"], dict(ONE_TET, vertex_values={"0/1": 0})),
 ], ids=["truncated-values", "top-level-array", "three-vertex-tet",
         "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
         "no-triangles", "boolean-triangle-vertex", "string-vertices",
         "object-vertices", "integer-graph-vertices", "integer-graph-edges",
-        "exponent-height", "exponent-value"])
+        "exponent-height", "exponent-value", "string-tetrahedra",
+        "object-tetrahedra", "string-values", "object-values",
+        "string-provenance", "object-provenance", "string-vertex-values",
+        "object-vertex-values"])
 def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     proc = run_cli(tmp_path, argv, doc)
     assert proc.returncode == 2, proc.stderr
@@ -445,6 +476,21 @@ def test_unexpected_exception_is_one_internal_error_line(
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: planner bug second line\n"
     assert "Traceback" not in err
+
+
+def test_surface_gen_fault_is_an_internal_error(
+        tmp_path, monkeypatch, capsys):
+    # past argparse and the mesh budget, a MeshError out of canonical_mesh
+    # is a classification drift of the program, not a bad input
+    def drifted(label, refinement):
+        raise MeshError("canonical mesh classifies as [1]")
+    monkeypatch.setattr(cli, "canonical_mesh", drifted)
+    assert main(["surface", "gen", "0",
+                 "--out", str(tmp_path / "s.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: MeshError: canonical mesh classifies " \
+        "as [1]\n"
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("label", ["99999999999999999999",

@@ -10,12 +10,11 @@ from reebforge.blocks import cap_block, elementary_junction
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
                                  ComplexError, FaceMap, Tet, TetComplex,
-                                 boundary_faces, boundary_surface,
-                                 cone_complex, euler_characteristic,
-                                 face_map, find_interior_tets,
-                                 manifold_census, merge_complexes,
-                                 remove_tets, surface_prism,
-                                 validate_complex)
+                                 boundary_faces, cone_complex,
+                                 euler_characteristic, face_map,
+                                 find_interior_tets, manifold_census,
+                                 merge_complexes, remove_tets,
+                                 surface_prism, validate_complex)
 from reebforge.surfaces import SurfaceMesh, classify_labels
 from reebforge.unionfind import UnionFind
 
@@ -25,7 +24,7 @@ TETRA = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 def test_surface_prism_is_product_manifold():
     prod = surface_prism(canonical_mesh(1, 1), 2)
     validate_complex(prod.complex)
-    bmesh, _ = boundary_surface(prod.complex)
+    bmesh, _ = manifold_census(prod.complex).surface()
     assert classify_labels(bmesh) == [1, 1]
 
 
@@ -72,7 +71,7 @@ def test_cone_over_sphere_is_ball():
     sphere = canonical_mesh(0, 1)
     cx = cone_complex(sphere)
     validate_complex(cx)
-    bmesh, _ = boundary_surface(cx)
+    bmesh, _ = manifold_census(cx).surface()
     assert classify_labels(bmesh) == [0]
 
 
@@ -80,7 +79,7 @@ def test_cone_over_shared_walls_consistent():
     # shells used for bridging: tetra sphere x interval
     prod = surface_prism(TETRA, 2)
     validate_complex(prod.complex)
-    bmesh, _ = boundary_surface(prod.complex)
+    bmesh, _ = manifold_census(prod.complex).surface()
     assert classify_labels(bmesh) == [0, 0]
 
 
@@ -91,7 +90,7 @@ def test_remove_interior_tet_leaves_manifold():
     assert interior
     cx = remove_tets(prod.complex, {interior[0]})
     validate_complex(cx)
-    bmesh, _ = boundary_surface(cx)
+    bmesh, _ = manifold_census(cx).surface()
     assert classify_labels(bmesh) == [0, 0, 0]
 
 
@@ -147,8 +146,8 @@ def test_validate_rejects_cones_sharing_only_their_apex():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the vertex link check before it went through surfaces.survey,
-# kept verbatim as the reference
+# oracle: the vertex link check before it went through the one-pass
+# surface check of classify_surface, kept verbatim as the reference
 # ---------------------------------------------------------------------------
 
 def _check_link(v: int, tris: list[tuple[int, int, int]], boundary: bool):

@@ -10,8 +10,7 @@ from reebforge.graphs import euler_char
 from reebforge.surfaces import (MeshError, SurfaceComponent, SurfaceMesh,
                                 classify_labels, classify_surface,
                                 connected_sum_label, connected_sum_meshes,
-                                mesh_from_dict, mesh_to_dict, mesh_to_off,
-                                validate_surface)
+                                mesh_from_dict, mesh_to_dict, mesh_to_off)
 from reebforge.unionfind import UnionFind
 
 TETRA = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -55,7 +54,7 @@ def test_nonmanifold_edge_detected():
 
 def test_degenerate_triangle_detected():
     with pytest.raises(MeshError, match="degenerate"):
-        validate_surface(SurfaceMesh(3, [(0, 1, 1)]))
+        classify_surface(SurfaceMesh(3, [(0, 1, 1)]))
 
 
 def test_pinched_link_detected():
@@ -108,7 +107,7 @@ def test_sum_keeps_spares():
     m2 = canonical_mesh(1)
     out = _sum(m1, m2)
     assert len(out.spares) >= 2
-    validate_surface(out)
+    classify_surface(out)
 
 
 def test_mesh_json_round_trip():
@@ -147,8 +146,8 @@ def test_sum_label_chi_property(r1, r2):
 
 # ---------------------------------------------------------------------------
 # reference classifier: per-vertex link walks and orientation propagation
-# over tuples of directed edges, the implementation the one-pass survey
-# replaced; its output and messages are the contract
+# over tuples of directed edges, the implementation the one-pass
+# classify_surface replaced; its output and messages are the contract
 # ---------------------------------------------------------------------------
 
 def _oracle_edge_map(triangles):
@@ -192,7 +191,7 @@ def oracle_validate(mesh: SurfaceMesh, allow_boundary: bool = False):
         for v in tri:
             star.setdefault(v, []).append(ti)
     # (this walk and the tet-complex link check, kept as the reference in
-    # tests/test_complexes.py, both went into surfaces.survey)
+    # tests/test_complexes.py, both went into classify_surface)
     for v, tris in star.items():
         # link graph: nodes are the opposite edges' endpoints, each triangle
         # contributes one link edge
@@ -403,10 +402,9 @@ PINCHED = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
         "boundary-edge", "disconnected"])
 def test_single_fault_messages(mesh, message):
     assert _classified(mesh, oracle_classify) == message
-    for fn in (classify_surface, validate_surface):
-        with pytest.raises(MeshError) as exc:
-            fn(mesh)
-        assert str(exc.value) == message
+    with pytest.raises(MeshError) as exc:
+        classify_surface(mesh)
+    assert str(exc.value) == message
 
 
 def test_link_faults_surface_as_edge_faults():
