@@ -11,7 +11,7 @@ from .canonical import canonical_mesh, solid_for_label
 from .complexes import ComplexError, TetComplex, validate_complex
 from .blocks import (Block, BlockError, Plan, PlanError, build_junction,
                      cap_block, cylinder_block, elementary_junction,
-                     fold_block, junction_cell, plan_junction, verify_block)
+                     fold_block, plan_junction, verify_block)
 from .reeb import (LevelSet, ReebGraph, ReebError, labeled_isomorphic,
                    level_set_of, reeb_graph_of)
 from .assembly import (AssemblyError, Manifold3, assemble, extract_reeb,

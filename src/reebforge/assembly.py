@@ -323,7 +323,8 @@ def manifold_from_dict(doc) -> Manifold3:
     """Parse a manifold document; shape and index-range errors raise
     ValueError.  Counts and ids are JSON integers: neither a boolean nor
     a float is read as one; tetrahedra, values, provenance and
-    vertex_values are JSON lists."""
+    vertex_values are JSON lists; no provenance index is negative, nor, in
+    a vertex record, past the vertex_values of a document that has them."""
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     for key in ("tetrahedra", "values", "provenance", "vertex_values"):
@@ -350,6 +351,9 @@ def manifold_from_dict(doc) -> Manifold3:
         if type(i) is not int:
             raise ValueError(f"provenance record {brief([k, i])} has no "
                              "integer index")
+        if i < 0 or k == "vertex" and "vertex_values" in doc and i >= len(vv):
+            raise ValueError(f"provenance record {brief([k, i])} is out of "
+                             "range")
     return Manifold3(TetComplex(nv, tets), values, prov, vv)
 
 

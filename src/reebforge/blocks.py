@@ -10,18 +10,20 @@ by interior connected sums ("bridges": remove an interior tetrahedron on
 each side and join the exposed sphere sockets with a spherical shell).
 
 The cells of a junction plan are joined at the singular value by more
-bridges between their connectors, all in one merge.
+bridges between their connectors.  A cell is only laid out as parts;
+build_junction merges every cell's parts and the shells between cells
+once, leaving the removed tetrahedra out as it writes the tets.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import (End, Solid, boundary_connect_sum, canonical_mesh,
                         solid_for_label)
 from .complexes import (TetComplex, find_interior_tets, manifold_census,
-                        merge_complexes, remove_tets, surface_prism)
+                        merge_complexes, surface_prism)
 from .graphs import euler_char, format_rational, is_odd_chi
 from .reeb import ReebGraph, reeb_graph_of
 from .surfaces import MeshError, SurfaceMesh, classify_surface
@@ -33,7 +35,10 @@ class BlockError(ValueError):
     """Raised for inadmissible block constructions."""
 
 
-_TETRA_SPHERE = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+# a spherical shell, the boundary of a tetrahedron times [0, 2]: layer 0 is
+# vertices 0-3, layer 2 vertices 8-11
+_SHELL = surface_prism(
+    SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]), 2).complex
 
 
 @dataclass
@@ -75,8 +80,6 @@ class Block:
     singular_values: list[Fraction]
     boundary: list[BoundaryComponent]
     refinement: int
-    # a junction cell's spare interior tets, sockets for joining cells
-    bridge_tets: list[int] = field(default_factory=list)
     kind: str = "block"
 
     @property
@@ -199,33 +202,20 @@ def _odd_pair_piece(label_a: int, label_b: int, refinement: int) -> Solid:
     return piece
 
 
-def _bridge_parts(cxs: list[TetComplex], sockets: list[list[int]]):
-    """Chain the complexes with interior connected sums: remove the tets
-    sockets[i] from cxs[i] and join the last socket of each complex to the
-    first of the next with a spherical shell.  Returns the parts (the
-    complexes, then the shells) and the identifications."""
-    parts = [remove_tets(cx, set(drop)) for cx, drop in zip(cxs, sockets)]
-    ident = []
-    n = len(cxs)
-    for i in range(n - 1):
-        left = sorted(cxs[i].tets[sockets[i][-1]])
-        right = sorted(cxs[i + 1].tets[sockets[i + 1][0]])
-        parts.append(surface_prism(_TETRA_SPHERE, 2).complex)
-        for k in range(4):
-            ident.append((i, left[k], n + i, k))
-            ident.append((i + 1, right[k], n + i, 8 + k))
-    return parts, ident
-
-
-def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
-                  a2: Fraction, refinement: int = 1) -> Block:
-    """Elementary junction block: one singular value a, boundary surfaces
-    with the requested labels at a1 (bottom) and a2 (top).
+def _junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
+                   a2: Fraction, refinement: int, out) -> list:
+    """Lay out an elementary junction cell, with one singular value a and
+    boundary surfaces with the requested labels at a1 (bottom) and a2
+    (top), for build_junction's one merge.  out holds the junction's
+    parts, their values and identifications, the (part, tet) pairs the
+    merge leaves out, and each end's (side, label, part, prism, layers).
+    The cell adds its pieces, the bridge shells between them and one
+    cylinder per end, and returns its first spare interior tets, sockets
+    for joining cells, as (part, tet) pairs.
 
     Either side may be empty during intermediate planning; the final blocks
     of a plan always have both.
     """
-    a1, a, a2 = Fraction(a1), Fraction(a), Fraction(a2)
     bottom_labels = list(bottom_labels)
     top_labels = list(top_labels)
     if not bottom_labels and not top_labels:
@@ -247,50 +237,52 @@ def junction_cell(bottom_labels, top_labels, a1: Fraction, a: Fraction,
     pieces += [(solid_for_label(slots[i][1], refinement), [i])
                for i in order if not is_odd_chi(slots[i][1])]
 
-    npieces = len(pieces)
-    # the ends of a piece are its whole boundary
-    ends = [[v for e in solid.ends for v in e.bmap] for solid, _ in pieces]
-    sockets = []
+    parts, values, ident, drop, ends = out
+    base, n = len(parts), len(pieces)
+    sockets, spares = [], []
     for i, (solid, _) in enumerate(pieces):
-        need = 0 if npieces == 1 else 1 if i in (0, npieces - 1) else 2
-        interior = find_interior_tets(solid.cx, ends[i])
+        need = 0 if n == 1 else 1 if i in (0, n - 1) else 2
+        # the ends of a piece are its whole boundary
+        interior = find_interior_tets(
+            solid.cx, [v for e in solid.ends for v in e.bmap])
         if len(interior) < need:
             raise BlockError("piece lacks interior tets for bridging")
         sockets.append(interior[:need])
-    parts, ident = _bridge_parts([solid.cx for solid, _ in pieces], sockets)
-    part_values = [[a] * p.nv for p in parts]   # pieces and bridge shells
+        # removing an interior tet puts all four of its faces on the
+        # boundary, so the spares also miss the socket tets' vertices
+        holes = {v for t in sockets[i] for v in solid.cx.tets[t]}
+        spares += [(base + i, t) for t in interior[need:]
+                   if holes.isdisjoint(solid.cx.tets[t])]
+        drop += [(base + i, t) for t in sockets[i]]
+    # the shell after the pieces joins the last socket of each to the
+    # first of the next
+    for i in range(n - 1):
+        left = sorted(pieces[i][0].cx.tets[sockets[i][-1]])
+        right = sorted(pieces[i + 1][0].cx.tets[sockets[i + 1][0]])
+        for k in range(4):
+            ident.append((base + i, left[k], base + n + i, k))
+            ident.append((base + i + 1, right[k], base + n + i, 8 + k))
+    parts += [solid.cx for solid, _ in pieces] + [_SHELL] * (n - 1)
+    values += [[a] * p.nv for p in parts[base:]]
 
     # cylinders: one per end, glued along the inner layer
     cylinders = [None] * len(slots)
     for pi, (solid, piece_slots) in enumerate(pieces):
         for e, slot in zip(solid.ends, piece_slots):
             prod = surface_prism(e.mesh, CYL_SEGS)
-            if slots[slot][0] == "bottom":
+            side, label = slots[slot]
+            if side == "bottom":
                 span, layers = (a1, a), range(CYL_SEGS + 1)
             else:
                 span, layers = (a, a2), range(CYL_SEGS, -1, -1)
             for v in range(e.mesh.nv):
-                ident.append((pi, e.bmap[v], len(parts),
+                ident.append((base + pi, e.bmap[v], len(parts),
                               prod.vid(v, layers[-1])))
-            cylinders[slot] = (len(parts), prod, layers)
+            cylinders[slot] = (side, label, len(parts), prod, layers)
             parts.append(prod.complex)
-            part_values.append(_prism_values(e.mesh.nv, *span, CYL_SEGS))
-
-    cx, vmaps, toffs = merge_complexes(parts, ident)
-    values = glued_values(cx.nv, vmaps, part_values)
-    boundary = [_end_component(side, a1 if side == "bottom" else a2, label,
-                               prod, vmaps[part], layers)
-                for (side, label), (part, prod, layers)
-                in zip(slots, cylinders)]
-    bridge = []
-    for pi, (solid, _) in enumerate(pieces):
-        # removing an interior tet puts all four of its faces on the
-        # boundary, so the socket tets' vertices join the ends
-        holes = [v for t in sockets[pi] for v in solid.cx.tets[t]]
-        bridge += [toffs[pi] + t
-                   for t in find_interior_tets(parts[pi], ends[pi] + holes)]
-    return Block(cx, values, [a], boundary, refinement, bridge[:8],
-                 kind="junction")
+            values.append(_prism_values(e.mesh.nv, *span, CYL_SEGS))
+    ends += cylinders
+    return spares[:8]
 
 
 JUNCTION_KINDS = {
@@ -307,8 +299,9 @@ def elementary_junction(kind: str, a1, a, a2, refinement: int = 1) -> Block:
     """The named junction shapes."""
     if kind not in JUNCTION_KINDS:
         raise BlockError(f"unknown junction kind {kind!r}")
-    bottom, top = JUNCTION_KINDS[kind]
-    return junction_cell(list(bottom), list(top), a1, a, a2, refinement)
+    bottom, top = map(list, JUNCTION_KINDS[kind])
+    return build_junction(Plan([(bottom, top)], bottom, top), a1, a, a2,
+                          refinement)
 
 
 # ---------------------------------------------------------------------------
@@ -381,54 +374,48 @@ def plan_junction(bottom, top) -> Plan:
 
 
 def build_junction(plan: Plan, a1, a, a2, refinement: int = 1) -> Block:
-    """Build each cell of a plan as a junction cell and join the cells at
-    the singular value in one merge.  Each next cell bridges its first
-    spare tet to the oldest spare socket of the cells before it, which
-    also gives up the socket after that one.  Vertices and tets are
-    numbered as if the cells were joined one at a time, in order."""
+    """Lay out the cells of a plan and join them all at the singular value
+    in one merge, which leaves every socket out.  Each next cell bridges
+    its first spare tet to the oldest spare socket of the cells before it,
+    which also gives up the socket after that one.  Vertices and tets are
+    numbered as if each cell were merged on its own and the cells were
+    then joined one at a time, in order: the shell that joins a cell to
+    the cells before it follows the cell's parts and identifications."""
     a1, a, a2 = Fraction(a1), Fraction(a), Fraction(a2)
     got = evaluate_plan(plan)
     want = (sorted(plan.bottom), sorted(plan.top))
     if not plan.cells or got != want:
         raise BlockError(f"plan cells add up to {got}, plan promised {want}")
-    cells = [junction_cell(b, t, a1, a, a2, refinement)
-             for b, t in plan.cells]
-    if len(cells) == 1:
-        return cells[0]
-    # parts: cell 0, then each next cell k and its shell at parts 2k - 1
-    # and 2k; home sends each corner a shell absorbed, as (part, vertex),
-    # to the shell vertex it became
-    spare = [(0, t) for t in cells[0].bridge_tets]
-    used: list[set[int]] = [set() for _ in cells]
+    out = parts, values, ident, drop, ends = [], [], [], [], []
+    spare: list[tuple[int, int]] = []
+    # home sends each corner a shell absorbed, as (part, vertex), to the
+    # shell vertex it became
     home: dict[tuple[int, int], tuple[int, int]] = {}
-    ident = []
-    for k, cell in enumerate(cells[1:], 1):
-        if not spare or not cell.bridge_tets:
-            raise BlockError("no spare bridge material left")
-        (i, t), u = spare[0], cell.bridge_tets[0]
-        spare = spare[2:] + [(k, v) for v in cell.bridge_tets[2:]]
-        used[i].add(t)
-        used[k].add(u)
-        left = sorted(((max(0, 2 * i - 1), v) for v in cells[i].cx.tets[t]),
-                      key=lambda c: home.get(c, c))
-        right = [(2 * k - 1, v) for v in sorted(cell.cx.tets[u])]
-        # the earlier side glues to the shell's layer 0, cell k to layer 2
-        for corner, sv in zip(left + right, (0, 1, 2, 3, 8, 9, 10, 11)):
-            ident.append((*corner, 2 * k, sv))
-            home[corner] = (2 * k, sv)
-    shell = surface_prism(_TETRA_SPHERE, 2).complex
-    parts = [remove_tets(cells[0].cx, used[0])]
-    part_values = [cells[0].values]
-    for cell, drop in zip(cells[1:], used[1:]):
-        parts += [remove_tets(cell.cx, drop), shell]
-        part_values += [cell.values, [a] * shell.nv]
-    cx, vmaps, _ = merge_complexes(parts, ident)
-    values = glued_values(cx.nv, vmaps, part_values)
-    boundary = [replace(comp, layer_ids=[[vm[v] for v in layer]
-                                         for layer in comp.layer_ids])
-                for cell, vm in zip(cells, vmaps[:1] + vmaps[1::2])
-                for comp in cell.boundary]
-    return Block(cx, values, [a], boundary, refinement, kind="junction")
+    for k, (bottom, top) in enumerate(plan.cells):
+        own = _junction_cell(bottom, top, a1, a, a2, refinement, out)
+        if k:
+            if not spare or not own:
+                raise BlockError("no spare bridge material left")
+            (i, t), (j, u) = spare[0], own[0]
+            spare, own = spare[2:], own[2:]
+            drop += [(i, t), (j, u)]
+            left = sorted(((i, v) for v in parts[i].tets[t]),
+                          key=lambda c: home.get(c, c))
+            right = [(j, v) for v in sorted(parts[j].tets[u])]
+            # the earlier side glues to the shell's layer 0, cell k to
+            # layer 2
+            for corner, sv in zip(left + right, (0, 1, 2, 3, 8, 9, 10, 11)):
+                ident.append((*corner, len(parts), sv))
+                home[corner] = (len(parts), sv)
+            parts.append(_SHELL)
+            values.append([a] * _SHELL.nv)
+        spare += own
+    cx, vmaps, _ = merge_complexes(parts, ident, drop)
+    boundary = [_end_component(side, a1 if side == "bottom" else a2, label,
+                               prod, vmaps[part], layers)
+                for side, label, part, prod, layers in ends]
+    return Block(cx, glued_values(cx.nv, vmaps, values), [a], boundary,
+                 refinement, kind="junction")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +468,7 @@ def fold_block(j: Block, vertex_value, direction: str,
 # ---------------------------------------------------------------------------
 
 def block_to_dict(b: Block) -> dict:
-    """Mesh, function values, and contract; bridge tets are
-    construction-time data and are not serialized."""
+    """Mesh, function values, and contract."""
     c = b.contract
     if isinstance(c, EdgeContract):
         contract = {"kind": "edge", "lo": format_rational(c.lo),

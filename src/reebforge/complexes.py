@@ -1,6 +1,6 @@
 """Tetrahedral complexes with the constructors the block factory needs:
-layered products over surface meshes, cones, interior-tet removal, and
-vertex-identifying unions.
+layered products over surface meshes, cones, interior-tet search, and
+vertex-identifying unions that can leave tets out.
 
 Vertex ids in a product are layer-major: (v, layer j) -> j*nv + v.  Prism
 quads are always split toward the smaller surface vertex id of the lower
@@ -315,20 +315,19 @@ def cone_complex(mesh: SurfaceMesh) -> TetComplex:
 # surgery and unions
 # ---------------------------------------------------------------------------
 
-def remove_tets(cx: TetComplex, drop: set[int]) -> TetComplex:
-    """Delete tets by index, keeping the others in order."""
-    return TetComplex(cx.nv, [t for ti, t in enumerate(cx.tets)
-                              if ti not in drop])
-
-
 def merge_complexes(parts: list[TetComplex],
-                    identifications: list[tuple[int, int, int, int]]):
+                    identifications: list[tuple[int, int, int, int]],
+                    drop=()):
     """Disjoint union with vertex identifications.
 
-    identifications holds (part_a, vertex_a, part_b, vertex_b) pairs.
-    Returns the merged complex, per-part vertex maps, and per-part tet index
-    offsets.
+    identifications holds (part_a, vertex_a, part_b, vertex_b) pairs, and
+    drop (part, tet) pairs: those tets are left out as the tets are
+    written, the others keep their order.  Returns the merged complex,
+    per-part vertex maps, and per-part tet index offsets.
     """
+    gone: dict[int, set[int]] = {}
+    for p, t in drop:
+        gone.setdefault(p, set()).add(t)
     offsets = []
     total = 0
     for p in parts:
@@ -348,7 +347,13 @@ def merge_complexes(parts: list[TetComplex],
              for o, p in zip(offsets, parts)]
     tets: list[Tet] = []
     tet_offsets = []
-    for p, vm in zip(parts, vmaps):
+    for i, (p, vm) in enumerate(zip(parts, vmaps)):
         tet_offsets.append(len(tets))
-        tets += [(vm[a], vm[b], vm[c], vm[d]) for a, b, c, d in p.tets]
+        skip = gone.get(i)
+        if skip:
+            tets += [(vm[a], vm[b], vm[c], vm[d])
+                     for ti, (a, b, c, d) in enumerate(p.tets)
+                     if ti not in skip]
+        else:
+            tets += [(vm[a], vm[b], vm[c], vm[d]) for a, b, c, d in p.tets]
     return TetComplex(len(roots), tets), vmaps, tet_offsets

@@ -20,12 +20,12 @@ from reebforge.blocks import CheckReport, cylinder_block
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (ComplexError, TetComplex, cone_complex,
                                  euler_characteristic, face_map,
-                                 merge_complexes, remove_tets,
-                                 validate_complex)
+                                 merge_complexes, validate_complex)
 from reebforge.corpus import realizable_corpus
 from reebforge.graphs import Edge, LabeledGraph, brief
 from reebforge.reeb import ReebError, labeled_isomorphic
 from reebforge.unionfind import UnionFind
+from junction_oracle import remove_tets
 from test_complexes import (COPIES, _accepts, _damaged, _identify,
                             _message, euler_from_faces, oracle_validate,
                             validate_complex_reference, validate_faces)

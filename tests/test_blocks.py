@@ -7,16 +7,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reebforge import blocks, canonical, complexes
-from reebforge.blocks import (Block, BlockError, Plan, block_to_json,
-                              build_junction, cap_block, cylinder_block,
-                              elementary_junction, evaluate_plan, fold_block,
-                              glued_values, junction_cell, plan_junction,
-                              verify_block)
+from reebforge.blocks import (JUNCTION_KINDS, Block, BlockError, Plan,
+                              block_to_json, build_junction, cap_block,
+                              cylinder_block, elementary_junction,
+                              evaluate_plan, fold_block, glued_values,
+                              plan_junction, verify_block)
 from reebforge.complexes import (TetComplex, boundary_faces, merge_complexes,
-                                 remove_tets, surface_prism)
+                                 surface_prism)
 from reebforge.graphs import euler_char, is_odd_chi
 from reebforge.reeb import level_set_of
 from reebforge.surfaces import classify_labels
+
+import junction_oracle as oracle
+from junction_oracle import remove_tets
+from test_acceptance import _star_cases
+
+
+def one_cell(bottom, top, a1, a, a2):
+    """The junction of one cell with these boundary labels."""
+    return build_junction(Plan([(bottom, top)], bottom, top), a1, a, a2)
 
 
 def assert_verified(block):
@@ -115,7 +124,7 @@ def test_projective_pair_junction():
 
 
 def test_flipped_junction():
-    b = junction_cell([-1, -1], [0], F(0), F(1), F(2))
+    b = one_cell([-1, -1], [0], F(0), F(1), F(2))
     assert b.labels("bottom") == [-1, -1]
     assert b.labels("top") == [0]
     assert_verified(b)
@@ -135,7 +144,7 @@ def test_unknown_kind_rejected():
 
 
 def test_generic_cell_pass_through():
-    b = junction_cell([2], [2], F(0), F(1), F(2))
+    b = one_cell([2], [2], F(0), F(1), F(2))
     assert_verified(b)
 
 
@@ -168,23 +177,23 @@ def test_disjoint_merge_mixed():
     assert_verified(m)
 
 
-def fold_reference(plan: Plan, a1, a, a2) -> Block:
-    """The reference for build_junction: fold the cells one at a time,
-    each merge bridging the first spare tet of the block so far to the
-    first of the next cell and keeping the spare tets after the first two
-    of each."""
-    def merge(b1: Block, b2: Block) -> Block:
+def fold_reference(plan: Plan, a1, a, a2) -> oracle.Block:
+    """The reference for build_junction: fold the oracle's cells one at a
+    time, each merge bridging the first spare tet of the block so far to
+    the first of the next cell and keeping the spare tets after the first
+    two of each."""
+    def merge(b1: oracle.Block, b2: oracle.Block) -> oracle.Block:
         if not b1.bridge_tets or not b2.bridge_tets:
             raise BlockError("no spare bridge material left")
         s1, s2 = b1.bridge_tets[0], b2.bridge_tets[0]
-        shell = surface_prism(blocks._TETRA_SPHERE, 2).complex
+        shell = surface_prism(oracle._TETRA_SPHERE, 2).complex
         parts = [remove_tets(b1.cx, {s1}), remove_tets(b2.cx, {s2}), shell]
         left, right = sorted(b1.cx.tets[s1]), sorted(b2.cx.tets[s2])
         ident = []
         for k in range(4):
             ident.append((0, left[k], 2, k))
             ident.append((1, right[k], 2, 8 + k))
-        cx, vmaps, toffs = merge_complexes(parts, ident)
+        cx, vmaps, toffs = oracle.merge_complexes(parts, ident)
         values = glued_values(cx.nv, vmaps,
                               [b1.values, b2.values, [a] * shell.nv])
         boundary = [replace(c, layer_ids=[[vm[v] for v in layer]
@@ -195,9 +204,9 @@ def fold_reference(plan: Plan, a1, a, a2) -> Block:
         bridge = [toff + t - (t > s)
                   for b, s, toff in ((b1, s1, toffs[0]), (b2, s2, toffs[1]))
                   for t in b.bridge_tets[2:]]
-        return Block(cx, values, [a], boundary, b1.refinement, bridge,
-                     kind="junction")
-    return functools.reduce(merge, (junction_cell(b, t, a1, a, a2)
+        return oracle.Block(cx, values, [a], boundary, b1.refinement,
+                            bridge, kind="junction")
+    return functools.reduce(merge, (oracle.junction_cell(b, t, a1, a, a2)
                                     for b, t in plan.cells))
 
 
@@ -221,6 +230,36 @@ def test_one_merge_numbers_like_the_fold(cells):
     plan = Plan(cells, *evaluate_plan(Plan(cells, [], [])))
     got = block_to_json(build_junction(plan, 0, 1, 2))
     assert got == block_to_json(fold_reference(plan, F(0), F(1), F(2)))
+
+
+def _shape(b):
+    return (b.cx.nv, b.cx.tets, b.values,
+            [(c.side, c.label, c.layer_ids) for c in b.boundary])
+
+
+def test_one_merge_equals_the_cell_by_cell_merges():
+    # every criterion-2 star and every named shape, either way up
+    plans = [plan_junction(list(b), list(t)) for b, t in _star_cases()]
+    plans += [Plan([(list(b), list(t))], list(b), list(t))
+              for shape in JUNCTION_KINDS.values()
+              for b, t in (shape, shape[::-1])]
+    for plan in plans:
+        got = build_junction(plan, 0, 1, 2)
+        assert _shape(got) == _shape(oracle.build_junction(plan, 0, 1, 2))
+
+
+def test_one_merge_per_junction(monkeypatch):
+    # one merge of every cell's parts, and one interior scan per piece:
+    # 13 sphere pass-throughs are 13 cells of two balls each
+    calls = {"merge_complexes": 0, "find_interior_tets": 0}
+    for name in calls:
+        def counted(*args, real=getattr(blocks, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(blocks, name, counted)
+    plan = Plan([([0], [0])] * 13, [0] * 13, [0] * 13)
+    build_junction(plan, 0, 1, 2)
+    assert calls == {"merge_complexes": 1, "find_interior_tets": 26}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +339,7 @@ def _chi_parity(labels):
     lambda: elementary_junction("sphere_split", F(0), F(1), F(2)),
     lambda: elementary_junction("sphere_to_projective_pair",
                                 F(0), F(1), F(2)),
-    lambda: junction_cell([-1, -3], [2, -2], F(0), F(1), F(2)),
+    lambda: one_cell([-1, -3], [2, -2], F(0), F(1), F(2)),
     lambda: build_junction(plan_junction([-1, 0], [-1, 1]),
                            F(0), F(1), F(2)),
 ])
@@ -322,7 +361,7 @@ def face_map_interior(cx: TetComplex) -> list[int]:
 
 def checked_interior_tets():
     """Patch find_interior_tets in blocks with a copy that checks every
-    answer, sockets and bridge tets alike, against face_map_interior."""
+    answer, the sockets' scan of each piece, against face_map_interior."""
     real = blocks.find_interior_tets
 
     def checked(cx, boundary):
@@ -330,6 +369,21 @@ def checked_interior_tets():
         assert got == face_map_interior(cx)
         return got
     return mock.patch.object(blocks, "find_interior_tets", checked)
+
+
+def assert_spares_match_the_face_map(parts, drop, nslots, spares):
+    """A cell's spares are the first eight tets, piece by piece, that the
+    face map finds interior once the piece's sockets, its dropped tets,
+    are gone."""
+    # pieces, one shell fewer, then a cylinder per end
+    npieces = (len(parts) - nslots + 1) // 2
+    want = []
+    for p, piece in enumerate(parts[:npieces]):
+        sockets = {t for q, t in drop if q == p}
+        kept = [t for t in range(len(piece.tets)) if t not in sockets]
+        want += [(p, kept[t])
+                 for t in face_map_interior(remove_tets(piece, sockets))]
+    assert spares == want[:8]
 
 
 _SIDE = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(sorted)
@@ -342,8 +396,27 @@ _SIDE = st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(sorted)
 def test_junction_interior_tets_match_the_face_map(bottom, top):
     if sum(map(is_odd_chi, bottom + top)) % 2:
         bottom = bottom + [-1]
-    with checked_interior_tets():
+    cells = []
+    real = blocks._junction_cell
+
+    def laid_out(*args):
+        # what the cell adds to the junction's parts, drops and ends, with
+        # its parts numbered from 0
+        parts, _, _, drop, ends = args[-1]
+        sizes = len(parts), len(drop), len(ends)
+        spares = real(*args)
+        base = sizes[0]
+        cells.append((parts[base:],
+                      [(p - base, t) for p, t in drop[sizes[1]:]],
+                      len(ends) - sizes[2],
+                      [(p - base, t) for p, t in spares]))
+        return spares
+    with checked_interior_tets(), \
+            mock.patch.object(blocks, "_junction_cell", laid_out):
         build_junction(plan_junction(bottom, top), 0, 1, 2)
+    assert cells
+    for cell in cells:
+        assert_spares_match_the_face_map(*cell)
 
 
 def test_block_checks_build_no_face_map(monkeypatch):

@@ -235,6 +235,12 @@ TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     (["extract"], dict(ONE_TET, provenance={})),
     (["extract"], dict(ONE_TET, vertex_values="0123")),
     (["extract"], dict(ONE_TET, vertex_values={"0/1": 0})),
+    # provenance indices that name no vertex or edge
+    (["extract"], dict(ONE_TET, provenance=[["vertex", 999]],
+                       vertex_values=["5/1"])),
+    (["extract"], dict(ONE_TET, provenance=[["edge", -5]])),
+    (["extract"], dict(ONE_TET, provenance=[["vertex", 0]],
+                       vertex_values=[])),
 ], ids=["truncated-values", "top-level-array", "three-vertex-tet",
         "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
         "no-triangles", "boolean-triangle-vertex", "string-vertices",
@@ -242,7 +248,8 @@ TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
         "exponent-height", "exponent-value", "string-tetrahedra",
         "object-tetrahedra", "string-values", "object-values",
         "string-provenance", "object-provenance", "string-vertex-values",
-        "object-vertex-values"])
+        "object-vertex-values", "vertex-past-vertex-values",
+        "negative-edge", "vertex-with-no-vertex-values"])
 def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     proc = run_cli(tmp_path, argv, doc)
     assert proc.returncode == 2, proc.stderr

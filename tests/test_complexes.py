@@ -13,10 +13,13 @@ from reebforge.complexes import (_EDGE, _FACE_EDGES, _FACE_VERTS,
                                  boundary_faces, cone_complex,
                                  euler_characteristic, face_map,
                                  find_interior_tets, manifold_census,
-                                 merge_complexes, remove_tets,
-                                 surface_prism, validate_complex)
+                                 merge_complexes, surface_prism,
+                                 validate_complex)
 from reebforge.surfaces import SurfaceMesh, classify_labels
 from reebforge.unionfind import UnionFind
+
+import junction_oracle
+from junction_oracle import remove_tets
 
 TETRA = SurfaceMesh(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
@@ -835,6 +838,24 @@ def test_merge_matches_reference(case):
     parts, ident = case
     cx, vmaps, offsets = merge_complexes(parts, ident)
     ref, ref_vmaps, ref_offsets = merge_reference(parts, ident)
+    assert (cx.nv, cx.tets) == (ref.nv, ref.tets)
+    assert vmaps == ref_vmaps
+    assert offsets == ref_offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merge_cases(), st.data())
+def test_merge_leaves_out_dropped_tets(case, data):
+    # tets left out as the merge writes them, against copying each part
+    # without them first and merging those copies
+    parts, ident = case
+    drop = data.draw(st.lists(st.sampled_from(
+        [(p, t) for p, part in enumerate(parts)
+         for t in range(len(part.tets))] or [(0, 0)])))
+    cx, vmaps, offsets = merge_complexes(parts, ident, drop)
+    kept = [remove_tets(part, {t for q, t in drop if q == p})
+            for p, part in enumerate(parts)]
+    ref, ref_vmaps, ref_offsets = junction_oracle.merge_complexes(kept, ident)
     assert (cx.nv, cx.tets) == (ref.nv, ref.tets)
     assert vmaps == ref_vmaps
     assert offsets == ref_offsets
