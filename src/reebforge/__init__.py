@@ -3,8 +3,7 @@ triangulated 3-manifolds."""
 
 from .graphs import (Edge, GraphError, LabeledGraph, RealizabilityReport,
                      VertexProfile, check_realizable, euler_char,
-                     graph_to_dot, is_odd_chi, parse_graph, serialize_graph,
-                     vertex_profile)
+                     graph_to_dot, is_odd_chi, parse_graph, serialize_graph)
 from .surfaces import (MeshError, SurfaceMesh, classify_surface,
                        connected_sum_label, mesh_to_json, mesh_to_off)
 from .canonical import canonical_mesh, solid_for_label

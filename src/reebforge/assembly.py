@@ -79,10 +79,6 @@ def _split_extremum_labels(labels: list[int]) -> tuple[list[int], list[int]]:
         else:
             f2.append(l)
             c2 += euler_char(l)
-    if not f1:
-        f1.append(f2.pop())
-    if not f2:
-        f2.append(f1.pop())
     return sorted(f1), sorted(f2)
 
 
@@ -160,7 +156,7 @@ def assemble(g: LabeledGraph, refinement: int = 1) -> Manifold3:
         part_values.append(cyl.values)
         provenance += [("edge", ei)] * len(cyl.cx.tets)
 
-    cx, vmaps, _ = merge_complexes(parts, ident)
+    cx, vmaps = merge_complexes(parts, ident)
     values = glued_values(cx.nv, vmaps, part_values)
     return Manifold3(cx, values, provenance,
                      vertex_values=list(g.values))

@@ -175,7 +175,7 @@ def cap_block(label: int, extreme_value: Fraction, boundary_value: Fraction,
     rising = boundary_value > extreme_value
     # collar layer 0 glues onto the solid boundary
     ident = [(0, end.bmap[v], 1, prod.vid(v, 0)) for v in range(mesh.nv)]
-    cx, vmaps, _ = merge_complexes([solid.cx, prod.complex], ident)
+    cx, vmaps = merge_complexes([solid.cx, prod.complex], ident)
     values = glued_values(cx.nv, vmaps, [
         [extreme_value] * solid.cx.nv,
         _prism_values(mesh.nv, extreme_value, boundary_value, CYL_SEGS)])
@@ -410,7 +410,7 @@ def build_junction(plan: Plan, a1, a, a2, refinement: int = 1) -> Block:
             parts.append(_SHELL)
             values.append([a] * _SHELL.nv)
         spare += own
-    cx, vmaps, _ = merge_complexes(parts, ident, drop)
+    cx, vmaps = merge_complexes(parts, ident, drop)
     boundary = [_end_component(side, a1 if side == "bottom" else a2, label,
                                prod, vmaps[part], layers)
                 for side, label, part, prod, layers in ends]

@@ -243,7 +243,7 @@ def ball_solid(refinement: int = 1) -> Solid:
     fully interior tet is always available for bridging."""
     sphere = canonical_mesh(0, refinement)
     prod = surface_prism(sphere, 2)
-    cx, _, _ = merge_complexes(
+    cx, _ = merge_complexes(
         [prod.complex, cone_complex(sphere)],
         [(1, v, 0, prod.vid(v, 2)) for v in range(sphere.nv)])
     return Solid(cx, [End(0, sphere, prod.layer_vertices(0))])
@@ -259,7 +259,7 @@ def _product_solid(label: int, refinement: int) -> Solid:
     prod = surface_prism(disk, P)
     # each class holds one layer-0 vertex, its root, so layers 0..P-1 keep
     # their prism ids
-    cx, _, _ = merge_complexes(
+    cx, _ = merge_complexes(
         [prod.complex],
         [(0, prod.vid(v, P), 0, prod.vid(sigma[v], 0))
          for v in range(disk.nv)])
@@ -285,7 +285,7 @@ def boundary_connect_sum(a: Solid, bs: list[Solid], i: int) -> Solid:
         for x, s in zip(e.bmap, vmap):
             if owner.setdefault(s, (p, x))[0] != p:
                 ident.append((*owner[s], p, x))
-    cx, vmaps, _ = merge_complexes([a.cx] + [b.cx for b in bs], ident)
+    cx, vmaps = merge_complexes([a.cx] + [b.cx for b in bs], ident)
     # the sum numbers its vertices as the parts meet them
     bmap = [vmaps[p][x] for p, x in owner.values()]
     label = reduce(connected_sum_label, [e.label for e in ends])

@@ -71,6 +71,16 @@ def _check_mesh_budget(labels, refinement: int):
             raise _InputError(error)
 
 
+def _rejected(g: LabeledGraph, refinement: int) -> bool:
+    """Refuse g past the mesh budget, then check its parity: True, with
+    the report on stderr, when g fails it."""
+    _check_mesh_budget({e.label for e in g.edges}, refinement)
+    report = check_realizable(g)
+    if not report.ok:
+        print(report.summary(), file=sys.stderr)
+    return not report.ok
+
+
 def cmd_check(args) -> int:
     report = check_realizable(_load_graph(args.input))
     print(report.summary())
@@ -79,10 +89,7 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     g = _load_graph(args.input)
-    _check_mesh_budget({e.label for e in g.edges}, args.refinement)
-    report = check_realizable(g)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
+    if _rejected(g, args.refinement):
         return EXIT_REJECTED
     try:
         m = assemble(g, refinement=args.refinement)
@@ -100,10 +107,7 @@ def cmd_verify(args) -> int:
     if edge is not None and not 0 <= edge < len(g.edges):
         raise _InputError(f"--debug-mislabel-edge {edge} is not an edge "
                           f"index in 0..{len(g.edges) - 1}")
-    _check_mesh_budget({e.label for e in g.edges}, args.refinement)
-    report = check_realizable(g)
-    if not report.ok:
-        print(report.summary(), file=sys.stderr)
+    if _rejected(g, args.refinement):
         return EXIT_REJECTED
     res = verify_realization(g, refinement=args.refinement,
                              mislabel_edge=args.debug_mislabel_edge)
@@ -132,27 +136,23 @@ def cmd_extract(args) -> int:
         print("function is constant: its Reeb graph is a single point",
               file=sys.stderr)
         return EXIT_REJECTED
-    if args.dot:
-        _write(args.out, reeb.to_dot())
-    else:
-        _write(args.out, reeb.to_json())
+    _write(args.out, reeb.to_dot() if args.dot else reeb.to_json())
     return EXIT_OK
 
 
-def cmd_surface(args) -> int:
-    if args.surface_command == "gen":
-        given = {args.refinement, args.refinement_arg} - {None}
-        if len(given) > 1:
-            raise _InputError(f"refinement {args.refinement_arg} disagrees "
-                              f"with --refinement {args.refinement}")
-        refinement = given.pop() if given else 1
-        _check_mesh_budget((args.label,), refinement)
-        mesh = canonical_mesh(args.label, refinement)
-        if args.off:
-            _write(args.out, mesh_to_off(mesh))
-        else:
-            _write(args.out, mesh_to_json(mesh))
-        return EXIT_OK
+def cmd_surface_gen(args) -> int:
+    given = {args.refinement, args.refinement_arg} - {None}
+    if len(given) > 1:
+        raise _InputError(f"refinement {args.refinement_arg} disagrees "
+                          f"with --refinement {args.refinement}")
+    refinement = given.pop() if given else 1
+    _check_mesh_budget((args.label,), refinement)
+    mesh = canonical_mesh(args.label, refinement)
+    _write(args.out, mesh_to_off(mesh) if args.off else mesh_to_json(mesh))
+    return EXIT_OK
+
+
+def cmd_surface_classify(args) -> int:
     mesh = _load_document(args.input, mesh_from_dict)
     try:
         comps = classify_surface(mesh)
@@ -166,7 +166,10 @@ def cmd_surface(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    from .corpus import realizable_corpus, violating_corpus
+    from .corpus import MAX_CORPUS_COUNT, realizable_corpus, violating_corpus
+    if args.count > MAX_CORPUS_COUNT:
+        raise _InputError(f"--count {args.count} is over the corpus cap of "
+                          f"{MAX_CORPUS_COUNT:,}")
     outdir = Path(args.out or "corpus")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -175,10 +178,9 @@ def cmd_corpus(args) -> int:
             from exc
     good = realizable_corpus(args.seed, args.count)
     bad = violating_corpus(args.seed + 1, args.count)
-    for i, g in enumerate(good):
-        _write(str(outdir / f"ok_{i:03d}.json"), serialize_graph(g))
-    for i, g in enumerate(bad):
-        _write(str(outdir / f"reject_{i:03d}.json"), serialize_graph(g))
+    for kind, graphs in (("ok", good), ("reject", bad)):
+        for i, g in enumerate(graphs):
+            _write(str(outdir / f"{kind}_{i:03d}.json"), serialize_graph(g))
     print(f"wrote {len(good)} realizable and {len(bad)} rejection graphs "
           f"to {outdir}")
     return EXIT_OK
@@ -261,10 +263,10 @@ def make_parser() -> argparse.ArgumentParser:
     spg.add_argument("--off", action="store_true", help="write OFF format")
     refinement(spg, default=None)
     out(spg)
-    spg.set_defaults(func=cmd_surface, surface_command="gen")
+    spg.set_defaults(func=cmd_surface_gen)
     spc = ssub.add_parser("classify", help="classify a mesh JSON")
     spc.add_argument("input")
-    spc.set_defaults(func=cmd_surface, surface_command="classify")
+    spc.set_defaults(func=cmd_surface_classify)
 
     sp = sub.add_parser("corpus", help="write seeded demo graph corpora")
     sp.add_argument("--count", type=_positive_int, default=10)

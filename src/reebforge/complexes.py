@@ -30,9 +30,6 @@ class TetComplex:
     nv: int
     tets: list[Tet]
 
-    def copy(self) -> "TetComplex":
-        return TetComplex(self.nv, list(self.tets))
-
 
 def face_map(cx: TetComplex) -> FaceMap:
     """Every face of cx, sorted, with its tets in order.  Nothing in the
@@ -322,8 +319,8 @@ def merge_complexes(parts: list[TetComplex],
 
     identifications holds (part_a, vertex_a, part_b, vertex_b) pairs, and
     drop (part, tet) pairs: those tets are left out as the tets are
-    written, the others keep their order.  Returns the merged complex,
-    per-part vertex maps, and per-part tet index offsets.
+    written, the others keep their order.  Returns the merged complex
+    and per-part vertex maps.
     """
     gone: dict[int, set[int]] = {}
     for p, t in drop:
@@ -346,9 +343,7 @@ def merge_complexes(parts: list[TetComplex],
     vmaps = [[rid[find(v)] for v in range(o, o + p.nv)]
              for o, p in zip(offsets, parts)]
     tets: list[Tet] = []
-    tet_offsets = []
     for i, (p, vm) in enumerate(zip(parts, vmaps)):
-        tet_offsets.append(len(tets))
         skip = gone.get(i)
         if skip:
             tets += [(vm[a], vm[b], vm[c], vm[d])
@@ -356,4 +351,4 @@ def merge_complexes(parts: list[TetComplex],
                      if ti not in skip]
         else:
             tets += [(vm[a], vm[b], vm[c], vm[d]) for a, b, c, d in p.tets]
-    return TetComplex(len(roots), tets), vmaps, tet_offsets
+    return TetComplex(len(roots), tets), vmaps

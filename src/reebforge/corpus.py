@@ -7,6 +7,9 @@ from fractions import Fraction
 
 from .graphs import Edge, LabeledGraph, check_realizable
 
+# the most graphs of each kind `corpus --count` draws: about 8 s in all
+MAX_CORPUS_COUNT = 10_000
+
 
 def random_graph(rng: random.Random, max_vertices: int = 8,
                  max_edges: int = 10, max_label: int = 3) -> LabeledGraph:
@@ -32,18 +35,23 @@ def random_graph(rng: random.Random, max_vertices: int = 8,
     return LabeledGraph(names, values, edges)
 
 
-def realizable_corpus(seed: int, count: int, **kw) -> list[LabeledGraph]:
-    """Seeded graphs filtered to pass the parity checker."""
+def _draw(seed: int, count: int, keep) -> list[LabeledGraph]:
+    """seed's first count graphs whose parity report keep accepts."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        g = random_graph(rng, **kw)
-        if check_realizable(g).ok:
+        g = random_graph(rng)
+        if keep(check_realizable(g)):
             out.append(g)
     return out
 
 
-def violating_corpus(seed: int, count: int, **kw) -> list[LabeledGraph]:
+def realizable_corpus(seed: int, count: int) -> list[LabeledGraph]:
+    """Seeded graphs filtered to pass the parity checker."""
+    return _draw(seed, count, lambda rep: rep.ok)
+
+
+def violating_corpus(seed: int, count: int) -> list[LabeledGraph]:
     """Seeded graphs violating exactly one of the two parity conditions
     (every failure is of the extremum kind, or every failure is of the
     interior kind).
@@ -52,14 +60,5 @@ def violating_corpus(seed: int, count: int, **kw) -> list[LabeledGraph]:
     "the odd-chi incidence count is even", and each odd-chi edge touches
     two vertices, so the failing vertices always come in even numbers.
     """
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        g = random_graph(rng, **kw)
-        rep = check_realizable(g)
-        if not rep.failing:
-            continue
-        kinds = {d.is_extremum for d in rep.failing}
-        if len(kinds) == 1:
-            out.append(g)
-    return out
+    return _draw(seed, count,
+                 lambda rep: len({d.is_extremum for d in rep.failing}) == 1)

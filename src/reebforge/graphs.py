@@ -80,9 +80,6 @@ class LabeledGraph:
     values: list[Fraction]
     edges: list[Edge]
 
-    def __post_init__(self):
-        self._check()
-
     @property
     def n(self) -> int:
         return len(self.names)
@@ -100,7 +97,7 @@ class LabeledGraph:
             down[hi].append((e.label, ei))
         return [(sorted(d), sorted(u)) for d, u in zip(down, up)]
 
-    def _check(self):
+    def __post_init__(self):
         if len(self.values) != self.n:
             raise GraphError("vertex name/value length mismatch")
         if len(set(self.names)) != self.n:
@@ -157,11 +154,6 @@ class VertexProfile:
                     f"{self.odd_down + self.odd_up} must be even")
         return (f"interior, odd-chi down {self.odd_down} minus up "
                 f"{self.odd_up} must be even")
-
-
-def vertex_profile(g: LabeledGraph, v: int) -> VertexProfile:
-    """The profile of v, as check_realizable(g) reports it."""
-    return check_realizable(g).diagnostics[v]
 
 
 @dataclass

@@ -265,25 +265,27 @@ def mesh_to_dict(mesh: SurfaceMesh) -> dict:
 
 def mesh_from_dict(doc) -> SurfaceMesh:
     """Parse a mesh document; shape and index-range errors raise
-    MeshError.  Vertices and spares are JSON lists, vertex ids and spare
-    triangle indices JSON integers."""
+    MeshError.  The document is an object; its vertices, triangles and
+    spares are JSON lists, vertex ids and spare triangle indices JSON
+    integers."""
+    if not isinstance(doc, dict):
+        raise MeshError("top-level JSON value must be an object")
+    for key in ("vertices", "triangles", "spares"):
+        if type(doc.get(key, [])) is not list:
+            raise MeshError(f"mesh {key} are not a JSON list")
     try:
         nv = len(doc["vertices"])
         tris = [tuple(t) for t in doc["triangles"]]
-        spares = doc.get("spares", [])
     except (KeyError, TypeError) as exc:
         raise MeshError(f"bad mesh document: {exc}") from exc
-    if type(doc["vertices"]) is not list:
-        raise MeshError("mesh vertices are not a JSON list")
     if not tris:
         raise MeshError("mesh has no triangles")
     for t in tris:
         if len(t) != 3 or not all(type(v) is int and 0 <= v < nv
                                   for v in t):
-            raise MeshError(f"triangle {list(t)} is not 3 vertex ids "
-                            f"in 0..{nv - 1}")
-    if type(spares) is not list:
-        raise MeshError("mesh spares are not a JSON list")
+            raise MeshError(f"triangle {brief(list(t))} is not 3 vertex "
+                            f"ids in 0..{nv - 1}")
+    spares = doc.get("spares", [])
     for s in spares:
         if type(s) is not int or not 0 <= s < len(tris):
             raise MeshError(f"spare {brief(s)} is not a triangle index "

@@ -14,7 +14,8 @@ from reebforge.blocks import (build_junction, cap_block,
                               plan_junction, verify_block)
 from reebforge.canonical import canonical_mesh
 from reebforge.cli import main
-from reebforge.complexes import euler_characteristic, surface_prism
+from reebforge.complexes import (TetComplex, euler_characteristic,
+                                 surface_prism)
 from reebforge.corpus import realizable_corpus, violating_corpus
 from reebforge.graphs import check_realizable, is_odd_chi, serialize_graph
 from reebforge.reeb import reeb_graph_of
@@ -136,8 +137,8 @@ def test_criterion_5_global_integrity():
         assert euler_characteristic(m.cx) == 0
     # negative control: deleted tetrahedron
     m = assemble(sample[0])
-    broken = Manifold3(m.cx.copy(), list(m.values), list(m.provenance),
-                       list(m.vertex_values))
+    broken = Manifold3(TetComplex(m.cx.nv, list(m.cx.tets)), list(m.values),
+                       list(m.provenance), list(m.vertex_values))
     del broken.cx.tets[0]
     del broken.provenance[0]
     rep = validate_manifold(broken)

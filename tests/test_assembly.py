@@ -6,6 +6,7 @@ import warnings
 from collections import deque
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
@@ -13,16 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from reebforge import assembly, complexes
 from reebforge.assembly import (AssemblyError, Manifold3, VerificationResult,
-                                assemble, common_refinement, extract_reeb,
+                                _split_extremum_labels, assemble,
+                                common_refinement, extract_reeb,
                                 manifold_from_dict, manifold_to_dict,
                                 validate_manifold, verify_realization)
-from reebforge.blocks import CheckReport, cylinder_block
+from reebforge.blocks import CheckReport, cylinder_block, plan_junction
 from reebforge.canonical import canonical_mesh
 from reebforge.complexes import (ComplexError, TetComplex, cone_complex,
                                  euler_characteristic, face_map,
                                  merge_complexes, validate_complex)
 from reebforge.corpus import realizable_corpus
-from reebforge.graphs import Edge, LabeledGraph, brief
+from reebforge.graphs import Edge, LabeledGraph, brief, is_odd_chi
 from reebforge.reeb import ReebError, labeled_isomorphic
 from reebforge.unionfind import UnionFind
 from junction_oracle import remove_tets
@@ -106,6 +108,22 @@ def test_extremum_fold_vertex():
     assert res.ok, res.detail
 
 
+def test_every_extremum_split_has_two_sides_a_plan_accepts():
+    # every multiset of 2-6 labels in -4..4 with an even odd-chi count, the
+    # extremum sides that reach the split (one label caps, or fails
+    # parity), enumerated rather than sampled: 2,885 of them
+    count = 0
+    for k in range(2, 7):
+        for labels in combinations_with_replacement(range(-4, 5), k):
+            if sum(map(is_odd_chi, labels)) % 2:
+                continue
+            f1, f2 = _split_extremum_labels(list(labels))
+            assert f1 and f2 and sorted(f1 + f2) == list(labels)
+            plan_junction(f1, f2)
+            count += 1
+    assert count == 2885
+
+
 def test_equal_height_vertices():
     g = make("abcd", [0, 1, 1, 2],
              [(0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 0)])
@@ -122,8 +140,8 @@ def test_gluing_rejects_components_of_different_meshes():
 
 def test_deleted_tet_detected():
     m = assemble(MINIMAL)
-    broken = Manifold3(m.cx.copy(), list(m.values), list(m.provenance),
-                       list(m.vertex_values))
+    broken = Manifold3(TetComplex(m.cx.nv, list(m.cx.tets)), list(m.values),
+                       list(m.provenance), list(m.vertex_values))
     del broken.cx.tets[7]
     del broken.provenance[7]
     rep = validate_manifold(broken)
@@ -193,9 +211,8 @@ def test_validate_manifold_reports_pinched_wedge():
     cone = cone_complex(sphere)
     apex = sphere.nv
     ball_double = [(0, v, 1, v) for v in range(sphere.nv)]
-    s3, _, _ = merge_complexes([cone, cone], ball_double)
-    cx, vmaps, _ = merge_complexes([s3, s3],
-                                   [(0, s3.nv - 1, 1, s3.nv - 1)])
+    s3, _ = merge_complexes([cone, cone], ball_double)
+    cx, vmaps = merge_complexes([s3, s3], [(0, s3.nv - 1, 1, s3.nv - 1)])
     n = len(cx.tets)
     m = Manifold3(cx, [F(0)] * cx.nv, [("vertex", 0)] * n)
     checks = {name: (ok, msg) for name, ok, msg in validate_manifold(m).checks}

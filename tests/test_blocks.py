@@ -154,7 +154,7 @@ def test_generic_cell_pass_through():
 
 def test_glued_values_reject_a_clash():
     tet = TetComplex(4, [(0, 1, 2, 3)])
-    cx, vmaps, _ = merge_complexes([tet, tet], [(0, 3, 1, 0)])
+    cx, vmaps = merge_complexes([tet, tet], [(0, 3, 1, 0)])
     with pytest.raises(BlockError, match="value clash at a glued interface"):
         glued_values(cx.nv, vmaps, [[F(0)] * 4, [F(1)] * 4])
 
@@ -319,8 +319,8 @@ def test_fold_distinct_leaf_values():
 
 def test_verify_detects_corrupted_block():
     b = cylinder_block(0, F(0), F(1))
-    bad = Block(b.cx.copy(), list(b.values), list(b.singular_values),
-                b.boundary, b.refinement)
+    bad = Block(TetComplex(b.cx.nv, list(b.cx.tets)), list(b.values),
+                list(b.singular_values), b.boundary, b.refinement)
     del bad.cx.tets[len(bad.cx.tets) // 2]
     rep = verify_block(bad)
     assert not rep.ok

@@ -204,7 +204,7 @@ def boundary_connect_sum_reference(a: Solid, b: Solid, i: int) -> Solid:
                                                  other.mesh, sb)
     ident = [(0, end.bmap[x], 1, other.bmap[y])
              for x, y in zip(sorted(ta), sorted(tb))]
-    cx, (va, vb), _ = merge_complexes([a.cx, b.cx], ident)
+    cx, (va, vb) = merge_complexes([a.cx, b.cx], ident)
     bmap = [0] * surf.nv
     for v in range(end.mesh.nv):
         bmap[map_a[v]] = va[end.bmap[v]]

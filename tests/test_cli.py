@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import reebforge
-from reebforge import cli
+from reebforge import cli, corpus
 from reebforge.assembly import manifold_from_dict, validate_manifold
 from reebforge.canonical import canonical_mesh
 from reebforge.cli import main
+from reebforge.corpus import MAX_CORPUS_COUNT
 from reebforge.surfaces import MeshError
 
 MINIMAL = {"vertices": [{"id": "a", "value": "0/1"},
@@ -217,6 +218,15 @@ TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
                                "triangles": TETRA_BOUNDARY}),
     (["surface", "classify"], {"vertices": {"a": 1, "b": 2, "c": 3, "d": 4},
                                "triangles": TETRA_BOUNDARY}),
+    # mesh documents follow the graph and manifold rules: an object at the
+    # top, triangles that are no JSON list are not read as their keys or
+    # characters, and a long row is quoted in brief
+    (["surface", "classify"], [1, 2]),
+    (["surface", "classify"], {"vertices": [0, 1, 2],
+                               "triangles": {"012": 1}}),
+    (["surface", "classify"], {"vertices": [0, 1, 2], "triangles": "012"}),
+    (["surface", "classify"], {"vertices": [0, 1, 2],
+                               "triangles": [list(range(2999))]}),
     (["check"], {"vertices": 5, "edges": []}),
     (["check"], dict(MINIMAL, edges=5)),
     # an exponent would make the parser build 10**9999999
@@ -244,7 +254,9 @@ TETRA_BOUNDARY = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 ], ids=["truncated-values", "top-level-array", "three-vertex-tet",
         "tet-vertex-out-of-range", "triangle-vertex-out-of-range",
         "no-triangles", "boolean-triangle-vertex", "string-vertices",
-        "object-vertices", "integer-graph-vertices", "integer-graph-edges",
+        "object-vertices", "top-level-mesh-array", "object-triangles",
+        "string-triangles", "long-triangle-row", "integer-graph-vertices",
+        "integer-graph-edges",
         "exponent-height", "exponent-value", "string-tetrahedra",
         "object-tetrahedra", "string-values", "object-values",
         "string-provenance", "object-provenance", "string-vertex-values",
@@ -255,6 +267,23 @@ def test_malformed_documents_are_input_errors(tmp_path, argv, doc):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+    assert proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "top-level JSON value must be an object"),
+    ({"vertices": [0, 1, 2], "triangles": {"012": 1}},
+     "mesh triangles are not a JSON list"),
+    ({"vertices": [0, 1, 2], "triangles": "012"},
+     "mesh triangles are not a JSON list"),
+    ({"vertices": [0, 1, 2], "triangles": [list(range(2999))]},
+     "triangle [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1... (16884 characters) is "
+     "not 3 vertex ids in 0..2"),
+], ids=["array", "object-triangles", "string-triangles", "long-row"])
+def test_mesh_document_messages(tmp_path, capsys, doc, message):
+    assert main(["surface", "classify", write(tmp_path, "m.json", doc)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("spares", ["xyz", [99], [True]],
@@ -472,6 +501,23 @@ def test_corpus_count_must_be_positive(tmp_path, count):
     assert "Traceback" not in proc.stderr
     assert "--count: must be >= 1" in proc.stderr
     assert not (tmp_path / "c").exists()
+
+
+def test_corpus_count_is_capped_before_any_draw(tmp_path, monkeypatch,
+                                               capsys):
+    def draw(*args):
+        raise AssertionError("a corpus was drawn")
+
+    monkeypatch.setattr(corpus, "realizable_corpus", draw)
+    monkeypatch.setattr(corpus, "violating_corpus", draw)
+    out = tmp_path / "c"
+    assert main(["corpus", "--count", str(MAX_CORPUS_COUNT + 1),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"input error: --count {MAX_CORPUS_COUNT + 1} "
+                            "is over the corpus cap of 10,000\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unexpected_exception_is_one_internal_error_line(

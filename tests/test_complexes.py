@@ -100,7 +100,7 @@ def test_remove_interior_tet_leaves_manifold():
 def test_merge_identifies_vertices():
     a = TetComplex(4, [(0, 1, 2, 3)])
     b = TetComplex(4, [(0, 1, 2, 3)])
-    merged, vmaps, _ = merge_complexes(
+    merged, vmaps = merge_complexes(
         [a, b], [(0, 0, 1, 0), (0, 1, 1, 1), (0, 2, 1, 2)])
     assert merged.nv == 5
     assert len(merged.tets) == 2
@@ -113,7 +113,7 @@ def test_closed_complex_has_zero_euler_characteristic():
     c1 = cone_complex(sphere)
     c2 = cone_complex(sphere)
     ident = [(0, v, 1, v) for v in range(sphere.nv)]
-    cx, _, _ = merge_complexes([c1, c2], ident)
+    cx, _ = merge_complexes([c1, c2], ident)
     validate_complex(cx)
     assert not boundary_faces(cx)
     assert euler_characteristic(cx) == 0
@@ -142,7 +142,7 @@ def test_validate_rejects_cones_sharing_only_their_apex():
     sphere = canonical_mesh(0, 1)
     cone = cone_complex(sphere)
     apex = sphere.nv
-    cx, vmaps, _ = merge_complexes([cone, cone], [(0, apex, 1, apex)])
+    cx, vmaps = merge_complexes([cone, cone], [(0, apex, 1, apex)])
     with pytest.raises(ComplexError, match=f"vertex {vmaps[0][apex]} link "
                                            "is disconnected"):
         validate_complex(cx)
@@ -836,11 +836,10 @@ def _merge_cases(draw):
 @given(_merge_cases())
 def test_merge_matches_reference(case):
     parts, ident = case
-    cx, vmaps, offsets = merge_complexes(parts, ident)
-    ref, ref_vmaps, ref_offsets = merge_reference(parts, ident)
+    cx, vmaps = merge_complexes(parts, ident)
+    ref, ref_vmaps, _ = merge_reference(parts, ident)
     assert (cx.nv, cx.tets) == (ref.nv, ref.tets)
     assert vmaps == ref_vmaps
-    assert offsets == ref_offsets
 
 
 @settings(max_examples=200, deadline=None)
@@ -852,10 +851,9 @@ def test_merge_leaves_out_dropped_tets(case, data):
     drop = data.draw(st.lists(st.sampled_from(
         [(p, t) for p, part in enumerate(parts)
          for t in range(len(part.tets))] or [(0, 0)])))
-    cx, vmaps, offsets = merge_complexes(parts, ident, drop)
+    cx, vmaps = merge_complexes(parts, ident, drop)
     kept = [remove_tets(part, {t for q, t in drop if q == p})
             for p, part in enumerate(parts)]
-    ref, ref_vmaps, ref_offsets = junction_oracle.merge_complexes(kept, ident)
+    ref, ref_vmaps, _ = junction_oracle.merge_complexes(kept, ident)
     assert (cx.nv, cx.tets) == (ref.nv, ref.tets)
     assert vmaps == ref_vmaps
-    assert offsets == ref_offsets

@@ -10,7 +10,7 @@ from reebforge.corpus import realizable_corpus, violating_corpus
 from reebforge.graphs import (Edge, GraphError, LabeledGraph,
                               check_realizable, euler_char, graph_to_dot,
                               is_odd_chi, parse_graph, parse_rational,
-                              serialize_graph, vertex_profile)
+                              serialize_graph)
 
 
 def make(names, values, edges):
@@ -90,20 +90,20 @@ def test_odd_chi_predicate_matches_parity():
 
 def test_vertex_profile_extremum():
     g = make("ab", [0, 1], [(0, 1, 1)])
-    p = vertex_profile(g, 0)
+    p = check_realizable(g).diagnostics[0]
     assert p.up == [1] and p.down == [] and p.is_extremum
 
 
 def test_vertex_profile_star_center():
     g = make(["c", "lo", "h1", "h2"], [1, 0, 2, 2],
              [(0, 1, 0), (0, 2, -1), (0, 3, -1)])
-    p = vertex_profile(g, 0)
+    p = check_realizable(g).diagnostics[0]
     assert p.up == [-1, -1] and p.down == [0] and not p.is_extremum
 
 
 def test_vertex_profile_degree2_extremum():
     g = make("abc", [0, 1, 1], [(0, 1, 1), (0, 2, 1)])
-    p = vertex_profile(g, 0)
+    p = check_realizable(g).diagnostics[0]
     assert p.up == [1, 1] and p.is_extremum
 
 
@@ -135,6 +135,19 @@ def test_check_summaries_are_pinned():
     text = "\n\n".join(check_realizable(g).summary() for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "0f830b2972e55e8e02116206a43c126af944ed06d16e7dea3ae25d382c18aaaf"
+
+
+@pytest.mark.parametrize("corpus,seed,digest", [
+    (realizable_corpus, 20260810,
+     "f1373861e7ba5539652ea9e700a798c7d279ab69c857a104f427e8959e36f109"),
+    (violating_corpus, 20260811,
+     "158af47db68a030f87deff0feaffa6e9fb76e00fca7a20c8dc487b0f151d4089"),
+], ids=["realizable", "violating"])
+def test_corpora_are_pinned(corpus, seed, digest):
+    """A seeded corpus, byte for byte: the first 50 graphs of its seed's
+    stream that its filter keeps."""
+    text = "\n".join(map(serialize_graph, corpus(seed, 50)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value,want", [
@@ -245,8 +258,7 @@ def test_accepted_extrema_have_even_odd_counts(g):
     rep = check_realizable(g)
     if not rep.ok:
         return
-    for v in range(g.n):
-        p = vertex_profile(g, v)
+    for p in rep.diagnostics:
         if p.is_extremum:
             assert (p.odd_down + p.odd_up) % 2 == 0
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reebforge import reeb
+from reebforge.assembly import assemble
 from reebforge.blocks import (build_junction, cylinder_block,
                               elementary_junction, plan_junction)
 from reebforge.canonical import canonical_mesh
-from reebforge.complexes import surface_prism
-from reebforge.corpus import random_graph
+from reebforge.complexes import TetComplex, manifold_census, surface_prism
+from reebforge.corpus import random_graph, realizable_corpus
 from reebforge.graphs import Edge, GraphError, LabeledGraph
 from reebforge.reeb import (IsoResult, LevelSet, ReebEdge, ReebError,
                             ReebGraph, ReebNode, _levels, _prepare, _ranks,
@@ -1005,6 +1006,58 @@ def test_reeb_graph_invariant_under_reordering_and_renumbering(i, seed):
     base = reeb_graph_of(cells, values, pin_values=pins)
     cells2, values2 = _presented(cells, values, Random(seed))
     other = reeb_graph_of(cells2, values2, pin_values=pins)
+    assert labeled_isomorphic(base, other.to_labeled_graph()).isomorphic
+    assert _node_profile(base) == _node_profile(other)
+
+
+def _stellar(cells, values, rng, count):
+    """count random 1-4 stellar splits: each takes a random tet, appends
+    vertex nv at the exact mean of the tet's four values and puts the four
+    tets that join nv to the tet's faces in its place and at random places
+    in the list, so that a new tet can come first in its components.  The
+    PL function stays the same, and so must its census and its Reeb
+    graph."""
+    cells, values = [tuple(c) for c in cells], list(values)
+    for _ in range(count):
+        t = rng.randrange(len(cells))
+        cell, nv = cells[t], len(values)
+        values.append(sum(values[v] for v in cell) / 4)
+        cones = [cell[:k] + (nv,) + cell[k + 1:] for k in range(4)]
+        cells[t] = cones[0]
+        for cone in cones[1:]:
+            cells.insert(rng.randrange(len(cells) + 1), cone)
+    return cells, values
+
+
+def _census(cells, values):
+    census = manifold_census(TetComplex(len(values), list(cells)))
+    return census.fault, census.chi, len(census.boundary)
+
+
+@functools.lru_cache(maxsize=None)
+def subdivision_pool():
+    """(cells, values, pin values, census, Reeb graph) of the tetrahedral
+    entries of sweep_pool() and of the 2,240-tet manifold of
+    realizable_corpus(20260810, 8)[1]."""
+    pool = [e for e in sweep_pool() if len(e[0][0]) == 4]
+    m = assemble(realizable_corpus(20260810, 8)[1])
+    pool.append((m.cx.tets, m.values, ()))
+    assert len(pool) == 10
+    return [(cells, values, pins, _census(cells, values),
+             reeb_graph_of(cells, values, pin_values=pins))
+            for cells, values, pins in pool]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 64), st.integers(0, 2 ** 32))
+# the lifted junction, with a new tet first in a slab component that
+# crosses its singular level
+@example(8, 64, 0)
+def test_verdict_invariant_under_stellar_splits(i, count, seed):
+    cells, values, pins, census, base = subdivision_pool()[i]
+    cells, values = _stellar(cells, values, Random(seed), count)
+    assert _census(cells, values) == census
+    other = reeb_graph_of(cells, values, pin_values=pins)
     assert labeled_isomorphic(base, other.to_labeled_graph()).isomorphic
     assert _node_profile(base) == _node_profile(other)
 
